@@ -1,25 +1,30 @@
 //! `hmg-audit`: static verification of the HMG/NHCC protocol stack and
 //! a determinism/panic-hygiene lint pass.
 //!
-//! Four engines, all static (no simulation):
+//! Three engines, all static (no simulation):
 //!
-//! * [`protocol_graph`] — proves the Table I transition function
-//!   complete, deterministic, variant-contained, and conservative, and
-//!   that everything it can emit has a declared consumer.
 //! * [`waitsfor`] — builds the virtual-channel waits-for graph from
 //!   `protocol/msg.rs` and the engine/transport blocking behaviors and
 //!   proves its unbounded part acyclic (deadlock freedom).
-//! * [`model`] — a Murphi-style explicit-state model checker that walks
-//!   every configuration a small abstract multi-GPU system can reach
-//!   under the guarded-action rows of `hmg_protocol::spec` and proves
+//! * [`model`] — first a cheap pre-pass, run on every audit
+//!   ([`model::check_cells`]), proving every `(state, event)` cell of
+//!   every spec variant defined exactly when the paper defines it and
+//!   every emitted message class consumed; then, opt-in via
+//!   [`AuditOptions::model`] (it is exhaustive but not free), a
+//!   Murphi-style explicit-state model checker that walks every
+//!   configuration a small abstract multi-GPU system can reach under
+//!   the guarded-action rows of `hmg_protocol::spec` and proves
 //!   single-writer safety, sharer conservation, no stuck states, and
 //!   waits-for acyclicity per protocol variant, with shortest
-//!   counterexample traces on violation. Opt-in via
-//!   [`AuditOptions::model`] (it is exhaustive but not free).
+//!   counterexample traces on violation.
 //! * [`lint`] — lexical source-hygiene rules: deterministic iteration,
 //!   no smuggled entropy, no panics on hot paths, stats registration,
 //!   no tree-based collections back on the rewritten DES hot path, no
 //!   shadow DirState/DirEvent transition tables outside the spec.
+//!
+//! The shape of the rows themselves (conservation, variant
+//! containment, arbitration rows never transitioning) is pinned by the
+//! unit tests of `hmg_protocol::spec`.
 //!
 //! Each engine supports **seeded violations** ([`Inject`]) so the audit
 //! can prove it actually detects what it claims to detect: CI runs the
@@ -27,14 +32,13 @@
 //! (must exit 1 with a `file:line` diagnostic).
 //!
 //! The runtime complement lives in `hmg_protocol::conformance`: the
-//! engine replays every directory transition against the same static
-//! table this crate verifies, and reports per-row coverage in
+//! engine replays every directory transition against the same spec
+//! rows this crate verifies, and reports per-row coverage in
 //! `RunMetrics::table`.
 
 pub mod findings;
 pub mod lint;
 pub mod model;
-pub mod protocol_graph;
 pub mod waitsfor;
 
 use std::path::{Path, PathBuf};
@@ -45,7 +49,7 @@ use hmg_protocol::{DirEvent, DirState, ProtocolSpec, SpecVariant};
 /// A seeded violation class for the audit's self-test mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inject {
-    /// Forget one transition-table cell (`(Valid, Replace)` under NHCC).
+    /// Forget one spec cell (`(Valid, Replace)` under NHCC).
     IncompleteRow,
     /// Add ack-style invalidation edges, closing a waits-for cycle.
     WaitsForCycle,
@@ -60,8 +64,8 @@ pub enum Inject {
     DirMatch,
     /// Drop the `ForwardInv` action from the HMG `(Valid, Invalidation)`
     /// spec row — a protocol bug only the model checker can see: the
-    /// table stays complete and deterministic, but a remote sharer's
-    /// copy is never invalidated.
+    /// spec stays complete, but a remote sharer's copy is never
+    /// invalidated.
     SpecDropForward,
 }
 
@@ -119,7 +123,8 @@ pub struct AuditOptions {
     pub inject: Option<Inject>,
     /// Run the explicit-state model checker over the spec variants.
     /// Off by default: it is exhaustive (thousands of configurations
-    /// per variant) and the lexical/graph engines cover every commit.
+    /// per variant) and the cell pre-pass, waits-for, and lint engines
+    /// cover every commit.
     pub model: bool,
     /// BFS depth bound for the model checker; `None` explores the full
     /// reachable space (the invariants are then *proved*, not sampled).
@@ -148,7 +153,7 @@ impl AuditOptions {
 pub struct AuditReport {
     /// Every violation found, in engine order.
     pub findings: Vec<Finding>,
-    /// Transition-table cells checked (state x event x variant).
+    /// Spec cells checked (state x event x variant).
     pub cells_checked: usize,
     /// Waits-for edges checked.
     pub edges_checked: usize,
@@ -191,13 +196,16 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
     let root: &Path = &opts.root;
     let mut findings = Vec::new();
 
-    // Protocol-graph verification.
-    let mut spec = protocol_graph::TableSpec::from_code();
-    if opts.inject == Some(Inject::IncompleteRow) {
-        spec = spec.with_cell_undefined(DirState::Valid, DirEvent::Replace, false);
-    }
-    let cells_checked = spec.num_cells();
-    findings.extend(protocol_graph::verify(root, &spec));
+    // Spec completeness pre-pass.
+    let forgotten = (opts.inject == Some(Inject::IncompleteRow)).then_some((
+        SpecVariant::Nhcc,
+        DirState::Valid,
+        DirEvent::Replace,
+    ));
+    let (cells_checked, cell_findings) = model::check_cells(root, |v, s, e| {
+        Some((v, s, e)) != forgotten && ProtocolSpec::for_variant(v).legal(s, e)
+    });
+    findings.extend(cell_findings);
 
     // Waits-for deadlock analysis.
     let mut model = waitsfor::ChannelModel::from_code();
@@ -220,7 +228,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
 
     // Explicit-state model checking: opt-in, or forced by the
     // spec-drop-forward injection (the one bug class only reachability
-    // can see — the broken spec is still complete and deterministic).
+    // can see — the broken spec is still complete).
     let mut model_runs = Vec::new();
     if opts.model || opts.inject == Some(Inject::SpecDropForward) {
         if opts.inject == Some(Inject::SpecDropForward) {
@@ -235,11 +243,10 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             for v in &run.violations {
                 // Anchor at the spec's Invalidation rows: that is where
                 // a protocol-semantics fix lands.
-                let spec_rs = Path::new("crates/protocol/src/spec.rs");
-                let line = findings::locate(root, spec_rs, "static ROWS");
+                let line = findings::locate(root, Path::new(model::SPEC_RS), "static ROWS");
                 findings.push(Finding::new(
                     "model-violation",
-                    spec_rs,
+                    model::SPEC_RS,
                     line,
                     format!(
                         "[{}] {} invariant violated under variant `{}`: {} \
@@ -280,7 +287,8 @@ mod tests {
     fn clean_audit_passes() {
         let report = run_audit(&AuditOptions::new(root()));
         assert!(report.passed(), "{:#?}", report.findings);
-        assert_eq!(report.cells_checked, 24);
+        // 2 states x 6 events x 4 spec variants.
+        assert_eq!(report.cells_checked, 48);
         assert!(report.edges_checked >= 10);
         assert!(report.files_scanned > 20);
         assert!(report.model_runs.is_empty(), "model is opt-in");

@@ -13,7 +13,7 @@
 //! * `entropy` — no wall-clock or OS entropy (`SystemTime::now`,
 //!   `Instant::now`, `OsRng`, ...) anywhere outside `sim/src/rng.rs`;
 //!   simulated time comes from the event queue and randomness from the
-//!   seeded [`hmg_sim::rng`] stream.
+//!   seeded `hmg_sim::rng` stream.
 //! * `panic-path` — no `.unwrap()` / `.expect(` in the protocol, mem,
 //!   sim, gpu, and interconnect hot paths; fallible paths return typed
 //!   `SimError`s. Documented panicking wrappers carry an
@@ -70,14 +70,10 @@ const HOT_PATH_FILES: &[&str] = &[
 const HOT_PATH_TOKENS: &[&str] = &["BinaryHeap", "BTreeMap", "BTreeSet"];
 
 /// The only files allowed to pattern-match on `DirState`/`DirEvent`:
-/// the guarded-action spec (the source of truth), the legacy table view
-/// it compiles to, and the model checker that walks its rows. Anywhere
-/// else, such a match is a shadow transition table.
-const DIR_MATCH_ALLOWLIST: &[&str] = &[
-    "crates/protocol/src/spec.rs",
-    "crates/protocol/src/table.rs",
-    "crates/audit/src/model.rs",
-];
+/// the guarded-action spec (the source of truth) and the model checker
+/// that walks its rows. Anywhere else, such a match is a shadow
+/// transition table.
+const DIR_MATCH_ALLOWLIST: &[&str] = &["crates/protocol/src/spec.rs", "crates/audit/src/model.rs"];
 
 /// Tokens that read wall-clock time or OS entropy.
 const ENTROPY_TOKENS: &[&str] = &[
@@ -221,7 +217,7 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
                     "`match` arm on DirState/DirEvent outside the guarded-action spec — \
                      protocol decisions must come from hmg_protocol::spec rows (the table \
                      the audit proves), not a hand-rolled shadow table. Call \
-                     `ProtocolSpec::row`/`try_transition`, or justify with \
+                     `ProtocolSpec::row`, or justify with \
                      `// audit:allow(dir-match): <why this is not transition logic>`"
                         .to_string(),
                 ));

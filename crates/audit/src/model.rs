@@ -3,11 +3,14 @@
 //! A Murphi-style reachability checker: it enumerates every
 //! configuration a small abstract system can reach under the rows of
 //! [`hmg_protocol::spec`] and proves four invariants on the full
-//! reachable set — *before a single cycle is simulated*. Where
-//! [`crate::protocol_graph`] checks the table syntactically (complete,
-//! deterministic, conservative), this module checks it *semantically*:
-//! the rows, composed over an unbounded interleaving of loads, stores,
-//! evictions, and in-flight invalidations, never lose a copy.
+//! reachable set — *before a single cycle is simulated*: the rows,
+//! composed over an unbounded interleaving of loads, stores, evictions,
+//! and in-flight invalidations, never lose a copy.
+//!
+//! The checker only steps rows that exist, so a cell missing from the
+//! spec would go unreported. [`check_cells`] closes that gap: a cheap
+//! static pre-pass, run on every audit, that proves every cell of every
+//! variant is defined exactly when the paper defines it.
 //!
 //! # The abstraction
 //!
@@ -60,9 +63,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
+use std::path::Path;
 
-use hmg_protocol::spec::{Action, Guard, GuardCtx, ProtocolSpec, SpecVariant};
+use hmg_protocol::spec::{Action, Guard, GuardCtx, ProtocolSpec, SpecVariant, ROWS};
 use hmg_protocol::{DirEvent, DirState};
+
+use crate::findings::{locate, Finding};
 
 /// Maximum in-flight invalidations per target (bounded channel).
 pub const MAX_INFLIGHT: u8 = 2;
@@ -1006,9 +1012,160 @@ pub fn check_all(only: Option<SpecVariant>, depth: Option<u32>) -> Vec<ModelRun>
         .collect()
 }
 
+/// The spec source, where table-level findings anchor.
+pub(crate) const SPEC_RS: &str = "crates/protocol/src/spec.rs";
+
+/// Message classes the spec rows can emit, with their declared
+/// consumers. The table is ack-free: invalidations are the only
+/// protocol-visible emission, consumed by the engine's invalidation
+/// handler (which never generates a reply).
+const EMITTED_CONSUMERS: &[(&str, &str, &str)] =
+    &[("Inv", "crates/gpu/src/engine.rs", "fn handle_inv")];
+
+/// Whether the paper's Table I declares the cell undefined: an absent
+/// entry cannot be evicted, and flat NHCC homes never receive
+/// hierarchical invalidations.
+fn declared_na(state: DirState, event: DirEvent, hmg: bool) -> bool {
+    (state, event) == (DirState::Invalid, DirEvent::Replace)
+        || (event == DirEvent::Invalidation && !hmg)
+}
+
+/// Static completeness pre-pass: every `(state, event)` cell of every
+/// [`SpecVariant`] is defined XOR declared N/A (`incomplete-row`), and
+/// every message class the rows can emit has a declared consumer in the
+/// engine (`undeclared-consumer`).
+///
+/// `defined` says whether a variant defines a cell; the audit passes
+/// [`ProtocolSpec::legal`], and its `incomplete-row` self-test passes a
+/// copy with one cell forgotten. Returns the number of cells checked
+/// (2 states × 6 events × 4 variants) and the findings.
+pub fn check_cells(
+    root: &Path,
+    defined: impl Fn(SpecVariant, DirState, DirEvent) -> bool,
+) -> (usize, Vec<Finding>) {
+    let mut out = Vec::new();
+    let mut cells = 0;
+    let anchor = locate(root, Path::new(SPEC_RS), "pub static ROWS");
+    for variant in SpecVariant::ALL {
+        for state in DirState::ALL {
+            for event in DirEvent::ALL {
+                cells += 1;
+                let name = variant.name();
+                let msg = match (
+                    defined(variant, state, event),
+                    declared_na(state, event, variant.hmg()),
+                ) {
+                    (false, false) => format!(
+                        "({state:?}, {event:?}) has no row under `{name}` and is not a \
+                         declared-N/A cell — the directory would take an unspecified action"
+                    ),
+                    (true, true) => format!(
+                        "({state:?}, {event:?}) is declared N/A under `{name}` but the spec \
+                         defines a row for it"
+                    ),
+                    _ => continue,
+                };
+                out.push(Finding::new("incomplete-row", SPEC_RS, anchor, msg));
+            }
+        }
+    }
+
+    let emits_inv = ROWS.iter().any(|r| {
+        r.has(Action::InvAllSharers) || r.has(Action::InvOtherSharers) || r.has(Action::ForwardInv)
+    });
+    if emits_inv {
+        for &(class, file, symbol) in EMITTED_CONSUMERS {
+            let found = std::fs::read_to_string(root.join(file)).is_ok_and(|t| t.contains(symbol));
+            if !found {
+                out.push(Finding::new(
+                    "undeclared-consumer",
+                    file,
+                    locate(root, Path::new(file), symbol),
+                    format!(
+                        "the spec emits {class} messages but the declared consumer `{symbol}` \
+                         was not found in {file}"
+                    ),
+                ));
+            }
+        }
+    }
+    (cells, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn root() -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("workspace root")
+            .to_path_buf()
+    }
+
+    fn spec_defines(v: SpecVariant, s: DirState, e: DirEvent) -> bool {
+        ProtocolSpec::for_variant(v).legal(s, e)
+    }
+
+    #[test]
+    fn clean_table_verifies() {
+        let (cells, findings) = check_cells(&root(), spec_defines);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(cells, 48);
+    }
+
+    #[test]
+    fn every_variant_of_every_cell_is_checked() {
+        // A cell defined where the paper says N/A is caught too, in
+        // each of the four variants.
+        for variant in SpecVariant::ALL {
+            let (_, findings) = check_cells(&root(), |v, s, e| {
+                spec_defines(v, s, e)
+                    || (v, s, e) == (variant, DirState::Invalid, DirEvent::Replace)
+            });
+            assert_eq!(findings.len(), 1, "{variant:?}: {findings:?}");
+            assert!(findings[0].msg.contains(variant.name()), "{findings:?}");
+        }
+    }
+
+    #[test]
+    fn injected_incomplete_row_is_reported_with_location() {
+        let (_, findings) = check_cells(&root(), |v, s, e| {
+            spec_defines(v, s, e)
+                && (v, s, e) != (SpecVariant::Nhcc, DirState::Valid, DirEvent::Replace)
+        });
+        assert!(
+            findings.iter().any(|f| f.rule == "incomplete-row"
+                && f.file == Path::new(SPEC_RS)
+                && f.line > 1
+                && f.msg.contains("Replace")
+                && f.msg.contains("`nhcc`")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn missing_inv_consumer_is_reported() {
+        let (_, findings) = check_cells(Path::new("no-such-workspace"), spec_defines);
+        assert!(
+            findings.iter().any(|f| f.rule == "undeclared-consumer"),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn na_cells_are_exactly_the_papers() {
+        let na = SpecVariant::ALL
+            .iter()
+            .flat_map(|v| DirState::ALL.map(|s| (v, s)))
+            .flat_map(|(v, s)| DirEvent::ALL.map(|e| declared_na(s, e, v.hmg())))
+            .filter(|&na| na)
+            .count();
+        // (I, Replace) x 4 variants + Invalidation column (2 states)
+        // under the 2 flat variants.
+        assert_eq!(na, 8);
+    }
 
     #[test]
     fn every_variant_is_safe_and_exhaustively_explored() {

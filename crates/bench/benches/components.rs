@@ -1,6 +1,6 @@
 //! Microbenchmarks of the simulator's hot components: the event queue,
-//! the set-associative cache, the coherence directory, the Table I FSM,
-//! the link model, and the PRNG. These track the simulator's own
+//! the set-associative cache, the coherence directory, the Table I spec
+//! row lookup, the link model, and the PRNG. These track the simulator's own
 //! performance (the Fig. 7 "simulation runtime" axis).
 //!
 //! Plain `std::time` harness (`harness = false`): the workspace builds
@@ -13,7 +13,7 @@ use std::time::Instant;
 use hmg::interconnect::{Link, Topology};
 use hmg::mem::addr::{BlockAddr, LineAddr};
 use hmg::mem::{Cache, CacheConfig, Directory, DirectoryConfig, Sharer};
-use hmg::protocol::{transition, DirEvent, DirState};
+use hmg::protocol::{Action, Arbitration, DirEvent, DirState, GuardCtx, ProtocolSpec};
 use hmg::sim::{Cycle, EventQueue, Rng};
 
 /// Times `f` over enough iterations to fill ~0.2 s after warmup and
@@ -85,7 +85,8 @@ fn bench_directory() {
 }
 
 fn bench_fsm() {
-    bench("table1 transition x1k", || {
+    let spec = ProtocolSpec::of(true, Arbitration::NackRetry);
+    bench("table1 spec row x1k", || {
         let mut acc = 0u32;
         for i in 0..1000u32 {
             let ev = match i % 4 {
@@ -94,8 +95,8 @@ fn bench_fsm() {
                 2 => DirEvent::RemoteStore,
                 _ => DirEvent::LocalStore,
             };
-            let o = transition(black_box(DirState::Valid), ev, true);
-            acc += o.add_sharer as u32;
+            let r = spec.row(black_box(DirState::Valid), ev, GuardCtx::FREE);
+            acc += r.is_some_and(|r| r.has(Action::AddSharer)) as u32;
         }
         acc
     });

@@ -1,7 +1,6 @@
 //! Benchmark harness crate: the `experiments` binary regenerates every
-//! table and figure of the paper (see `src/bin/experiments.rs`), and the
-//! Criterion benches under `benches/` track component and end-to-end
-//! simulator performance. All experiment logic lives in the `hmg` facade
+//! table and figure of the paper (see `src/bin/experiments.rs`), and
+//! `benches/components.rs` times the simulator's hot components. All experiment logic lives in the `hmg` facade
 //! crate; this crate only wires it to the command line.
 
 pub mod cli;

@@ -123,14 +123,19 @@ fn baseline_gate_accepts_own_report_and_rejects_fast_baselines() {
     let out = tmp("gate.json");
     assert!(quick_bench(&out).status.success());
 
-    // A report gated against itself always passes (0% regression).
+    // A report gated against itself always passes (0% regression). The
+    // report is written before the gate reads the baseline, so pointing
+    // `--baseline` at the run's own `--out` compares the run with
+    // itself; gating against a separate earlier run would compare two
+    // wall-clock measurements and fail whenever the host is loaded.
+    let own = tmp("gate-own.json");
     let same = Command::new(BIN)
         .args([
             "bench", "--quick", "--scale", "tiny", "--seed", "9", "--out",
         ])
-        .arg(tmp("gate-rerun.json"))
+        .arg(&own)
         .arg("--baseline")
-        .arg(&out)
+        .arg(&own)
         .output()
         .expect("experiments binary runs");
     assert!(
@@ -138,7 +143,12 @@ fn baseline_gate_accepts_own_report_and_rejects_fast_baselines() {
         "self-baseline gate failed: {}",
         String::from_utf8_lossy(&same.stderr)
     );
-    std::fs::remove_file(tmp("gate-rerun.json")).ok();
+    let msg = String::from_utf8_lossy(&same.stdout);
+    assert!(
+        msg.contains("bench gate ok") && msg.contains("0.0%)"),
+        "{msg}"
+    );
+    std::fs::remove_file(&own).ok();
 
     // An impossibly fast baseline must trip the regression gate.
     let fast = tmp("gate-fast.json");

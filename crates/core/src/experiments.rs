@@ -179,7 +179,7 @@ impl ExpOptions {
 /// | `ecc=off/parity/secded` | cache/directory error coding (integrity) |
 /// | `checksums=on/off`  | per-message checksum verification            |
 /// | `scrub=N`           | background scrubber period in cycles         |
-/// | `double-bit=F`      | SEC-DED uncorrectable-flip fraction in [0,1] |
+/// | `double-bit=F`      | SEC-DED uncorrectable-flip fraction in \[0,1\] |
 /// | `nack-thr=N`        | busy-home flow-control threshold in cycles   |
 /// | `arbitration=nack/phase` | busy-home discipline: NACK/retry or phase-priority |
 pub fn apply_tweak(spec: &str, cfg: &mut EngineConfig) -> Result<(), SimError> {
@@ -985,7 +985,7 @@ pub fn fig2(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
 }
 
 /// Prior-work comparison: the CARVE-like broadcast-filtered protocol
-/// [14] against NHCC and HMG (Section II-A's motivation for precise,
+/// \[14\] against NHCC and HMG (Section II-A's motivation for precise,
 /// hierarchical sharer tracking).
 pub fn carve_comparison(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
     speedup_suite(

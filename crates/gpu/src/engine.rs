@@ -2137,12 +2137,12 @@ impl<'t> Sim<'t> {
     ///
     /// Panics when the spec leaves the cell undefined — the engine
     /// reached a transition the protocol does not have, which is a
-    /// simulator bug (same contract as `hmg_protocol::transition`).
+    /// simulator bug.
     fn dir_row(&self, state: DirState, event: DirEvent) -> &'static hmg_protocol::SpecRow {
         self.spec()
             .row(state, event, GuardCtx::FREE)
             .unwrap_or_else(|| {
-                // audit:allow(panic-path): undefined-cell contract, mirrors transition().
+                // audit:allow(panic-path): reaching an undefined cell is a simulator bug.
                 panic!("spec leaves ({state:?}, {event:?}) undefined")
             })
     }

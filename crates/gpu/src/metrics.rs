@@ -84,7 +84,7 @@ pub struct RunMetrics {
     /// contained (poison + CTA abort), never consumed silently.
     pub integrity: IntegrityStats,
     /// Runtime conformance of executed directory transitions against
-    /// the static Table I (`hmg_protocol::table`): per-row coverage,
+    /// the static Table I (`hmg_protocol::spec` rows): per-row coverage,
     /// transitions checked, and mismatches. A nonzero mismatch count
     /// means the engine drifted from the table; debug builds assert
     /// instead.

@@ -8,7 +8,7 @@
 //! individually, while remote GPUs are tracked as whole GPUs (Section V-A).
 
 use hmg_interconnect::{GpmId, GpuId, Topology};
-use hmg_protocol::{try_transition, DirEvent, DirState, Outcome};
+use hmg_protocol::DirState;
 use hmg_sim::SimError;
 
 use crate::addr::BlockAddr;
@@ -407,26 +407,14 @@ impl Directory {
     /// This is the conformance bridge between the structure and the
     /// static table — the engine samples `state_of` before mutating the
     /// directory, applies the operation, and checks the observed effect
-    /// against [`hmg_protocol::try_transition`] for that state.
+    /// against the spec row for that state
+    /// ([`hmg_protocol::TableConformance::observe`]).
     pub fn state_of(&self, block: BlockAddr) -> DirState {
         if self.lookup(block).is_some() {
             DirState::Valid
         } else {
             DirState::Invalid
         }
-    }
-
-    /// What Table I says must happen if `block` observes `event` now.
-    /// `None` marks cells the table leaves undefined (see
-    /// [`hmg_protocol::try_transition`]); a conforming engine never
-    /// drives the directory into one.
-    pub fn expected_outcome(
-        &self,
-        block: BlockAddr,
-        event: DirEvent,
-        hmg: bool,
-    ) -> Option<Outcome> {
-        try_transition(self.state_of(block), event, hmg)
     }
 
     /// Deallocates `block` (the V→I transition on a local store), returning

@@ -1,12 +1,16 @@
 //! Runtime conformance checking against the static transition table.
 //!
-//! `hmg-audit` proves properties of [`crate::table`] *offline*; this
-//! module closes the loop at *runtime*: the GPU engine reports every
-//! directory transition it actually executes, and [`TableConformance`]
-//! checks the observed effect against [`crate::try_transition`] while
-//! accumulating per-row coverage. A mismatch means the timed engine has
-//! drifted from the table the paper specifies — the engine debug-asserts
-//! on it, and release builds count it so CI can fail the run.
+//! `hmg-audit` proves properties of the [`crate::spec`] rows *offline*;
+//! this module closes the loop at *runtime*: the GPU engine reports
+//! every directory transition it actually executes, and
+//! [`TableConformance`] checks the observed effect against the
+//! unconditional spec row for that cell while accumulating per-row
+//! coverage. The engine passes the state it sampled before mutating the
+//! directory, and the row is looked up here, not taken from the engine,
+//! so the check stays independent of the row the engine executed. A
+//! mismatch means the timed engine has drifted from the table the paper
+//! specifies — the engine debug-asserts on it, and release builds count
+//! it so CI can fail the run.
 //!
 //! The observation API is deliberately integer-based (sharer counts, not
 //! sharer sets) so this crate stays free of simulator dependencies and so
@@ -14,7 +18,16 @@
 //! sharers" target set happens to be empty — compare exactly rather than
 //! by boolean intent.
 
-use crate::table::{row_index, row_of, try_transition, DirEvent, DirState, NUM_ROWS};
+use crate::spec::{
+    row_index, row_of, Action, Arbitration, DirEvent, DirState, GuardCtx, ProtocolSpec, NUM_ROWS,
+};
+
+/// The spec whose unconditional rows a run under `hmg` must follow.
+/// Arbitration only adds guarded rows that never transition, so the
+/// NACK variant stands for both disciplines.
+fn spec(hmg: bool) -> ProtocolSpec {
+    ProtocolSpec::of(hmg, Arbitration::NackRetry)
+}
 
 /// What the engine actually did for one directory transition.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +85,7 @@ impl TableConformance {
     /// Records one executed transition and checks it against the table.
     ///
     /// Returns `Err` with a human-readable diagnosis when the observed
-    /// effect contradicts [`try_transition`] (the mismatch is counted
+    /// effect contradicts the spec row (the mismatch is counted
     /// either way, so release builds still surface it via
     /// [`TableConformance::mismatches`]).
     pub fn observe(
@@ -90,26 +103,30 @@ impl TableConformance {
                 state, event
             )
         };
-        let Some(expect) = try_transition(state, event, hmg) else {
+        let Some(row) = spec(hmg).row(state, event, GuardCtx::FREE) else {
             self.mismatches += 1;
             return Err(fail(
                 "engine executed a cell the table leaves undefined".into(),
             ));
         };
-        if obs.next != expect.next {
+        if obs.next != row.next {
             self.mismatches += 1;
-            return Err(fail(format!("table says next={:?}", expect.next)));
+            return Err(fail(format!("table says next={:?}", row.next)));
         }
-        if obs.added_sharer != expect.add_sharer {
+        let add_sharer = row.has(Action::AddSharer);
+        if obs.added_sharer != add_sharer {
             self.mismatches += 1;
-            return Err(fail(format!("table says add_sharer={}", expect.add_sharer)));
+            return Err(fail(format!("table says add_sharer={add_sharer}")));
         }
         // Invalidation-count check, skipped when either side of the
         // comparison is a broadcast over-approximation.
         if let (Some(prior), Some(inv)) = (obs.prior_sharers, obs.invalidated) {
-            let want = if expect.inv_all_sharers {
+            // At a GPU home, forwarding a system-home invalidation
+            // downward is the same wire traffic as invalidating every
+            // tracked sharer.
+            let want = if row.has(Action::InvAllSharers) || row.has(Action::ForwardInv) {
                 prior
-            } else if expect.inv_other_sharers {
+            } else if row.has(Action::InvOtherSharers) {
                 prior - u32::from(obs.sender_was_sharer)
             } else {
                 0
@@ -136,12 +153,10 @@ impl TableConformance {
     /// Rows that are legal under `hmg` (i.e. defined by the table) but
     /// were never executed.
     pub fn uncovered_rows(&self, hmg: bool) -> Vec<(DirState, DirEvent)> {
-        (0..NUM_ROWS)
-            .filter(|&i| {
-                let (s, e) = row_of(i);
-                try_transition(s, e, hmg).is_some() && self.rows[i] == 0
-            })
-            .map(row_of)
+        spec(hmg)
+            .legal_rows()
+            .into_iter()
+            .filter(|&(s, e)| self.rows[row_index(s, e)] == 0)
             .collect()
     }
 
@@ -150,7 +165,7 @@ impl TableConformance {
         let mut out = String::from("directory transition coverage (hits per table cell):\n");
         for i in 0..NUM_ROWS {
             let (s, e) = row_of(i);
-            let legal = try_transition(s, e, true).is_some();
+            let legal = spec(true).legal(s, e);
             out.push_str(&format!(
                 "  {:<1} x {:<12} {:>10}{}\n",
                 s.letter(),
@@ -229,6 +244,30 @@ mod tests {
         };
         let err = t.observe(Valid, RemoteStore, false, bad).unwrap_err();
         assert!(err.contains("implies 2 invalidations"), "{err}");
+    }
+
+    #[test]
+    fn forwarded_invalidation_invalidates_every_tracked_sharer() {
+        // (Valid, Invalidation) carries ForwardInv rather than
+        // InvAllSharers; at a GPU home both mean "every tracked sharer".
+        let mut t = TableConformance::new();
+        let ok = Observed {
+            next: Invalid,
+            added_sharer: false,
+            prior_sharers: Some(3),
+            sender_was_sharer: false,
+            invalidated: Some(3),
+        };
+        t.observe(Valid, Invalidation, true, ok).unwrap();
+        for sent in [0, 2, 4] {
+            let bad = Observed {
+                invalidated: Some(sent),
+                ..ok
+            };
+            let err = t.observe(Valid, Invalidation, true, bad).unwrap_err();
+            assert!(err.contains("implies 3 invalidations"), "{err}");
+        }
+        assert_eq!(t.mismatches, 3);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //!   synchronization scopes (Section II-C).
 //! * [`op`] — memory access kinds and scoped accesses.
 //! * [`msg`] — protocol message types and their on-wire sizes.
-//! * [`spec`] — Table I as a guarded-action protocol description: rows
-//!   `(state, event, guard) → (actions, next_state)` over a closed
-//!   action vocabulary. The single source of truth for the protocol.
-//! * [`table`] — the NHCC/HMG coherence-directory transition table
-//!   (Table I) as a pure function, exhaustively unit-tested per cell;
-//!   since PR 10 a compiled view of [`spec`].
+//! * [`spec`] — the NHCC/HMG coherence-directory transition table
+//!   (Table I) as a guarded-action protocol description: directory
+//!   states and events, and rows `(state, event, guard) → (actions,
+//!   next_state)` over a closed action vocabulary, unit-tested per
+//!   cell. The single source of truth for the protocol.
 //! * [`conformance`] — runtime conformance/coverage tracking that checks
-//!   every directory transition the engine executes against the table.
+//!   every directory transition the engine executes against the spec
+//!   rows.
 //! * [`policy`] — the six evaluated coherence configurations and their
 //!   caching / invalidation / routing rules (Section VI).
 //! * [`trace`] — the trace format the workload generators produce and
@@ -29,21 +29,19 @@ pub mod op;
 pub mod policy;
 pub mod scope;
 pub mod spec;
-pub mod table;
 pub mod trace;
 pub mod tracefile;
 
 // The crate root is the one canonical import path: every public type —
-// table, spec, conformance, policy — re-exports here, so downstream
-// crates never spell a module path (`table::` vs `conformance::`) and
-// the PR 5 compat re-exports keep working.
+// spec, conformance, policy — re-exports here, so downstream crates
+// never spell a module path (`spec::` vs `conformance::`).
 pub use conformance::{Observed, TableConformance};
 pub use msg::MsgSizes;
 pub use op::{Access, AccessKind};
 pub use policy::{AcquireAction, CacheLevel, FenceDomain, ProtocolKind};
 pub use scope::Scope;
-pub use spec::{Action, Arbitration, Guard, GuardCtx, ProtocolSpec, SpecRow, SpecVariant};
-pub use table::{
-    row_index, row_of, transition, try_transition, DirEvent, DirState, Outcome, NUM_ROWS,
+pub use spec::{
+    row_index, row_of, Action, Arbitration, DirEvent, DirState, Guard, GuardCtx, ProtocolSpec,
+    SpecRow, SpecVariant, NUM_ROWS,
 };
 pub use trace::{Cta, Kernel, TraceOp, WorkloadTrace};

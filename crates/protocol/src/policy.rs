@@ -70,7 +70,7 @@ pub enum ProtocolKind {
     Nhcc,
     /// The paper's hierarchical hardware protocol (Section V).
     Hmg,
-    /// A CARVE-like prior-work baseline [14]: remote data cached freely,
+    /// A CARVE-like prior-work baseline \[14\]: remote data cached freely,
     /// coherence filtered by private/read-only/read-write classification
     /// at the home — no sharer tracking, no scope use; stores to shared
     /// data *broadcast* invalidations to every cache (Section II-A).

@@ -1,21 +1,32 @@
 //! Guarded-action protocol specification: Table I as first-class data.
 //!
-//! [`crate::table`] gives Table I as a pure *function*; this module
-//! promotes it to a pure *description*: a flat list of guarded-action
-//! rows `(state, event, guard) → (actions, next_state)` over a small
-//! closed action vocabulary. The rows are `static` data — no allocation,
-//! no I/O — and every other layer derives from them:
+//! The directory has exactly two stable states — Valid and Invalid — and
+//! no transient states; stores never wait for invalidation
+//! acknowledgments because the memory model is not multi-copy-atomic
+//! (Section III-B). The one HMG-specific addition is the `Invalidation`
+//! column: a GPU home node receiving an invalidation from the system home
+//! must forward it to its local GPM sharers.
 //!
-//! * [`crate::table::try_transition`] compiles the matching row into the
-//!   legacy [`crate::Outcome`] shape (so the engine's conformance
-//!   replay, the audit graph checks, and the check oracle all read the
-//!   same rows);
+//! | State | Local Ld | Local St/Atom       | Remote Ld    | Remote St/Atom               | Replace             | Invalidation (HMG)            |
+//! |-------|----------|---------------------|--------------|------------------------------|---------------------|-------------------------------|
+//! | I     | –        | –                   | add s, →V    | add s, →V                    | N/A                 | →I                            |
+//! | V     | –        | inv all sharers, →I | add s        | add s, inv other sharers     | inv all sharers, →I | forward inv to all sharers, →I |
+//!
+//! The table is written once, as a flat list of guarded-action rows
+//! `(state, event, guard) → (actions, next_state)` over a small closed
+//! action vocabulary ([`ROWS`]). The rows are `static` data — no
+//! allocation, no I/O — and every other layer reads them:
+//!
 //! * the GPU engine's directory paths branch on [`SpecRow::actions`]
 //!   instead of hand-coded per-event match arms;
-//! * `hmg-audit`'s explicit-state model checker enumerates the rows to
-//!   generate its transition relation, so a spec edit is re-proved safe
-//!   (single-writer, conservation, no stuck states) before any cycle is
-//!   simulated.
+//! * [`crate::conformance`] replays every executed transition against
+//!   the unconditional row for its cell;
+//! * the check oracle accepts exactly the cells the spec defines;
+//! * `hmg-audit` checks every cell of every variant is defined XOR
+//!   declared N/A, and its explicit-state model checker enumerates the
+//!   rows to generate its transition relation, so a spec edit is
+//!   re-proved safe (single-writer, conservation, no stuck states)
+//!   before any cycle is simulated.
 //!
 //! Guards model *arbitration* at a busy directory home — the one place
 //! the protocol's behavior is conditional on something other than
@@ -26,7 +37,88 @@
 //! arbitration). Neither touches the directory entry, which is why both
 //! are expressible as guarded rows with `next == state`.
 
-use crate::table::{DirEvent, DirState};
+/// Stable directory states. Valid corresponds to the entry being present
+/// in the set-associative directory; Invalid to its absence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum DirState {
+    /// No sharers tracked.
+    Invalid,
+    /// Entry present; sharer list is meaningful.
+    Valid,
+}
+
+impl DirState {
+    /// Every stable state, in table-row order.
+    pub const ALL: [DirState; 2] = [DirState::Invalid, DirState::Valid];
+
+    /// One-letter label used by coverage reports ("I" / "V").
+    pub fn letter(self) -> &'static str {
+        match self {
+            DirState::Invalid => "I",
+            DirState::Valid => "V",
+        }
+    }
+}
+
+/// Events a directory entry can observe. "Local" means issued by the GPM
+/// owning this directory; "remote" means arriving from another GPM or GPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DirEvent {
+    /// A load from the home GPM itself.
+    LocalLoad,
+    /// A store or atomic from the home GPM itself.
+    LocalStore,
+    /// A load from a remote GPM/GPU (the sender `s`).
+    RemoteLoad,
+    /// A store or atomic from a remote GPM/GPU (the sender `s`).
+    RemoteStore,
+    /// Capacity/conflict eviction of the directory entry.
+    Replace,
+    /// HMG only: an invalidation received by a GPU home node from the
+    /// system home node.
+    Invalidation,
+}
+
+impl DirEvent {
+    /// Every event, in table-column order.
+    pub const ALL: [DirEvent; 6] = [
+        DirEvent::LocalLoad,
+        DirEvent::LocalStore,
+        DirEvent::RemoteLoad,
+        DirEvent::RemoteStore,
+        DirEvent::Replace,
+        DirEvent::Invalidation,
+    ];
+
+    /// Column label used by coverage reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            DirEvent::LocalLoad => "LocalLoad",
+            DirEvent::LocalStore => "LocalStore",
+            DirEvent::RemoteLoad => "RemoteLoad",
+            DirEvent::RemoteStore => "RemoteStore",
+            DirEvent::Replace => "Replace",
+            DirEvent::Invalidation => "Invalidation",
+        }
+    }
+}
+
+/// Number of cells in the `DirState` × `DirEvent` table domain.
+pub const NUM_ROWS: usize = DirState::ALL.len() * DirEvent::ALL.len();
+
+/// Dense index of a `(state, event)` cell, for coverage arrays.
+pub fn row_index(state: DirState, event: DirEvent) -> usize {
+    let s = state as usize;
+    let e = event as usize;
+    s * DirEvent::ALL.len() + e
+}
+
+/// Inverse of [`row_index`].
+pub fn row_of(index: usize) -> (DirState, DirEvent) {
+    let s = DirState::ALL[index / DirEvent::ALL.len()];
+    let e = DirEvent::ALL[index % DirEvent::ALL.len()];
+    (s, e)
+}
 
 /// Arbitration discipline a directory home applies to requests that
 /// arrive while its ingress port is congested.
@@ -150,8 +242,9 @@ pub struct GuardCtx {
 
 impl GuardCtx {
     /// The uncongested context: only `Always` rows fire. This is what
-    /// the table adapter and conformance replay use, since they check
-    /// directory *transitions* (arbitration rows never transition).
+    /// the engine's directory paths and the conformance replay use,
+    /// since they execute directory *transitions* (arbitration rows
+    /// never transition).
     pub const FREE: GuardCtx = GuardCtx { home_busy: false };
 
     /// The congested context: `HomeBusy` rows shadow their cells.
@@ -421,6 +514,27 @@ impl ProtocolSpec {
     /// First row of the variant matching `(state, event)` whose guard
     /// holds in `ctx`, or `None` when the spec leaves the cell
     /// undefined.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hmg_protocol::{Action, Arbitration, DirEvent, DirState, GuardCtx, ProtocolSpec};
+    ///
+    /// let nhcc = ProtocolSpec::of(false, Arbitration::NackRetry);
+    ///
+    /// // A remote load allocates the entry and records the sharer.
+    /// let r = nhcc.row(DirState::Invalid, DirEvent::RemoteLoad, GuardCtx::FREE).unwrap();
+    /// assert_eq!(r.next, DirState::Valid);
+    /// assert!(r.has(Action::AddSharer));
+    ///
+    /// // A local store to shared data invalidates all sharers.
+    /// let r = nhcc.row(DirState::Valid, DirEvent::LocalStore, GuardCtx::FREE).unwrap();
+    /// assert_eq!(r.next, DirState::Invalid);
+    /// assert!(r.has(Action::InvAllSharers));
+    ///
+    /// // An absent entry cannot be evicted.
+    /// assert!(nhcc.row(DirState::Invalid, DirEvent::Replace, GuardCtx::FREE).is_none());
+    /// ```
     pub fn row(self, state: DirState, event: DirEvent, ctx: GuardCtx) -> Option<&'static SpecRow> {
         ROWS.iter()
             .find(|r| {
@@ -440,11 +554,11 @@ impl ProtocolSpec {
     }
 
     /// All `(state, event)` cells that are legal in this variant, in
-    /// dense [`crate::row_index`] order. This is the set conformance
+    /// dense [`row_index`] order. This is the set conformance
     /// coverage and the check oracle consider "must be reachable".
     pub fn legal_rows(self) -> Vec<(DirState, DirEvent)> {
-        (0..crate::table::NUM_ROWS)
-            .map(crate::table::row_of)
+        (0..NUM_ROWS)
+            .map(row_of)
             .filter(|&(s, e)| self.legal(s, e))
             .collect()
     }
@@ -458,25 +572,114 @@ impl ProtocolSpec {
     }
 }
 
-/// Compiles the unconditional row for `(state, event)` into the legacy
-/// [`crate::Outcome`] shape. This is what [`crate::try_transition`]
-/// calls: the function form of Table I is now a *view* of the spec, so
-/// the engine's conformance replay, the audit graph checks, and the
-/// check oracle all answer from the same rows.
-pub fn outcome_of(state: DirState, event: DirEvent, hmg: bool) -> Option<crate::Outcome> {
-    let spec = ProtocolSpec::of(hmg, Arbitration::NackRetry);
-    let r = spec.row(state, event, GuardCtx::FREE)?;
-    Some(crate::Outcome {
-        next: r.next,
-        add_sharer: r.has(Action::AddSharer),
-        inv_all_sharers: r.has(Action::InvAllSharers) || r.has(Action::ForwardInv),
-        inv_other_sharers: r.has(Action::InvOtherSharers),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Action::{
+        AddSharer, ForwardInv, InvAllSharers, InvOtherSharers, RemoveAllSharers, Writeback,
+    };
+
+    /// One test per cell of Table I: the unconditional row's actions and
+    /// next state, or `None` for the cells the paper leaves undefined.
+    macro_rules! cell_tests {
+        ($($name:ident: ($s:ident, $e:ident, $hmg:literal) => $want:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                let spec = ProtocolSpec::of($hmg, Arbitration::NackRetry);
+                let got = spec.row($s, $e, GuardCtx::FREE).map(|r| (r.next, r.actions));
+                let want: Option<(DirState, &[Action])> = $want;
+                assert_eq!(got, want);
+            }
+        )*};
+    }
+
+    cell_tests! {
+        i_local_load_is_a_nop: (Invalid, LocalLoad, false) => Some((Invalid, &[]));
+        i_local_store_is_a_nop: (Invalid, LocalStore, false) => Some((Invalid, &[]));
+        i_remote_load_allocates_and_tracks: (Invalid, RemoteLoad, false) =>
+            Some((Valid, &[AddSharer]));
+        i_remote_store_allocates_and_tracks: (Invalid, RemoteStore, false) =>
+            Some((Valid, &[AddSharer]));
+        i_replace_is_unreachable: (Invalid, Replace, false) => None;
+        i_invalidation_under_hmg_stays_invalid: (Invalid, Invalidation, true) =>
+            Some((Invalid, &[]));
+        v_local_load_is_a_nop: (Valid, LocalLoad, false) => Some((Valid, &[]));
+        v_local_store_invalidates_all_and_deallocates: (Valid, LocalStore, false) =>
+            Some((Invalid, &[InvAllSharers, RemoveAllSharers]));
+        v_remote_load_adds_sharer_and_stays_valid: (Valid, RemoteLoad, false) =>
+            Some((Valid, &[AddSharer]));
+        v_remote_store_adds_sharer_and_invalidates_others: (Valid, RemoteStore, false) =>
+            Some((Valid, &[AddSharer, InvOtherSharers]));
+        v_replace_invalidates_all_and_deallocates: (Valid, Replace, false) =>
+            Some((Invalid, &[InvAllSharers, RemoveAllSharers, Writeback]));
+        v_invalidation_under_hmg_forwards_to_all_sharers: (Valid, Invalidation, true) =>
+            Some((Invalid, &[ForwardInv, RemoveAllSharers]));
+        invalidation_without_hmg_is_rejected: (Valid, Invalidation, false) => None;
+    }
+
+    #[test]
+    fn same_behavior_for_nhcc_and_hmg_outside_invalidation_column() {
+        // HMG "behaves similarly to Table I but adds the single extra
+        // transition": every other cell is the same row, congested or
+        // not, under either arbitration.
+        for arb in Arbitration::ALL {
+            let (nhcc, hmg) = (ProtocolSpec::of(false, arb), ProtocolSpec::of(true, arb));
+            for ctx in [GuardCtx::FREE, GuardCtx::BUSY] {
+                for s in DirState::ALL {
+                    for e in DirEvent::ALL {
+                        if e != Invalidation {
+                            assert_eq!(nhcc.row(s, e, ctx), hmg.row(s, e, ctx), "{s:?}/{e:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_index_round_trips_and_is_dense() {
+        let mut seen = [false; NUM_ROWS];
+        for state in DirState::ALL {
+            for event in DirEvent::ALL {
+                let i = row_index(state, event);
+                assert!(!seen[i], "duplicate index {i}");
+                seen[i] = true;
+                assert_eq!(row_of(i), (state, event));
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn rows_conserve_sharers() {
+        // Invalidating every sharer (or forwarding down to all of them)
+        // empties the entry, so it must deallocate and may not record
+        // the sender in the same step; recording a sharer needs a Valid
+        // entry to hold it.
+        for r in ROWS {
+            let inv_all = r.has(Action::InvAllSharers) || r.has(Action::ForwardInv);
+            assert!(!(inv_all && r.has(Action::AddSharer)), "{r:?}");
+            assert!(!(inv_all && r.has(Action::InvOtherSharers)), "{r:?}");
+            if inv_all {
+                assert_eq!(r.next, Invalid, "{r:?}");
+            }
+            if r.has(Action::AddSharer) {
+                assert_eq!(r.next, Valid, "{r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn home_busy_rows_never_transition() {
+        for r in ROWS.iter().filter(|r| r.guard == Guard::HomeBusy) {
+            assert_eq!(r.next, r.state, "{r:?}");
+            assert!(
+                matches!(r.actions, [Action::Nack] | [Action::Defer]),
+                "{r:?}"
+            );
+            assert!(matches!(r.event, RemoteLoad | RemoteStore), "{r:?}");
+        }
+    }
 
     #[test]
     fn variant_names_round_trip() {
@@ -528,11 +731,13 @@ mod tests {
             let spec = ProtocolSpec::for_variant(v);
             for s in DirState::ALL {
                 for e in DirEvent::ALL {
-                    assert_eq!(
-                        spec.legal(s, e),
-                        crate::try_transition(s, e, v.hmg()).is_some(),
-                        "{s:?}/{e:?} {v:?}"
-                    );
+                    // The paper's N/A cells: an absent entry cannot be
+                    // evicted, and flat homes never receive invalidations.
+                    let na = (s, e) == (Invalid, Replace) || (e == Invalidation && !v.hmg());
+                    assert_eq!(spec.legal(s, e), !na, "{s:?}/{e:?} {v:?}");
+                    for ctx in [GuardCtx::FREE, GuardCtx::BUSY] {
+                        assert_eq!(spec.row(s, e, ctx).is_some(), !na, "{s:?}/{e:?} {v:?}");
+                    }
                 }
             }
         }

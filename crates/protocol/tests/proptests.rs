@@ -1,14 +1,22 @@
-//! Randomized property tests on the protocol logic: the Table I FSM and
-//! the policy predicates. Driven by the in-repo SplitMix64 [`Rng`]
+//! Randomized property tests on the protocol logic: the Table I spec
+//! rows and the policy predicates. Driven by the in-repo SplitMix64 [`Rng`]
 //! rather than an external property-testing crate so the workspace
 //! builds offline.
 
 use hmg_protocol::{
-    transition, AcquireAction, CacheLevel, DirEvent, DirState, FenceDomain, ProtocolKind, Scope,
+    AcquireAction, Action, Arbitration, CacheLevel, DirEvent, DirState, FenceDomain, GuardCtx,
+    ProtocolKind, ProtocolSpec, Scope, SpecRow,
 };
 use hmg_sim::Rng;
 
 const CASES: u64 = 64;
+
+/// The unconditional row for a cell the paper defines.
+fn row(state: DirState, event: DirEvent, hmg: bool) -> &'static SpecRow {
+    ProtocolSpec::of(hmg, Arbitration::NackRetry)
+        .row(state, event, GuardCtx::FREE)
+        .unwrap_or_else(|| panic!("({state:?}, {event:?}) hmg={hmg} has no row"))
+}
 
 fn pick_state(r: &mut Rng) -> DirState {
     if r.gen_bool(0.5) {
@@ -45,15 +53,15 @@ fn fsm_is_closed_over_stable_states() {
                     c => break c,
                 }
             };
-            let o = transition(s, ev, hmg);
-            assert!(matches!(o.next, DirState::Invalid | DirState::Valid));
+            let r = row(s, ev, hmg);
+            assert!(matches!(r.next, DirState::Invalid | DirState::Valid));
             // Sharer bookkeeping never contradicts itself.
-            assert!(!(o.inv_all_sharers && o.inv_other_sharers));
+            assert!(!(r.has(Action::InvAllSharers) && r.has(Action::InvOtherSharers)));
             // A transition to Invalid never also records a new sharer.
-            if o.next == DirState::Invalid {
-                assert!(!o.add_sharer, "I-state entries track nobody");
+            if r.next == DirState::Invalid {
+                assert!(!r.has(Action::AddSharer), "I-state entries track nobody");
             }
-            s = o.next;
+            s = r.next;
         }
     }
 }
@@ -69,8 +77,8 @@ fn sender_tracking_is_remote_only() {
                 (DirEvent::RemoteLoad, true),
                 (DirEvent::RemoteStore, true),
             ] {
-                let o = transition(state, ev, hmg);
-                assert_eq!(o.add_sharer, remote, "{:?}/{:?}", state, ev);
+                let r = row(state, ev, hmg);
+                assert_eq!(r.has(Action::AddSharer), remote, "{:?}/{:?}", state, ev);
             }
         }
     }

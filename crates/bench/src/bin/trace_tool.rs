@@ -51,12 +51,8 @@ fn gen(args: &[String]) -> Result<(), String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scale" => {
-                scale = match it.next().ok_or("--scale needs a value")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                }
+                let v = it.next().ok_or("--scale needs a value")?;
+                scale = Scale::from_name(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             }
             "--seed" => {
                 seed = it

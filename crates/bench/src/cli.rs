@@ -298,12 +298,8 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
             "--svg" => svg_dir = Some(it.next().ok_or("--svg needs a directory")?.clone()),
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                options.scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
+                options.scale =
+                    Scale::from_name(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;

@@ -177,7 +177,7 @@ impl BenchReport {
             "  \"mode\": \"{}\",\n",
             if self.quick { "quick" } else { "full" }
         ));
-        s.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(self.scale)));
+        s.push_str(&format!("  \"scale\": \"{}\",\n", self.scale.name()));
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
@@ -247,7 +247,7 @@ impl BenchReport {
         println!(
             "== Hot-path bench ({}, scale {}, seed {}) ==",
             if self.quick { "quick" } else { "full" },
-            scale_name(self.scale),
+            self.scale.name(),
             self.seed
         );
         let mut t = Table::new(vec![
@@ -289,14 +289,6 @@ impl BenchReport {
                 sn.overhead_pct()
             );
         }
-    }
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
     }
 }
 
@@ -346,13 +338,7 @@ pub fn run_bench(opts: &ExpOptions, quick: bool) -> Result<BenchReport, SimError
         // Trace generation is untimed setup: the bench measures the DES.
         let trace = spec.generate(opts.scale, opts.seed);
         for &protocol in protocols {
-            let mut cfg = match opts.scale {
-                Scale::Tiny => hmg_gpu::EngineConfig::small_test(protocol),
-                Scale::Small | Scale::Full => hmg_gpu::EngineConfig::paper_default(protocol),
-            };
-            if let Some(f) = &opts.faults {
-                cfg.faults = f.clone();
-            }
+            let mut cfg = opts.base_config(protocol);
             crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
             crate::runner::arm_watchdog(&mut cfg, &trace, opts.livelock_budget);
             // audit:allow(entropy): wall-clock benchmarking only; never
@@ -397,13 +383,7 @@ fn snapshot_overhead(
     let spec = by_abbrev(workload)
         .ok_or_else(|| SimError::config(format!("unknown workload `{workload}`")))?;
     let trace = spec.generate(opts.scale, opts.seed);
-    let mut cfg = match opts.scale {
-        Scale::Tiny => hmg_gpu::EngineConfig::small_test(protocol),
-        Scale::Small | Scale::Full => hmg_gpu::EngineConfig::paper_default(protocol),
-    };
-    if let Some(f) = &opts.faults {
-        cfg.faults = f.clone();
-    }
+    let mut cfg = opts.base_config(protocol);
     crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
     crate::runner::arm_watchdog(&mut cfg, &trace, opts.livelock_budget);
 

@@ -123,15 +123,8 @@ impl ExpOptions {
 
     /// The engine configuration these options select for in-process
     /// (non-supervised) drivers like Figs. 3 and 7.
-    fn base_config(&self, protocol: ProtocolKind) -> EngineConfig {
-        let mut cfg = match self.scale {
-            Scale::Tiny => EngineConfig::small_test(protocol),
-            Scale::Small | Scale::Full => EngineConfig::paper_default(protocol),
-        };
-        if let Some(f) = &self.faults {
-            cfg.faults = f.clone();
-        }
-        cfg
+    pub(crate) fn base_config(&self, protocol: ProtocolKind) -> EngineConfig {
+        crate::runner::machine_config(self.scale, protocol, self.faults.as_ref())
     }
 
     /// Builds the cell context for one (workload, protocol) run.
@@ -321,7 +314,7 @@ fn snapshot_identity(ctx: &CellCtx) -> u64 {
         ctx.workload,
         ctx.protocol.name(),
         ctx.tweak,
-        scale_name(ctx.scale),
+        ctx.scale.name(),
         ctx.seed,
         faults,
         ctx.livelock_budget,
@@ -343,13 +336,7 @@ fn run_cell_attempt(
     let spec = by_abbrev(&ctx.workload)
         .ok_or_else(|| SimError::config(format!("unknown workload `{}`", ctx.workload)))?;
     let trace = spec.generate(ctx.scale, ctx.seed);
-    let mut cfg = match ctx.scale {
-        Scale::Tiny => EngineConfig::small_test(ctx.protocol),
-        Scale::Small | Scale::Full => EngineConfig::paper_default(ctx.protocol),
-    };
-    if let Some(f) = &ctx.faults {
-        cfg.faults = f.clone();
-    }
+    let mut cfg = crate::runner::machine_config(ctx.scale, ctx.protocol, ctx.faults.as_ref());
     apply_tweak(&ctx.tweak, &mut cfg)?;
     crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(ctx.scale));
     crate::runner::arm_watchdog(&mut cfg, &trace, ctx.livelock_budget);
@@ -411,23 +398,6 @@ fn run_cell_attempt(
 
 fn first_line(s: &str) -> &str {
     s.lines().next().unwrap_or("unknown error")
-}
-
-fn scale_name(s: Scale) -> &'static str {
-    match s {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
-}
-
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "full" => Some(Scale::Full),
-        _ => None,
-    }
 }
 
 /// Entry point of the hidden `__run-cell` mode the `experiments`
@@ -502,7 +472,7 @@ fn parse_cell_args(args: &[String]) -> Result<(CellCtx, u32), SimError> {
             "--workload" => ctx.workload = value.clone(),
             "--protocol" => ctx.protocol = ProtocolKind::from_name(value).ok_or_else(bad)?,
             "--tweak" => ctx.tweak = value.clone(),
-            "--scale" => ctx.scale = parse_scale(value).ok_or_else(bad)?,
+            "--scale" => ctx.scale = Scale::from_name(value).ok_or_else(bad)?,
             "--seed" => ctx.seed = value.parse().map_err(|_| bad())?,
             "--attempt" => attempt = value.parse().map_err(|_| bad())?,
             "--faults" => ctx.faults = Some(FaultPlan::parse(value)?),
@@ -539,7 +509,7 @@ fn cell_command(ctx: &CellCtx, attempt: u32) -> Result<CellCommand, SimError> {
         "--tweak".into(),
         ctx.tweak.clone(),
         "--scale".into(),
-        scale_name(ctx.scale).to_string(),
+        ctx.scale.name().to_string(),
         "--seed".into(),
         ctx.seed.to_string(),
         "--attempt".into(),

@@ -3,7 +3,7 @@
 
 use hmg_gpu::{Engine, EngineConfig, RunMetrics, SnapshotPolicy, SnapshotReport};
 use hmg_protocol::{ProtocolKind, TraceOp, WorkloadTrace};
-use hmg_sim::SimError;
+use hmg_sim::{FaultPlan, SimError};
 use hmg_workloads::Scale;
 use std::collections::HashMap;
 use std::fs::File;
@@ -47,10 +47,7 @@ impl Runner {
 
     /// The engine configuration this runner uses for `protocol`.
     pub fn config(&self, protocol: ProtocolKind) -> EngineConfig {
-        let mut cfg = match self.scale {
-            Scale::Tiny => EngineConfig::small_test(protocol),
-            Scale::Small | Scale::Full => EngineConfig::paper_default(protocol),
-        };
+        let mut cfg = machine_config(self.scale, protocol, None);
         for f in &self.overrides {
             f(&mut cfg);
         }
@@ -88,26 +85,31 @@ impl Runner {
     }
 }
 
+/// The machine paired with `scale` (the small test machine for
+/// `Tiny`, the Table II machine otherwise) running `protocol`, with
+/// `faults` armed when given.
+pub(crate) fn machine_config(
+    scale: Scale,
+    protocol: ProtocolKind,
+    faults: Option<&FaultPlan>,
+) -> EngineConfig {
+    let mut cfg = match scale {
+        Scale::Tiny => EngineConfig::small_test(protocol),
+        Scale::Small | Scale::Full => EngineConfig::paper_default(protocol),
+    };
+    if let Some(f) = faults {
+        cfg.faults = f.clone();
+    }
+    cfg
+}
+
 /// Runs one simulation with full failure isolation: typed errors come
 /// back as `Err`, and any residual panic inside the engine (an
 /// invariant `assert!`, an arithmetic underflow from a corrupted
 /// counter) is caught and converted to a [`SimError`] rather than
 /// taking down the whole sweep. Used by `--keep-going` sweeps.
 pub fn run_isolated(cfg: EngineConfig, trace: &WorkloadTrace) -> Result<RunMetrics, SimError> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Engine::try_new(cfg)?.try_run(trace)
-    }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("engine panicked (non-string payload)");
-            Err(SimError::protocol(format!("engine panicked: {msg}")))
-        }
-    }
+    contain_panics(|| Engine::try_new(cfg)?.try_run(trace))
 }
 
 /// [`run_isolated`] for preemptible cells: resumes from the most
@@ -119,20 +121,17 @@ pub fn run_preemptible(
     trace: &WorkloadTrace,
     policy: &SnapshotPolicy,
 ) -> Result<(RunMetrics, SnapshotReport), SimError> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Engine::try_new(cfg)?.try_run_preemptible(trace, policy)
-    }));
-    match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("engine panicked (non-string payload)");
-            Err(SimError::protocol(format!("engine panicked: {msg}")))
-        }
-    }
+    contain_panics(|| Engine::try_new(cfg)?.try_run_preemptible(trace, policy))
+}
+
+/// Runs `f`, converting a panic inside it into a typed [`SimError`].
+fn contain_panics<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(SimError::protocol(format!(
+            "engine panicked: {}",
+            crate::supervisor::panic_message(payload.as_ref())
+        )))
+    })
 }
 
 /// A livelock-watchdog budget scaled to the workload: the sum of every
@@ -537,6 +536,15 @@ mod tests {
         assert_eq!(cfg.topo.num_gpus(), 2);
         let r = Runner::new(Scale::Small);
         assert_eq!(r.config(ProtocolKind::Hmg).topo.num_gpus(), 4);
+    }
+
+    #[test]
+    fn engine_panics_become_typed_errors() {
+        let e = contain_panics(|| -> Result<(), SimError> { panic!("boom {}", 7) }).unwrap_err();
+        assert_eq!(e.kind, hmg_sim::SimErrorKind::Protocol);
+        assert_eq!(e.message, "engine panicked: boom 7");
+        let ok = contain_panics(|| Ok::<_, SimError>(3));
+        assert_eq!(ok.unwrap(), 3);
     }
 
     #[test]

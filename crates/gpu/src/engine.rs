@@ -3270,366 +3270,100 @@ impl<'t> Sim<'t> {
 // configuration (wrong cache geometry, out-of-range GPM/SM/CTA/fence
 // index, mis-armed RNG stream) yields a typed `SnapError` and leaves
 // the caller free to fall back to an older snapshot or a cold start.
+//
+// The engine's own types are plain field lists and tagged enums, so
+// `snapshot_codec!` generates both codec directions from one list
+// each; the validating checks live in the hand-written section reader
+// below and in the `Cache`/`Directory`/`Fabric` impls it calls. A
+// layout change must bump `SNAP_VERSION` and re-pin the golden test
+// `snapshot_bytes_match_golden_format`.
 
-impl SnapshotWrite for FlipSeverity {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            FlipSeverity::Correctable => 0,
-            FlipSeverity::Uncorrectable => 1,
-        });
-    }
-}
-
-impl SnapshotRead for FlipSeverity {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(FlipSeverity::Correctable),
-            1 => Ok(FlipSeverity::Uncorrectable),
-            b => Err(SnapError::Malformed(format!("flip-severity tag {b}"))),
-        }
-    }
-}
-
-impl SnapshotWrite for L2Line {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.version);
-        self.dirty.write_snap(w);
-    }
-}
-
-impl SnapshotRead for L2Line {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(L2Line {
-            version: r.get_u64()?,
-            dirty: bool::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for SmRef {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.gpm.write_snap(w);
-        w.put_u16(self.sm);
-    }
-}
-
-impl SnapshotRead for SmRef {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SmRef {
-            gpm: GpmId::read_snap(r)?,
-            sm: r.get_u16()?,
-        })
-    }
-}
-
-impl SnapshotWrite for SmState {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        match self {
-            SmState::Runnable => w.put_u8(0),
-            SmState::StalledMem => w.put_u8(1),
-            SmState::FenceWait => w.put_u8(2),
-            SmState::FlagWait(f) => {
-                w.put_u8(3);
-                w.put_u32(*f);
-            }
-            SmState::Idle => w.put_u8(4),
-        }
-    }
-}
-
-impl SnapshotRead for SmState {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(SmState::Runnable),
-            1 => Ok(SmState::StalledMem),
-            2 => Ok(SmState::FenceWait),
-            3 => Ok(SmState::FlagWait(r.get_u32()?)),
-            4 => Ok(SmState::Idle),
-            b => Err(SnapError::Malformed(format!("sm-state tag {b}"))),
-        }
-    }
-}
-
-impl SnapshotWrite for Sm {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.l1.write_snap(w);
-        self.cta.write_snap(w);
-        self.pc.write_snap(w);
-        w.put_u32(self.outstanding);
-        self.state.write_snap(w);
-    }
-}
-
-impl SnapshotRead for Sm {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Sm {
-            l1: Cache::read_snap(r)?,
-            cta: Option::read_snap(r)?,
-            pc: usize::read_snap(r)?,
-            outstanding: r.get_u32()?,
-            state: SmState::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for CarveClass {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        match self {
-            CarveClass::Private(g) => {
-                w.put_u8(0);
-                g.write_snap(w);
-            }
-            CarveClass::ReadOnly => w.put_u8(1),
-            CarveClass::ReadWrite => w.put_u8(2),
-        }
-    }
-}
-
-impl SnapshotRead for CarveClass {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(CarveClass::Private(GpmId::read_snap(r)?)),
-            1 => Ok(CarveClass::ReadOnly),
-            2 => Ok(CarveClass::ReadWrite),
-            b => Err(SnapError::Malformed(format!("carve-class tag {b}"))),
-        }
-    }
-}
-
-impl SnapshotWrite for Gpm {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.l2.write_snap(w);
-        self.dir.write_snap(w);
-        self.dram.write_snap(w);
-        w.put_u64(self.st_pending_gpu);
-        w.put_u64(self.st_pending_sys);
-        w.put_u64(self.inv_pending_gpu);
-        w.put_u64(self.inv_pending_sys);
-        self.cta_queue.write_snap(w);
-        self.carve.write_snap(w);
-        self.inv_floor.write_snap(w);
-    }
-}
-
-impl SnapshotRead for Gpm {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Gpm {
-            l2: Cache::read_snap(r)?,
-            dir: Directory::read_snap(r)?,
-            dram: Dram::read_snap(r)?,
-            st_pending_gpu: r.get_u64()?,
-            st_pending_sys: r.get_u64()?,
-            inv_pending_gpu: r.get_u64()?,
-            inv_pending_sys: r.get_u64()?,
-            cta_queue: VecDeque::read_snap(r)?,
-            carve: FlatMap::read_snap(r)?,
-            inv_floor: FlatMap::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for MemMsg {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.sm.write_snap(w);
-        self.line.write_snap(w);
-        self.kind.write_snap(w);
-        self.scope.write_snap(w);
-        w.put_u64(self.version);
-        self.issued_at.write_snap(w);
-        w.put_u8(self.attempts);
-        self.poisoned.write_snap(w);
-    }
-}
-
-impl SnapshotRead for MemMsg {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemMsg {
-            sm: SmRef::read_snap(r)?,
-            line: LineAddr::read_snap(r)?,
-            kind: AccessKind::read_snap(r)?,
-            scope: Scope::read_snap(r)?,
-            version: r.get_u64()?,
-            issued_at: Cycle::read_snap(r)?,
-            attempts: r.get_u8()?,
-            poisoned: bool::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for StoreMsg {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.origin.write_snap(w);
-        self.line.write_snap(w);
-        w.put_u64(self.version);
-        self.gpu_ordered.write_snap(w);
-        self.duplicate.write_snap(w);
-    }
-}
-
-impl SnapshotRead for StoreMsg {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(StoreMsg {
-            origin: GpmId::read_snap(r)?,
-            line: LineAddr::read_snap(r)?,
-            version: r.get_u64()?,
-            gpu_ordered: bool::read_snap(r)?,
-            duplicate: bool::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for InvCause {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            InvCause::Store => 0,
-            InvCause::Eviction => 1,
-        });
-    }
-}
-
-impl SnapshotRead for InvCause {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(InvCause::Store),
-            1 => Ok(InvCause::Eviction),
-            b => Err(SnapError::Malformed(format!("inv-cause tag {b}"))),
-        }
-    }
-}
-
-impl SnapshotWrite for InvMsg {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.block.write_snap(w);
-        self.cause.write_snap(w);
-        self.causer.write_snap(w);
-        self.counted.write_snap(w);
-        self.from_sys.write_snap(w);
-        self.target.write_snap(w);
-        w.put_u64(self.version);
-    }
-}
-
-impl SnapshotRead for InvMsg {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(InvMsg {
-            block: BlockAddr::read_snap(r)?,
-            cause: InvCause::read_snap(r)?,
-            causer: GpmId::read_snap(r)?,
-            counted: bool::read_snap(r)?,
-            from_sys: bool::read_snap(r)?,
-            target: GpmId::read_snap(r)?,
-            version: r.get_u64()?,
-        })
-    }
-}
-
-impl SnapshotWrite for Fence {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        self.gpm.write_snap(w);
-        self.scope.write_snap(w);
-        self.sm.write_snap(w);
-        self.acks_done.write_snap(w);
-        self.completed.write_snap(w);
-    }
-}
-
-impl SnapshotRead for Fence {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Fence {
-            gpm: GpmId::read_snap(r)?,
-            scope: Scope::read_snap(r)?,
-            sm: Option::read_snap(r)?,
-            acks_done: bool::read_snap(r)?,
-            completed: bool::read_snap(r)?,
-        })
-    }
-}
-
-impl SnapshotWrite for Ev {
-    fn write_snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::SmResume(r) => {
-                w.put_u8(0);
-                r.write_snap(w);
-            }
-            Ev::Req { msg, node } => {
-                w.put_u8(1);
-                msg.write_snap(w);
-                node.write_snap(w);
-            }
-            Ev::Store { msg, node } => {
-                w.put_u8(2);
-                msg.write_snap(w);
-                node.write_snap(w);
-            }
-            Ev::RespGpuHome { msg, node } => {
-                w.put_u8(3);
-                msg.write_snap(w);
-                node.write_snap(w);
-            }
-            Ev::Resp { msg } => {
-                w.put_u8(4);
-                msg.write_snap(w);
-            }
-            Ev::Inv(inv) => {
-                w.put_u8(5);
-                inv.write_snap(w);
-            }
-            Ev::Downgrade {
-                block,
-                target,
-                evictor,
-            } => {
-                w.put_u8(6);
-                block.write_snap(w);
-                target.write_snap(w);
-                evictor.write_snap(w);
-            }
-            Ev::FenceAcks(id) => {
-                w.put_u8(7);
-                id.write_snap(w);
-            }
-            Ev::KernelStart(k) => {
-                w.put_u8(8);
-                k.write_snap(w);
-            }
-            Ev::Scrub => w.put_u8(9),
-        }
-    }
-}
-
-impl SnapshotRead for Ev {
-    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Ev::SmResume(SmRef::read_snap(r)?)),
-            1 => Ok(Ev::Req {
-                msg: MemMsg::read_snap(r)?,
-                node: GpmId::read_snap(r)?,
-            }),
-            2 => Ok(Ev::Store {
-                msg: StoreMsg::read_snap(r)?,
-                node: GpmId::read_snap(r)?,
-            }),
-            3 => Ok(Ev::RespGpuHome {
-                msg: MemMsg::read_snap(r)?,
-                node: GpmId::read_snap(r)?,
-            }),
-            4 => Ok(Ev::Resp {
-                msg: MemMsg::read_snap(r)?,
-            }),
-            5 => Ok(Ev::Inv(InvMsg::read_snap(r)?)),
-            6 => Ok(Ev::Downgrade {
-                block: BlockAddr::read_snap(r)?,
-                target: GpmId::read_snap(r)?,
-                evictor: GpmId::read_snap(r)?,
-            }),
-            7 => Ok(Ev::FenceAcks(usize::read_snap(r)?)),
-            8 => Ok(Ev::KernelStart(usize::read_snap(r)?)),
-            9 => Ok(Ev::Scrub),
-            b => Err(SnapError::Malformed(format!("event tag {b}"))),
-        }
-    }
-}
+hmg_sim::snapshot_codec!(enum FlipSeverity {
+    0 => Correctable,
+    1 => Uncorrectable,
+});
+hmg_sim::snapshot_codec!(L2Line { version, dirty });
+hmg_sim::snapshot_codec!(SmRef { gpm, sm });
+hmg_sim::snapshot_codec!(enum SmState {
+    0 => Runnable,
+    1 => StalledMem,
+    2 => FenceWait,
+    3 => FlagWait(flag),
+    4 => Idle,
+});
+hmg_sim::snapshot_codec!(Sm {
+    l1,
+    cta,
+    pc,
+    outstanding,
+    state
+});
+hmg_sim::snapshot_codec!(enum CarveClass {
+    0 => Private(owner),
+    1 => ReadOnly,
+    2 => ReadWrite,
+});
+hmg_sim::snapshot_codec!(Gpm {
+    l2,
+    dir,
+    dram,
+    st_pending_gpu,
+    st_pending_sys,
+    inv_pending_gpu,
+    inv_pending_sys,
+    cta_queue,
+    carve,
+    inv_floor,
+});
+hmg_sim::snapshot_codec!(MemMsg {
+    sm,
+    line,
+    kind,
+    scope,
+    version,
+    issued_at,
+    attempts,
+    poisoned,
+});
+hmg_sim::snapshot_codec!(StoreMsg {
+    origin,
+    line,
+    version,
+    gpu_ordered,
+    duplicate,
+});
+hmg_sim::snapshot_codec!(enum InvCause {
+    0 => Store,
+    1 => Eviction,
+});
+hmg_sim::snapshot_codec!(InvMsg {
+    block,
+    cause,
+    causer,
+    counted,
+    from_sys,
+    target,
+    version,
+});
+hmg_sim::snapshot_codec!(Fence {
+    gpm,
+    scope,
+    sm,
+    acks_done,
+    completed,
+});
+hmg_sim::snapshot_codec!(enum Ev {
+    0 => SmResume(sm),
+    1 => Req { msg, node },
+    2 => Store { msg, node },
+    3 => RespGpuHome { msg, node },
+    4 => Resp { msg },
+    5 => Inv(inv),
+    6 => Downgrade { block, target, evictor },
+    7 => FenceAcks(id),
+    8 => KernelStart(k),
+    9 => Scrub,
+});
 
 /// How a preemptible run captures and resumes snapshots.
 ///
@@ -5153,6 +4887,38 @@ mod tests {
         assert_eq!(rep.written, 0, "interval 0 captures nothing");
         assert!(rep.rejected.is_empty());
         assert_metrics_identical(&plain, &m, "cold preemptible run");
+    }
+
+    /// Golden snapshot bytes: one faulty Hmg cell captured at two fixed
+    /// cycles, with the fnv1a64 of each slot file pinned. Any change to
+    /// the encoded layout of any snapshotted type fails this test, so a
+    /// layout change must bump `SNAP_VERSION` and re-pin the constants
+    /// deliberately.
+    #[test]
+    fn snapshot_bytes_match_golden_format() {
+        let trace = busy_trace(2, 30);
+        let mut cfg = EngineConfig::small_test(ProtocolKind::Hmg);
+        cfg.faults = kill_matrix_faults();
+        let base = snap_store("golden");
+        let mut policy = SnapshotPolicy::periodic(base.clone(), 0x601d, 0);
+        policy.snap_at = vec![700, 1400];
+        let (_, rep) = Engine::new(cfg)
+            .try_run_preemptible(&trace, &policy)
+            .unwrap();
+        assert_eq!(rep.written, 2, "both slots captured");
+        let hashes: Vec<(u64, usize)> = SnapshotStore::new(&base)
+            .slots()
+            .iter()
+            .map(|p| {
+                let bytes = std::fs::read(p).expect("slot written");
+                (hmg_sim::snap::fnv1a64(&bytes), bytes.len())
+            })
+            .collect();
+        assert_eq!(
+            hashes,
+            [(0xde36_0ef7_5de4_96c0, 8175), (0xcf10_1017_3f93_a8ed, 7566)],
+            "snapshot layout drifted"
+        );
     }
 
     /// The kill matrix: for every Fig. 8 protocol, with and without the

@@ -217,99 +217,49 @@ impl RunMetrics {
 // Serialized in declaration order; every field participates so a
 // resumed run's final RunMetrics is bit-identical to an uninterrupted
 // run's.
-impl hmg_sim::SnapshotWrite for RunMetrics {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.total_cycles.write_snap(w);
-        w.put_u64(self.events);
-        w.put_u64(self.loads);
-        w.put_u64(self.stores);
-        w.put_u64(self.l1_hits);
-        w.put_u64(self.local_l2_hits);
-        w.put_u64(self.gpu_home_hits);
-        w.put_u64(self.sys_home_hits);
-        w.put_u64(self.dram_accesses);
-        w.put_u64(self.inter_gpu_loads);
-        w.put_u64(self.inter_gpu_loads_peer_redundant);
-        w.put_u64(self.invs_from_stores);
-        w.put_u64(self.invs_from_evictions);
-        w.put_u64(self.stores_triggering_invs);
-        w.put_u64(self.evictions_triggering_invs);
-        w.put_u64(self.lines_invalidated_by_stores);
-        w.put_u64(self.lines_invalidated_by_evictions);
-        w.put_u64(self.lines_bulk_invalidated);
-        w.put_u64(self.stale_fills_dropped);
-        w.put_u64(self.fences);
-        w.put_u64(self.writebacks);
-        w.put_u64(self.downgrades);
-        w.put_u64(self.nacks);
-        w.put_u64(self.deferred_reqs);
-        w.put_u64(self.dir_broadcast_fallbacks);
-        w.put_u64(self.broadcast_invs);
-        self.reconfig.write_snap(w);
-        self.integrity.write_snap(w);
-        self.table.write_snap(w);
-        w.put_u64(self.state_digest);
-        self.fabric.write_snap(w);
-        w.put_u64(self.dram_bytes);
-        self.probe.write_snap(w);
-        w.put_f64(self.max_dram_util);
-        w.put_f64(self.max_inter_util);
-        w.put_f64(self.max_intra_util);
-        w.put_u64(self.miss_latency_sum);
-        w.put_u64(self.miss_count);
-        w.put_u64(self.max_loads_inflight);
-        self.kernel_end_cycles.write_snap(w);
-        self.miss_latency_hist.write_snap(w);
-    }
-}
-
-impl hmg_sim::SnapshotRead for RunMetrics {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(RunMetrics {
-            total_cycles: Cycle::read_snap(r)?,
-            events: r.get_u64()?,
-            loads: r.get_u64()?,
-            stores: r.get_u64()?,
-            l1_hits: r.get_u64()?,
-            local_l2_hits: r.get_u64()?,
-            gpu_home_hits: r.get_u64()?,
-            sys_home_hits: r.get_u64()?,
-            dram_accesses: r.get_u64()?,
-            inter_gpu_loads: r.get_u64()?,
-            inter_gpu_loads_peer_redundant: r.get_u64()?,
-            invs_from_stores: r.get_u64()?,
-            invs_from_evictions: r.get_u64()?,
-            stores_triggering_invs: r.get_u64()?,
-            evictions_triggering_invs: r.get_u64()?,
-            lines_invalidated_by_stores: r.get_u64()?,
-            lines_invalidated_by_evictions: r.get_u64()?,
-            lines_bulk_invalidated: r.get_u64()?,
-            stale_fills_dropped: r.get_u64()?,
-            fences: r.get_u64()?,
-            writebacks: r.get_u64()?,
-            downgrades: r.get_u64()?,
-            nacks: r.get_u64()?,
-            deferred_reqs: r.get_u64()?,
-            dir_broadcast_fallbacks: r.get_u64()?,
-            broadcast_invs: r.get_u64()?,
-            reconfig: ReconfigStats::read_snap(r)?,
-            integrity: IntegrityStats::read_snap(r)?,
-            table: TableConformance::read_snap(r)?,
-            state_digest: r.get_u64()?,
-            fabric: FabricStats::read_snap(r)?,
-            dram_bytes: r.get_u64()?,
-            probe: Vec::read_snap(r)?,
-            max_dram_util: r.get_f64()?,
-            max_inter_util: r.get_f64()?,
-            max_intra_util: r.get_f64()?,
-            miss_latency_sum: r.get_u64()?,
-            miss_count: r.get_u64()?,
-            max_loads_inflight: r.get_u64()?,
-            kernel_end_cycles: Vec::read_snap(r)?,
-            miss_latency_hist: <[u64; 24]>::read_snap(r)?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(RunMetrics {
+    total_cycles,
+    events,
+    loads,
+    stores,
+    l1_hits,
+    local_l2_hits,
+    gpu_home_hits,
+    sys_home_hits,
+    dram_accesses,
+    inter_gpu_loads,
+    inter_gpu_loads_peer_redundant,
+    invs_from_stores,
+    invs_from_evictions,
+    stores_triggering_invs,
+    evictions_triggering_invs,
+    lines_invalidated_by_stores,
+    lines_invalidated_by_evictions,
+    lines_bulk_invalidated,
+    stale_fills_dropped,
+    fences,
+    writebacks,
+    downgrades,
+    nacks,
+    deferred_reqs,
+    dir_broadcast_fallbacks,
+    broadcast_invs,
+    reconfig,
+    integrity,
+    table,
+    state_digest,
+    fabric,
+    dram_bytes,
+    probe,
+    max_dram_util,
+    max_inter_util,
+    max_intra_util,
+    miss_latency_sum,
+    miss_count,
+    max_loads_inflight,
+    kernel_end_cycles,
+    miss_latency_hist,
+});
 
 #[cfg(test)]
 mod tests {

@@ -584,59 +584,24 @@ impl Fabric {
     }
 }
 
-impl hmg_sim::SnapshotWrite for TransportStats {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        for v in [
-            self.messages,
-            self.retransmissions,
-            self.recovered,
-            self.retry_cycles,
-            self.reroutes,
-            self.flips_injected,
-            self.checksum_retransmits,
-            self.silent_flips,
-        ] {
-            w.put_u64(v);
-        }
-    }
-}
+hmg_sim::snapshot_codec!(TransportStats {
+    messages,
+    retransmissions,
+    recovered,
+    retry_cycles,
+    reroutes,
+    flips_injected,
+    checksum_retransmits,
+    silent_flips,
+});
 
-impl hmg_sim::SnapshotRead for TransportStats {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(TransportStats {
-            messages: r.get_u64()?,
-            retransmissions: r.get_u64()?,
-            recovered: r.get_u64()?,
-            retry_cycles: r.get_u64()?,
-            reroutes: r.get_u64()?,
-            flips_injected: r.get_u64()?,
-            checksum_retransmits: r.get_u64()?,
-            silent_flips: r.get_u64()?,
-        })
-    }
-}
-
-impl hmg_sim::SnapshotWrite for FabricStats {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.intra_bytes.write_snap(w);
-        self.inter_bytes.write_snap(w);
-        self.intra_msgs.write_snap(w);
-        self.inter_msgs.write_snap(w);
-        self.transport.write_snap(w);
-    }
-}
-
-impl hmg_sim::SnapshotRead for FabricStats {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(FabricStats {
-            intra_bytes: <[u64; 5]>::read_snap(r)?,
-            inter_bytes: <[u64; 5]>::read_snap(r)?,
-            intra_msgs: <[u64; 5]>::read_snap(r)?,
-            inter_msgs: <[u64; 5]>::read_snap(r)?,
-            transport: TransportStats::read_snap(r)?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(FabricStats {
+    intra_bytes,
+    inter_bytes,
+    intra_msgs,
+    inter_msgs,
+    transport,
+});
 
 // The fabric's snapshot covers only state that traffic mutates: the
 // four port groups, traffic stats, per-channel sequence numbers, the

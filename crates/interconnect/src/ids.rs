@@ -149,27 +149,9 @@ impl Topology {
     }
 }
 
-impl hmg_sim::SnapshotWrite for GpuId {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        w.put_u16(self.0);
-    }
-}
-impl hmg_sim::SnapshotRead for GpuId {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(GpuId(r.get_u16()?))
-    }
-}
+hmg_sim::snapshot_codec!(GpuId(u16));
 
-impl hmg_sim::SnapshotWrite for GpmId {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        w.put_u16(self.0);
-    }
-}
-impl hmg_sim::SnapshotRead for GpmId {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(GpmId(r.get_u16()?))
-    }
-}
+hmg_sim::snapshot_codec!(GpmId(u16));
 
 impl hmg_sim::SnapshotWrite for Topology {
     fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {

@@ -542,27 +542,13 @@ impl hmg_sim::SnapshotRead for SharerSet {
     }
 }
 
-impl hmg_sim::SnapshotWrite for DirectoryStats {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        w.put_u64(self.evictions);
-        w.put_u64(self.evictions_with_sharers);
-        w.put_u64(self.evicted_sharers);
-        w.put_u64(self.allocations);
-        w.put_u64(self.broadcast_fallbacks);
-    }
-}
-
-impl hmg_sim::SnapshotRead for DirectoryStats {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(DirectoryStats {
-            evictions: r.get_u64()?,
-            evictions_with_sharers: r.get_u64()?,
-            evicted_sharers: r.get_u64()?,
-            allocations: r.get_u64()?,
-            broadcast_fallbacks: r.get_u64()?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(DirectoryStats {
+    evictions,
+    evictions_with_sharers,
+    evicted_sharers,
+    allocations,
+    broadcast_fallbacks,
+});
 
 impl hmg_sim::SnapshotWrite for Directory {
     fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {

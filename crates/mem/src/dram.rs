@@ -75,23 +75,11 @@ impl Dram {
     }
 }
 
-impl hmg_sim::SnapshotWrite for Dram {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.port.write_snap(w);
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
-    }
-}
-
-impl hmg_sim::SnapshotRead for Dram {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(Dram {
-            port: Link::read_snap(r)?,
-            reads: r.get_u64()?,
-            writes: r.get_u64()?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(Dram {
+    port,
+    reads,
+    writes
+});
 
 #[cfg(test)]
 mod tests {

@@ -212,13 +212,15 @@ impl PageMap {
     }
 }
 
+hmg_sim::snapshot_codec!(enum PagePlacement {
+    0 => FirstTouch,
+    1 => Interleaved,
+});
+
 impl hmg_sim::SnapshotWrite for PageMap {
     fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
         self.topo.write_snap(w);
-        w.put_u8(match self.placement {
-            PagePlacement::FirstTouch => 0,
-            PagePlacement::Interleaved => 1,
-        });
+        self.placement.write_snap(w);
         self.homes.write_snap(w);
         w.put_u64(self.offline);
         self.rehomed.write_snap(w);
@@ -228,15 +230,7 @@ impl hmg_sim::SnapshotWrite for PageMap {
 impl hmg_sim::SnapshotRead for PageMap {
     fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
         let topo = Topology::read_snap(r)?;
-        let placement = match r.get_u8()? {
-            0 => PagePlacement::FirstTouch,
-            1 => PagePlacement::Interleaved,
-            b => {
-                return Err(hmg_sim::SnapError::Malformed(format!(
-                    "page placement tag {b}"
-                )))
-            }
-        };
+        let placement = PagePlacement::read_snap(r)?;
         let homes: FlatMap<PageId, GpmId> = FlatMap::read_snap(r)?;
         let offline = r.get_u64()?;
         let rehomed = FlatSet::read_snap(r)?;

@@ -62,21 +62,10 @@ impl VersionStore {
     }
 }
 
-impl hmg_sim::SnapshotWrite for VersionStore {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.versions.write_snap(w);
-        w.put_u64(self.stores_committed);
-    }
-}
-
-impl hmg_sim::SnapshotRead for VersionStore {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(VersionStore {
-            versions: FlatMap::read_snap(r)?,
-            stores_committed: r.get_u64()?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(VersionStore {
+    versions,
+    stores_committed
+});
 
 #[cfg(test)]
 mod tests {

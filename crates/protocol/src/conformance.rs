@@ -182,23 +182,11 @@ impl TableConformance {
     }
 }
 
-impl hmg_sim::SnapshotWrite for TableConformance {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.rows.write_snap(w);
-        w.put_u64(self.checked);
-        w.put_u64(self.mismatches);
-    }
-}
-
-impl hmg_sim::SnapshotRead for TableConformance {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(TableConformance {
-            rows: <[u64; NUM_ROWS]>::read_snap(r)?,
-            checked: r.get_u64()?,
-            mismatches: r.get_u64()?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(TableConformance {
+    rows,
+    checked,
+    mismatches
+});
 
 #[cfg(test)]
 mod tests {

@@ -97,46 +97,13 @@ impl fmt::Display for Access {
     }
 }
 
-impl hmg_sim::SnapshotWrite for AccessKind {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        w.put_u8(match self {
-            AccessKind::Load => 0,
-            AccessKind::Store => 1,
-            AccessKind::Atomic => 2,
-        });
-    }
-}
+hmg_sim::snapshot_codec!(enum AccessKind {
+    0 => Load,
+    1 => Store,
+    2 => Atomic,
+});
 
-impl hmg_sim::SnapshotRead for AccessKind {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(AccessKind::Load),
-            1 => Ok(AccessKind::Store),
-            2 => Ok(AccessKind::Atomic),
-            b => Err(hmg_sim::SnapError::Malformed(format!(
-                "access-kind tag {b}"
-            ))),
-        }
-    }
-}
-
-impl hmg_sim::SnapshotWrite for Access {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        self.addr.write_snap(w);
-        self.kind.write_snap(w);
-        self.scope.write_snap(w);
-    }
-}
-
-impl hmg_sim::SnapshotRead for Access {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        Ok(Access {
-            addr: Addr::read_snap(r)?,
-            kind: AccessKind::read_snap(r)?,
-            scope: Scope::read_snap(r)?,
-        })
-    }
-}
+hmg_sim::snapshot_codec!(Access { addr, kind, scope });
 
 #[cfg(test)]
 mod tests {

@@ -51,26 +51,11 @@ impl fmt::Display for Scope {
     }
 }
 
-impl hmg_sim::SnapshotWrite for Scope {
-    fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
-        w.put_u8(match self {
-            Scope::Cta => 0,
-            Scope::Gpu => 1,
-            Scope::Sys => 2,
-        });
-    }
-}
-
-impl hmg_sim::SnapshotRead for Scope {
-    fn read_snap(r: &mut hmg_sim::SnapReader<'_>) -> Result<Self, hmg_sim::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Scope::Cta),
-            1 => Ok(Scope::Gpu),
-            2 => Ok(Scope::Sys),
-            b => Err(hmg_sim::SnapError::Malformed(format!("scope tag {b}"))),
-        }
-    }
-}
+hmg_sim::snapshot_codec!(enum Scope {
+    0 => Cta,
+    1 => Gpu,
+    2 => Sys,
+});
 
 #[cfg(test)]
 mod tests {

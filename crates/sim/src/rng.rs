@@ -117,19 +117,7 @@ impl Rng {
 // state and re-seeding from it resumes the stream at the exact position
 // — the property the snapshot/restore subsystem relies on for every
 // salted fault/scrub stream.
-impl crate::snap::SnapshotWrite for Rng {
-    fn write_snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_u64(self.state);
-    }
-}
-
-impl crate::snap::SnapshotRead for Rng {
-    fn read_snap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(Rng {
-            state: r.get_u64()?,
-        })
-    }
-}
+crate::snapshot_codec!(Rng { state });
 
 /// A cheap stateless 64-bit mix function, used for address-to-home-node
 /// hashing so that home assignment is uniform but deterministic.

@@ -330,75 +330,30 @@ impl fmt::Display for IntegrityStats {
     }
 }
 
-impl crate::snap::SnapshotWrite for ReconfigStats {
-    fn write_snap(&self, w: &mut crate::snap::SnapWriter) {
-        for v in [
-            self.epochs,
-            self.drained_txns,
-            self.rehomed_blocks,
-            self.rehomed_pages,
-            self.degraded_pages,
-            self.downtime_cycles,
-            self.aborted_ctas,
-            self.scrubbed_lines,
-        ] {
-            w.put_u64(v);
-        }
-    }
-}
+crate::snapshot_codec!(ReconfigStats {
+    epochs,
+    drained_txns,
+    rehomed_blocks,
+    rehomed_pages,
+    degraded_pages,
+    downtime_cycles,
+    aborted_ctas,
+    scrubbed_lines,
+});
 
-impl crate::snap::SnapshotRead for ReconfigStats {
-    fn read_snap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(ReconfigStats {
-            epochs: r.get_u64()?,
-            drained_txns: r.get_u64()?,
-            rehomed_blocks: r.get_u64()?,
-            rehomed_pages: r.get_u64()?,
-            degraded_pages: r.get_u64()?,
-            downtime_cycles: r.get_u64()?,
-            aborted_ctas: r.get_u64()?,
-            scrubbed_lines: r.get_u64()?,
-        })
-    }
-}
-
-impl crate::snap::SnapshotWrite for IntegrityStats {
-    fn write_snap(&self, w: &mut crate::snap::SnapWriter) {
-        for v in [
-            self.flips_msg,
-            self.flips_line,
-            self.flips_dir,
-            self.checksum_retransmits,
-            self.corrected,
-            self.refetched_lines,
-            self.rebuilt_dir_entries,
-            self.poisoned,
-            self.aborted_ctas,
-            self.scrubbed,
-            self.silent_corruptions,
-        ] {
-            w.put_u64(v);
-        }
-    }
-}
-
-impl crate::snap::SnapshotRead for IntegrityStats {
-    fn read_snap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(IntegrityStats {
-            flips_msg: r.get_u64()?,
-            flips_line: r.get_u64()?,
-            flips_dir: r.get_u64()?,
-            checksum_retransmits: r.get_u64()?,
-            corrected: r.get_u64()?,
-            refetched_lines: r.get_u64()?,
-            rebuilt_dir_entries: r.get_u64()?,
-            poisoned: r.get_u64()?,
-            aborted_ctas: r.get_u64()?,
-            scrubbed: r.get_u64()?,
-            silent_corruptions: r.get_u64()?,
-        })
-    }
-}
+crate::snapshot_codec!(IntegrityStats {
+    flips_msg,
+    flips_line,
+    flips_dir,
+    checksum_retransmits,
+    corrected,
+    refetched_lines,
+    rebuilt_dir_entries,
+    poisoned,
+    aborted_ctas,
+    scrubbed,
+    silent_corruptions,
+});
 
 #[cfg(test)]
 mod tests {

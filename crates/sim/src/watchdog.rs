@@ -68,23 +68,11 @@ impl ProgressWatchdog {
 // The full triple (budget, last progress, grace window) round-trips so
 // a restored run inherits the exact livelock accounting of the
 // interrupted one, including any quiesce epoch that was still open.
-impl crate::snap::SnapshotWrite for ProgressWatchdog {
-    fn write_snap(&self, w: &mut crate::snap::SnapWriter) {
-        self.budget.write_snap(w);
-        w.put_u64(self.last_progress);
-        w.put_u64(self.grace_until);
-    }
-}
-
-impl crate::snap::SnapshotRead for ProgressWatchdog {
-    fn read_snap(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        Ok(ProgressWatchdog {
-            budget: Option::read_snap(r)?,
-            last_progress: r.get_u64()?,
-            grace_until: r.get_u64()?,
-        })
-    }
-}
+crate::snapshot_codec!(ProgressWatchdog {
+    budget,
+    last_progress,
+    grace_until
+});
 
 #[cfg(test)]
 mod tests {

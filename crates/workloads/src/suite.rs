@@ -30,6 +30,23 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's command-line name: `tiny`, `small` or `full`. Sweep
+    /// checkpoints, snapshot identities and BENCH reports record it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Parses a [`Scale::name`].
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     /// CTAs per kernel grid.
     pub fn ctas(self) -> u64 {
         match self {
@@ -637,6 +654,15 @@ pub fn by_abbrev(abbrev: &str) -> Option<WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(s.name()), Some(s));
+        }
+        assert_eq!(Scale::Small.name(), "small");
+        assert_eq!(Scale::from_name("huge"), None);
+    }
 
     #[test]
     fn suite_has_twenty_unique_workloads() {

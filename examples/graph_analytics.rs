@@ -13,11 +13,10 @@ use hmg::report::{f2, pct, Table};
 use hmg::workloads::suite::by_abbrev;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        _ => Scale::Small,
-    };
+    let scale = std::env::args()
+        .nth(1)
+        .and_then(|s| Scale::from_name(&s))
+        .unwrap_or_default();
     let mut runner = Runner::new(scale);
 
     for name in ["bfs", "mst"] {

@@ -11,11 +11,10 @@ use hmg::report::{f2, Table};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let abbrev = args.first().map(String::as_str).unwrap_or("bfs");
-    let scale = match args.get(1).map(String::as_str) {
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        _ => Scale::Small,
-    };
+    let scale = args
+        .get(1)
+        .and_then(|s| Scale::from_name(s))
+        .unwrap_or_default();
 
     let spec = hmg::workloads::suite::by_abbrev(abbrev).unwrap_or_else(|| {
         eprintln!("unknown workload `{abbrev}`; known:");

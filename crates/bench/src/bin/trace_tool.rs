@@ -12,7 +12,7 @@ use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use hmg::protocol::tracefile::{read_trace, write_trace};
-use hmg::protocol::{AccessKind, Scope, TraceOp, WorkloadTrace};
+use hmg::protocol::{AccessKind, Cta, Scope, TraceOp, WorkloadTrace};
 use hmg::report::Table;
 use hmg::workloads::suite::by_abbrev;
 use hmg::workloads::Scale;
@@ -102,7 +102,7 @@ fn stats(args: &[String]) -> Result<(), String> {
     for k in &trace.kernels {
         for c in &k.ctas {
             for op in &c.ops {
-                match *op {
+                match op {
                     TraceOp::Access(a) => {
                         match a.kind {
                             AccessKind::Load => loads += 1,
@@ -159,6 +159,20 @@ fn stats(args: &[String]) -> Result<(), String> {
     ]);
     t.row(vec!["mean touches per line".into(), format!("{reuse:.1}")]);
     t.row(vec!["hottest line touches".into(), max_touch.to_string()]);
+    // What the loaded trace keeps resident: one `u64` word per op, one
+    // `TraceOp` per escaped op, and each CTA's list header.
+    let ctas = || trace.kernels.iter().flat_map(|k| &k.ctas);
+    let packed = ctas().map(|c| c.ops.len()).sum::<usize>() * size_of::<u64>();
+    let escaped = ctas().map(|c| c.ops.num_escapes()).sum::<usize>() * size_of::<TraceOp>();
+    let headers = trace.num_ctas() * size_of::<Cta>();
+    t.row(vec![
+        "resident bytes (words + escapes + CTA headers)".into(),
+        format!(
+            "{} = {packed} + {escaped} + {headers} ({:.1} MB)",
+            packed + escaped + headers,
+            (packed + escaped + headers) as f64 / 1e6
+        ),
+    ]);
     println!("{}", t.render());
     Ok(())
 }
@@ -258,7 +272,7 @@ fn dump(args: &[String]) -> Result<(), String> {
         limit.min(c.ops.len())
     );
     for (i, op) in c.ops.iter().take(limit).enumerate() {
-        let text = match *op {
+        let text = match op {
             TraceOp::Access(a) => format!("{a}"),
             TraceOp::Delay(d) => format!("delay {d}"),
             TraceOp::Acquire(s) => format!("acquire{s}"),

@@ -2,7 +2,7 @@
 //! scale-appropriate Table II machine and per-experiment overrides.
 
 use hmg_gpu::{Engine, EngineConfig, RunMetrics, SnapshotPolicy, SnapshotReport};
-use hmg_protocol::{ProtocolKind, TraceOp, WorkloadTrace};
+use hmg_protocol::{ProtocolKind, WorkloadTrace};
 use hmg_sim::{FaultPlan, SimError};
 use hmg_workloads::Scale;
 use std::collections::HashMap;
@@ -141,20 +141,10 @@ fn contain_panics<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, SimEr
 /// watchdog exists to turn an *unbounded* hang into a typed diagnostic,
 /// not to police tail latency.
 pub fn auto_livelock_budget(cfg: &EngineConfig, trace: &WorkloadTrace) -> u64 {
-    let total_delays: u64 = trace
-        .kernels
-        .iter()
-        .flat_map(|k| k.ctas.iter())
-        .flat_map(|c| c.ops.iter())
-        .map(|op| match op {
-            TraceOp::Delay(d) => u64::from(*d),
-            _ => 0,
-        })
-        .sum();
     let per_kernel = cfg.kernel_launch_overhead.as_u64()
         + cfg.dram_latency.as_u64()
         + 4 * cfg.flag_latency.as_u64();
-    total_delays + per_kernel * trace.kernels.len().max(1) as u64 + 2_000_000
+    trace.delay_cycles() + per_kernel * trace.kernels.len().max(1) as u64 + 2_000_000
 }
 
 /// Arms the engine's progress watchdog for a sweep run. `override_budget`
@@ -621,10 +611,43 @@ mod tests {
         let slow = WorkloadTrace::new(
             "slow",
             vec![hmg_protocol::Kernel::new(vec![hmg_protocol::Cta::new(
-                vec![TraceOp::Delay(5_000_000)],
+                vec![hmg_protocol::TraceOp::Delay(5_000_000)],
             )])],
         );
         assert!(auto_livelock_budget(&cfg, &slow) >= base + 5_000_000);
+    }
+
+    #[test]
+    fn auto_budget_counts_every_delay_of_a_generated_trace() {
+        use hmg_protocol::TraceOp;
+        let cfg = EngineConfig::small_test(ProtocolKind::Hmg);
+        let trace = by_abbrev("cuSolver").unwrap().generate(Scale::Tiny, 2020);
+        let walked: u64 = trace
+            .kernels
+            .iter()
+            .flat_map(|k| &k.ctas)
+            .flat_map(|c| &c.ops)
+            .map(|op| match op {
+                TraceOp::Delay(d) => u64::from(d),
+                _ => 0,
+            })
+            .sum();
+        assert!(walked > 0);
+        let quiet = WorkloadTrace::new("quiet", vec![]);
+        let fixed = auto_livelock_budget(&cfg, &quiet)
+            + (trace.kernels.len() as u64 - 1)
+                * (cfg.kernel_launch_overhead.as_u64()
+                    + cfg.dram_latency.as_u64()
+                    + 4 * cfg.flag_latency.as_u64());
+        assert_eq!(auto_livelock_budget(&cfg, &trace), walked + fixed);
+        let accesses = trace
+            .kernels
+            .iter()
+            .flat_map(|k| &k.ctas)
+            .flat_map(|c| &c.ops)
+            .filter(|op| matches!(op, TraceOp::Access(_)))
+            .count();
+        assert_eq!(trace.num_accesses(), accesses);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use hmg_interconnect::{Fabric, GpmId, GpuId, MsgClass};
 use hmg_mem::{BlockAddr, Cache, Directory, Dram, LineAddr, PageMap, Sharer, VersionStore};
 use hmg_protocol::{
     AccessKind, AcquireAction, Action, CacheLevel, DirEvent, DirState, FenceDomain, GuardCtx,
-    Observed, ProtocolKind, ProtocolSpec, Scope, TraceOp, WorkloadTrace,
+    Observed, Ops, ProtocolKind, ProtocolSpec, Scope, TraceOp, WorkloadTrace,
 };
 use hmg_sim::collect::{FlatMap, VecPool};
 use hmg_sim::{
@@ -985,11 +985,10 @@ impl<'t> Sim<'t> {
             return;
         }
         // The trace outlives `self`'s borrow, so the current CTA's op
-        // slice can be cached across batch iterations instead of
+        // list can be cached across batch iterations instead of
         // re-walking kernel -> CTA -> ops for every issued op.
         let trace: &'t WorkloadTrace = self.trace;
-        let mut cached_key = (usize::MAX, usize::MAX);
-        let mut ops: &'t [TraceOp] = &[];
+        let mut cached: Option<(usize, usize, &'t Ops)> = None;
         for _ in 0..ISSUE_BATCH {
             let (kernel, cta, pc) = {
                 let s = &self.sms[idx];
@@ -1002,11 +1001,15 @@ impl<'t> Sim<'t> {
                     }
                 }
             };
-            if cached_key != (kernel, cta) {
-                ops = &trace.kernels[kernel].ctas[cta].ops;
-                cached_key = (kernel, cta);
-            }
-            if pc >= ops.len() {
+            let ops = match cached {
+                Some((k, c, ops)) if (k, c) == (kernel, cta) => ops,
+                _ => {
+                    let ops = &trace.kernels[kernel].ctas[cta].ops;
+                    cached = Some((kernel, cta, ops));
+                    ops
+                }
+            };
+            let Some(op) = ops.get(pc) else {
                 // CTA complete; grab the next one from the GPM queue.
                 self.ctas_unfinished -= 1;
                 let next = self.gpms[r.gpm.index()].cta_queue.pop_front();
@@ -1019,8 +1022,7 @@ impl<'t> Sim<'t> {
                     return;
                 }
                 continue;
-            }
-            let op = ops[pc];
+            };
             match op {
                 TraceOp::Access(a) => {
                     let line = self.line_of(a.addr);
@@ -2958,11 +2960,12 @@ impl<'t> Sim<'t> {
     fn abort_cta(&mut self, now: Cycle, cta: usize, pc: usize) {
         self.m.reconfig.aborted_ctas += 1;
         self.ctas_unfinished -= 1;
-        let ops = &self.trace.kernels[self.kernel].ctas[cta].ops;
-        let flags: Vec<u32> = ops[pc.min(ops.len())..]
+        let flags: Vec<u32> = self.trace.kernels[self.kernel].ctas[cta]
+            .ops
             .iter()
+            .skip(pc)
             .filter_map(|op| match op {
-                TraceOp::SetFlag(f) => Some(*f),
+                TraceOp::SetFlag(f) => Some(f),
                 _ => None,
             })
             .collect();
@@ -3228,11 +3231,12 @@ impl<'t> Sim<'t> {
         let pc = self.sms[idx].pc;
         self.m.integrity.aborted_ctas += 1;
         self.ctas_unfinished -= 1;
-        let ops = &self.trace.kernels[self.kernel].ctas[cta].ops;
-        let flags: Vec<u32> = ops[pc.min(ops.len())..]
+        let flags: Vec<u32> = self.trace.kernels[self.kernel].ctas[cta]
+            .ops
             .iter()
+            .skip(pc)
             .filter_map(|op| match op {
-                TraceOp::SetFlag(f) => Some(*f),
+                TraceOp::SetFlag(f) => Some(f),
                 _ => None,
             })
             .collect();

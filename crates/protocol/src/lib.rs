@@ -44,4 +44,4 @@ pub use spec::{
     row_index, row_of, Action, Arbitration, DirEvent, DirState, Guard, GuardCtx, ProtocolSpec,
     SpecRow, SpecVariant, NUM_ROWS,
 };
-pub use trace::{Cta, Kernel, TraceOp, WorkloadTrace};
+pub use trace::{Cta, Kernel, Ops, OpsIter, TraceOp, WorkloadTrace};

@@ -15,7 +15,9 @@
 //! without simulating spin loops, which the paper's own simulator also
 //! cannot model faithfully.
 
-use crate::op::Access;
+use hmg_sim::Addr;
+
+use crate::op::{Access, AccessKind};
 use crate::scope::Scope;
 
 /// One step of a CTA's execution.
@@ -44,23 +46,243 @@ pub enum TraceOp {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cta {
     /// The operations, in program order.
-    pub ops: Vec<TraceOp>,
+    pub ops: Ops,
 }
 
 impl Cta {
     /// Creates a CTA from its ops.
     pub fn new(ops: Vec<TraceOp>) -> Self {
-        Cta { ops }
+        Cta {
+            ops: Ops::pack(&ops),
+        }
     }
 
     /// Number of memory accesses in this CTA.
     pub fn num_accesses(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Access(_)))
-            .count()
+        self.ops.num_accesses()
     }
 }
+
+// The packed op word. The low `TAG_BITS` bits say which op the word
+// holds; the payload sits above them (see `Ops::encode`).
+const TAG_BITS: u32 = 3;
+const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
+const TAG_ACCESS: u64 = 0;
+const TAG_DELAY: u64 = 1;
+const TAG_ACQUIRE: u64 = 2;
+const TAG_RELEASE: u64 = 3;
+const TAG_SET_FLAG: u64 = 4;
+const TAG_WAIT_FLAG: u64 = 5;
+const TAG_ESCAPE: u64 = 6;
+/// An access word holds the kind in 2 bits and the scope in 2 bits
+/// above the tag, then the byte address in the remaining 57 bits.
+const ADDR_SHIFT: u32 = TAG_BITS + 4;
+/// Accesses at or above this address do not fit a word.
+const ADDR_LIMIT: u64 = 1 << (64 - ADDR_SHIFT);
+/// A `WaitFlag` word holds the flag in 32 bits above the tag and the
+/// count in the remaining 29 bits.
+const COUNT_SHIFT: u32 = TAG_BITS + 32;
+/// `WaitFlag` counts at or above this do not fit a word.
+const COUNT_LIMIT: u32 = 1 << (64 - COUNT_SHIFT);
+
+/// A CTA's ops, packed one `u64` word per op.
+///
+/// Every op that fits is stored inline in its word; an access at an
+/// address of 2^57 or more and a `WaitFlag` with a count of 2^29 or more
+/// go to a per-CTA escape list, and their word holds the escape index.
+/// The encoding is canonical (an op is escaped exactly when it does not
+/// fit), so the derived `Eq` is equality of the decoded op lists. The
+/// list is immutable once built, and keeps its delay-cycle sum and access
+/// count so callers never re-walk it for them.
+///
+/// # Example
+///
+/// ```
+/// use hmg_protocol::{Access, Cta, TraceOp};
+/// use hmg_sim::Addr;
+///
+/// let ops = vec![TraceOp::Access(Access::load(Addr(64))), TraceOp::Delay(7)];
+/// let cta = Cta::new(ops.clone());
+/// assert_eq!(cta.ops.len(), 2);
+/// assert_eq!(cta.ops.get(1), Some(TraceOp::Delay(7)));
+/// assert_eq!(cta.ops.iter().collect::<Vec<_>>(), ops);
+/// assert_eq!(cta.ops.delay_cycles(), 7);
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Ops {
+    words: Box<[u64]>,
+    escapes: Box<[TraceOp]>,
+    delay_cycles: u64,
+    accesses: usize,
+}
+
+impl Ops {
+    /// Number of ops.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Whether the list holds no ops.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The op at position `i`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<TraceOp> {
+        self.words.get(i).map(|&w| self.decode(w))
+    }
+
+    /// Iterates the ops in program order.
+    pub fn iter(&self) -> OpsIter<'_> {
+        OpsIter {
+            words: self.words.iter(),
+            ops: self,
+        }
+    }
+
+    /// Number of [`TraceOp::Access`] ops.
+    pub fn num_accesses(&self) -> usize {
+        self.accesses
+    }
+
+    /// Sum of every [`TraceOp::Delay`] in the list, in cycles.
+    pub fn delay_cycles(&self) -> u64 {
+        self.delay_cycles
+    }
+
+    /// Number of ops held in the escape list.
+    pub fn num_escapes(&self) -> usize {
+        self.escapes.len()
+    }
+
+    fn pack(ops: &[TraceOp]) -> Ops {
+        let mut words = Vec::with_capacity(ops.len());
+        let mut escapes = Vec::new();
+        let (mut delay_cycles, mut accesses) = (0u64, 0usize);
+        for &op in ops {
+            match op {
+                TraceOp::Access(_) => accesses += 1,
+                TraceOp::Delay(d) => delay_cycles += u64::from(d),
+                _ => {}
+            }
+            words.push(Ops::encode(op, &mut escapes));
+        }
+        Ops {
+            words: words.into_boxed_slice(),
+            escapes: escapes.into_boxed_slice(),
+            delay_cycles,
+            accesses,
+        }
+    }
+
+    fn encode(op: TraceOp, escapes: &mut Vec<TraceOp>) -> u64 {
+        let scope_bits = |s: Scope| -> u64 {
+            match s {
+                Scope::Cta => 0,
+                Scope::Gpu => 1,
+                Scope::Sys => 2,
+            }
+        };
+        match op {
+            TraceOp::Access(a) if a.addr.0 < ADDR_LIMIT => {
+                let kind: u64 = match a.kind {
+                    AccessKind::Load => 0,
+                    AccessKind::Store => 1,
+                    AccessKind::Atomic => 2,
+                };
+                TAG_ACCESS
+                    | kind << TAG_BITS
+                    | scope_bits(a.scope) << (TAG_BITS + 2)
+                    | a.addr.0 << ADDR_SHIFT
+            }
+            TraceOp::Delay(d) => TAG_DELAY | u64::from(d) << TAG_BITS,
+            TraceOp::Acquire(s) => TAG_ACQUIRE | scope_bits(s) << TAG_BITS,
+            TraceOp::Release(s) => TAG_RELEASE | scope_bits(s) << TAG_BITS,
+            TraceOp::SetFlag(f) => TAG_SET_FLAG | u64::from(f) << TAG_BITS,
+            TraceOp::WaitFlag { flag, count } if count < COUNT_LIMIT => {
+                TAG_WAIT_FLAG | u64::from(flag) << TAG_BITS | u64::from(count) << COUNT_SHIFT
+            }
+            TraceOp::Access(_) | TraceOp::WaitFlag { .. } => {
+                escapes.push(op);
+                TAG_ESCAPE | ((escapes.len() - 1) as u64) << TAG_BITS
+            }
+        }
+    }
+
+    #[inline]
+    fn decode(&self, w: u64) -> TraceOp {
+        const KINDS: [AccessKind; 4] = [
+            AccessKind::Load,
+            AccessKind::Store,
+            AccessKind::Atomic,
+            AccessKind::Atomic,
+        ];
+        const SCOPES: [Scope; 4] = [Scope::Cta, Scope::Gpu, Scope::Sys, Scope::Sys];
+        let scope = |bits: u64| SCOPES[(bits & 3) as usize];
+        let body = w >> TAG_BITS;
+        match w & TAG_MASK {
+            TAG_ACCESS => TraceOp::Access(Access::new(
+                Addr(w >> ADDR_SHIFT),
+                KINDS[(body & 3) as usize],
+                scope(body >> 2),
+            )),
+            TAG_DELAY => TraceOp::Delay(body as u32),
+            TAG_ACQUIRE => TraceOp::Acquire(scope(body)),
+            TAG_RELEASE => TraceOp::Release(scope(body)),
+            TAG_SET_FLAG => TraceOp::SetFlag(body as u32),
+            TAG_WAIT_FLAG => TraceOp::WaitFlag {
+                flag: body as u32,
+                count: (w >> COUNT_SHIFT) as u32,
+            },
+            _ => self.escapes[body as usize],
+        }
+    }
+}
+
+impl std::fmt::Debug for Ops {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Ops {
+    type Item = TraceOp;
+    type IntoIter = OpsIter<'a>;
+
+    fn into_iter(self) -> OpsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Ops`] list, decoding each op by value.
+#[derive(Debug, Clone)]
+pub struct OpsIter<'a> {
+    words: std::slice::Iter<'a, u64>,
+    ops: &'a Ops,
+}
+
+impl Iterator for OpsIter<'_> {
+    type Item = TraceOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceOp> {
+        self.words.next().map(|&w| self.ops.decode(w))
+    }
+
+    #[inline]
+    fn nth(&mut self, n: usize) -> Option<TraceOp> {
+        self.words.nth(n).map(|&w| self.ops.decode(w))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.words.size_hint()
+    }
+}
+
+impl ExactSizeIterator for OpsIter<'_> {}
 
 /// One kernel launch: a grid of CTAs, executed between implicit `.sys`
 /// synchronization points.
@@ -132,6 +354,16 @@ impl WorkloadTrace {
         self.kernels.iter().map(Kernel::num_accesses).sum()
     }
 
+    /// Sum of every programmed [`TraceOp::Delay`] across all kernels, in
+    /// cycles.
+    pub fn delay_cycles(&self) -> u64 {
+        self.kernels
+            .iter()
+            .flat_map(|k| &k.ctas)
+            .map(|c| c.ops.delay_cycles())
+            .sum()
+    }
+
     /// The highest byte address referenced plus one — the trace's
     /// nominal footprint. Returns 0 for a trace with no accesses.
     pub fn footprint_bytes(&self) -> u64 {
@@ -152,8 +384,7 @@ impl WorkloadTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::AccessKind;
-    use hmg_sim::Addr;
+    use hmg_sim::Rng;
 
     fn access(addr: u64) -> TraceOp {
         TraceOp::Access(Access::load(Addr(addr)))
@@ -194,5 +425,136 @@ mod tests {
         let cta = Cta::new(ops);
         assert_eq!(cta.num_accesses(), 1);
         assert_eq!(cta.ops.len(), 5);
+    }
+
+    /// One op of every variant and every field, biased toward the values
+    /// on either side of the inline/escape boundaries.
+    fn arb_op(rng: &mut Rng) -> TraceOp {
+        const ADDRS: [u64; 6] = [0, 128, ADDR_LIMIT - 1, ADDR_LIMIT, ADDR_LIMIT + 1, u64::MAX];
+        const U32S: [u32; 4] = [0, 1, u32::MAX - 1, u32::MAX];
+        const COUNTS: [u32; 5] = [0, COUNT_LIMIT - 1, COUNT_LIMIT, COUNT_LIMIT + 1, u32::MAX];
+        let scope = *rng.choose(&Scope::ALL);
+        let u32_of = |rng: &mut Rng| {
+            if rng.gen_bool(0.5) {
+                *rng.choose(&U32S)
+            } else {
+                rng.next_u64() as u32
+            }
+        };
+        match rng.gen_range(0, 6) {
+            0 => {
+                let addr = if rng.gen_bool(0.5) {
+                    *rng.choose(&ADDRS)
+                } else {
+                    rng.next_u64() >> rng.gen_range(0, 64)
+                };
+                let kind = *rng.choose(&[AccessKind::Load, AccessKind::Store, AccessKind::Atomic]);
+                TraceOp::Access(Access::new(Addr(addr), kind, scope))
+            }
+            1 => TraceOp::Delay(u32_of(rng)),
+            2 => TraceOp::Acquire(scope),
+            3 => TraceOp::Release(scope),
+            4 => TraceOp::SetFlag(u32_of(rng)),
+            _ => TraceOp::WaitFlag {
+                flag: u32_of(rng),
+                count: if rng.gen_bool(0.5) {
+                    *rng.choose(&COUNTS)
+                } else {
+                    rng.next_u64() as u32
+                },
+            },
+        }
+    }
+
+    #[test]
+    fn packing_round_trips_every_op_and_keeps_eq_exact() {
+        use crate::tracefile::{read_trace, write_trace};
+        let mut rng = Rng::new(0x7ace);
+        let mut kernels = Vec::new();
+        for _ in 0..200 {
+            let n = rng.gen_range(0, 40) as usize;
+            let v: Vec<TraceOp> = (0..n).map(|_| arb_op(&mut rng)).collect();
+            let cta = Cta::new(v.clone());
+            assert_eq!(cta.ops.iter().collect::<Vec<_>>(), v);
+            assert_eq!((&cta.ops).into_iter().len(), n);
+            for (i, op) in v.iter().enumerate() {
+                assert_eq!(cta.ops.get(i), Some(*op));
+                assert_eq!(cta.ops.iter().nth(i), Some(*op));
+            }
+            assert_eq!(cta.ops.get(n), None);
+            let delays: u64 = v
+                .iter()
+                .map(|op| match op {
+                    TraceOp::Delay(d) => u64::from(*d),
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(cta.ops.delay_cycles(), delays);
+            let accesses = v
+                .iter()
+                .filter(|op| matches!(op, TraceOp::Access(_)))
+                .count();
+            assert_eq!(cta.num_accesses(), accesses);
+
+            // Cta equality is Vec equality: against a copy, and against a
+            // copy with one op replaced.
+            assert_eq!(Cta::new(v.clone()), cta);
+            if n > 0 {
+                let mut w = v.clone();
+                let i = rng.gen_range(0, n as u64) as usize;
+                w[i] = arb_op(&mut rng);
+                assert_eq!(Cta::new(w.clone()) == cta, w == v, "{w:?} vs {v:?}");
+            }
+            kernels.push(Kernel::new(vec![cta]));
+        }
+        let trace = WorkloadTrace::new("packing", kernels);
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, &trace).unwrap();
+        assert_eq!(read_trace(&bytes[..]).unwrap(), trace);
+    }
+
+    #[test]
+    fn escape_boundaries_are_exact() {
+        let inline = [
+            TraceOp::Access(Access::atomic(Addr(ADDR_LIMIT - 1), Scope::Sys)),
+            TraceOp::Delay(u32::MAX),
+            TraceOp::SetFlag(u32::MAX),
+            TraceOp::WaitFlag {
+                flag: u32::MAX,
+                count: COUNT_LIMIT - 1,
+            },
+            TraceOp::Acquire(Scope::Sys),
+            TraceOp::Release(Scope::Gpu),
+        ];
+        let escaped = [
+            TraceOp::Access(Access::load(Addr(ADDR_LIMIT))),
+            TraceOp::Access(Access::new(Addr(u64::MAX), AccessKind::Store, Scope::Gpu)),
+            TraceOp::WaitFlag {
+                flag: 0,
+                count: COUNT_LIMIT,
+            },
+            TraceOp::WaitFlag {
+                flag: u32::MAX,
+                count: u32::MAX,
+            },
+        ];
+        assert_eq!(ADDR_LIMIT, 1 << 57);
+        assert_eq!(COUNT_LIMIT, 1 << 29);
+        let cta = Cta::new(inline.to_vec());
+        assert_eq!(cta.ops.num_escapes(), 0);
+        assert_eq!(cta.ops.iter().collect::<Vec<_>>(), inline);
+        let cta = Cta::new(escaped.to_vec());
+        assert_eq!(cta.ops.num_escapes(), escaped.len());
+        assert_eq!(cta.ops.iter().collect::<Vec<_>>(), escaped);
+    }
+
+    #[test]
+    fn inline_ops_cost_eight_bytes_each() {
+        let v: Vec<TraceOp> = (0..1000u64)
+            .map(|i| TraceOp::Access(Access::load(Addr(i * 128))))
+            .collect();
+        let cta = Cta::new(v);
+        assert_eq!(std::mem::size_of_val(&*cta.ops.words), 8 * 1000);
+        assert!(cta.ops.escapes.is_empty());
     }
 }

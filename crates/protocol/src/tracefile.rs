@@ -160,7 +160,7 @@ pub fn write_trace<W: Write>(mut w: W, trace: &WorkloadTrace) -> io::Result<()> 
         for c in &k.ctas {
             w.write_all(&(c.ops.len() as u32).to_le_bytes())?;
             for op in &c.ops {
-                match *op {
+                match op {
                     TraceOp::Access(a) => {
                         w.write_all(&[0, kind_tag(a.kind), scope_tag(a.scope)])?;
                         w.write_all(&a.addr.0.to_le_bytes())?;

@@ -252,7 +252,15 @@ impl<K: FlatKey, V> FlatMap<K, V> {
     /// position.
     fn push_new(&mut self, k: K, v: V) -> usize {
         if (self.occupied + 1) * 8 >= self.index.len() * 7 {
-            self.grow();
+            // At most half live: sweep the tombstones at the same size,
+            // so insert/remove churn alone never grows the index.
+            let live = self.entries.len() + 1;
+            let cap = if live * 2 <= self.index.len() {
+                self.index.len()
+            } else {
+                (self.index.len() * 2).max(16)
+            };
+            self.rehash(cap);
         }
         let mask = self.index.len() - 1;
         let mut slot = (k.flat_hash() as usize) & mask;
@@ -271,10 +279,9 @@ impl<K: FlatKey, V> FlatMap<K, V> {
         self.entries.len() - 1
     }
 
-    /// Doubles the index (min 16 slots) and reinserts every live
+    /// Rebuilds the index at `cap` slots and reinserts every live
     /// position, clearing accumulated tombstones.
-    fn grow(&mut self) {
-        let cap = (self.index.len() * 2).max(16);
+    fn rehash(&mut self, cap: usize) {
         self.index.clear();
         self.index.resize(cap, 0);
         self.occupied = self.entries.len();
@@ -449,6 +456,22 @@ mod tests {
             assert_eq!(m.contains_key(&i), i % 2 == 1, "{i}");
         }
         assert_eq!(m.remove(&2), None);
+    }
+
+    #[test]
+    fn churn_keeps_the_index_sized_to_live_keys() {
+        let mut m: FlatMap<u64, u64> = FlatMap::new();
+        for i in 0..1_000_000u64 {
+            if i >= 64 {
+                assert_eq!(m.remove(&(i - 64)), Some(i - 64));
+            }
+            m.insert(i, i);
+            assert!(m.len() <= 64);
+        }
+        assert!(m.index.len() <= 256, "index grew to {}", m.index.len());
+        for i in 1_000_000 - 64..1_000_000 {
+            assert_eq!(m.get(&i), Some(&i));
+        }
     }
 
     #[test]

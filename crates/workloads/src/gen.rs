@@ -298,8 +298,8 @@ mod tests {
         assert!(!b.is_empty());
         let cta = b.build();
         assert_eq!(cta.num_accesses(), 4);
-        assert!(matches!(cta.ops[1], TraceOp::Delay(5)));
-        assert!(matches!(cta.ops.last(), Some(TraceOp::SetFlag(2))));
+        assert!(matches!(cta.ops.get(1), Some(TraceOp::Delay(5))));
+        assert!(matches!(cta.ops.iter().last(), Some(TraceOp::SetFlag(2))));
     }
 
     #[test]

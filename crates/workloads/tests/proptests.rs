@@ -18,7 +18,7 @@ fn check_well_formed(trace: &hmg_protocol::WorkloadTrace) -> Result<(), String> 
     for k in &trace.kernels {
         for c in &k.ctas {
             for op in &c.ops {
-                match *op {
+                match op {
                     TraceOp::Access(a) if !a.addr.0.is_multiple_of(128) => {
                         return Err(format!("unaligned access {:?}", a.addr));
                     }

@@ -32,28 +32,23 @@ fn save_svg(dir: &Option<String>, name: &str, svg: &str) {
     }
 }
 
-/// Unwraps a sweep result, reporting a hard failure to stderr.
-fn or_report<T>(r: Result<T, SimError>) -> Option<T> {
-    match r {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("[sweep failed] {e}");
-            None
-        }
-    }
+/// Runs one command; `false` means the command itself failed (a sweep
+/// stopped on a hard failure, reported to stderr; `check` found a
+/// memory-model violation; or `audit` found a static one).
+fn run(cmd: Command, p: &ParsedArgs) -> bool {
+    run_command(cmd, p).unwrap_or_else(|e| {
+        eprintln!("[sweep failed] {e}");
+        false
+    })
 }
 
-/// Runs one command; `false` means the command itself failed (a sweep
-/// stopped on a hard failure, `check` found a memory-model violation,
-/// or `audit` found a static one).
-fn run(cmd: Command, p: &ParsedArgs) -> bool {
+/// [`run`] with a sweep's hard failure as `Err`.
+fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
     let (opts, svg, budget) = (&p.options, &p.svg_dir, p.budget);
     match cmd {
-        Command::Table3 => exp::print_table3(opts),
+        Command::Table3 => exp::print_table3(opts)?,
         Command::Fig2 => {
-            let Some(r) = or_report(exp::fig2(opts)) else {
-                return false;
-            };
+            let r = exp::fig2(opts)?;
             r.print("Fig. 2: motivating multi-GPU comparison");
             save_svg(
                 svg,
@@ -62,27 +57,27 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             );
         }
         Command::Fig3 => {
-            let r = exp::fig3(opts);
+            let r = exp::fig3(opts)?;
             r.print();
             save_svg(svg, "fig3", &r.to_svg());
         }
         Command::Fig7 => {
-            let r = exp::fig7();
+            let r = exp::fig7(opts)?;
             r.print();
             save_svg(svg, "fig7", &r.to_svg());
         }
         Command::Fig8 => {
-            let Some(r) = or_report(exp::fig8(opts)) else {
-                return false;
-            };
+            let r = exp::fig8(opts)?;
             r.print("Fig. 8: 4-GPU x 4-GPM, five coherence configurations");
-            let (vs_sw, vs_nhcc, of_ideal) = exp::headline(&r);
-            println!(
-                "headline: HMG vs SW-coherence {:+.0}%, vs NHCC {:+.0}%, {:.0}% of ideal",
-                vs_sw * 100.0,
-                vs_nhcc * 100.0,
-                of_ideal * 100.0
-            );
+            match exp::headline(&r) {
+                Some((vs_sw, vs_nhcc, of_ideal)) => println!(
+                    "headline: HMG vs SW-coherence {:+.0}%, vs NHCC {:+.0}%, {:.0}% of ideal",
+                    vs_sw * 100.0,
+                    vs_nhcc * 100.0,
+                    of_ideal * 100.0
+                ),
+                None => println!("headline: n/a (no workload completed)"),
+            }
             println!("paper:    HMG vs SW-coherence +26%, vs NHCC +18%, 97% of ideal\n");
             save_svg(
                 svg,
@@ -91,7 +86,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             );
         }
         Command::Fig9To11 => {
-            let r = exp::fig9_10_11(opts);
+            let r = exp::fig9_10_11(opts)?;
             r.print();
             let [f9, f10, f11] = r.to_svgs();
             save_svg(svg, "fig9", &f9);
@@ -99,9 +94,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             save_svg(svg, "fig11", &f11);
         }
         Command::Fig12 => {
-            let Some(r) = or_report(exp::fig12(opts)) else {
-                return false;
-            };
+            let r = exp::fig12(opts)?;
             r.print("Fig. 12: inter-GPU bandwidth sensitivity");
             save_svg(
                 svg,
@@ -110,16 +103,12 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             );
         }
         Command::Fig13 => {
-            let Some(r) = or_report(exp::fig13(opts)) else {
-                return false;
-            };
+            let r = exp::fig13(opts)?;
             r.print("Fig. 13: L2 capacity sensitivity");
             save_svg(svg, "fig13", &r.to_svg("Fig. 13: L2 capacity sensitivity"));
         }
         Command::Fig14 => {
-            let Some(r) = or_report(exp::fig14(opts)) else {
-                return false;
-            };
+            let r = exp::fig14(opts)?;
             r.print("Fig. 14: directory capacity sensitivity");
             save_svg(
                 svg,
@@ -128,23 +117,17 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             );
         }
         Command::Grain => {
-            let Some(r) = or_report(exp::grain_sweep(opts)) else {
-                return false;
-            };
+            let r = exp::grain_sweep(opts)?;
             r.print("§VII-B: directory granularity sweep");
             save_svg(svg, "grain", &r.to_svg("Directory granularity sweep"));
         }
         Command::Cost => exp::print_storage_cost(),
         Command::SingleGpu => {
-            let Some(r) = or_report(exp::single_gpu(opts)) else {
-                return false;
-            };
+            let r = exp::single_gpu(opts)?;
             r.print("§VII-A: single-GPU (1x4 GPM) check");
         }
         Command::Carve => {
-            let Some(r) = or_report(exp::carve_comparison(opts)) else {
-                return false;
-            };
+            let r = exp::carve_comparison(opts)?;
             r.print("Prior work: CARVE-like broadcast coherence vs NHCC/HMG");
             save_svg(
                 svg,
@@ -158,35 +141,18 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                 .clone()
                 .unwrap_or_else(|| vec!["bfs".into(), "RNN_FW".into()]);
             for w in list {
-                match exp::characterize(opts, &w) {
-                    Some(rows) => exp::print_characterization(&w, &rows),
-                    None => eprintln!("unknown workload `{w}`"),
-                }
+                exp::characterize(opts, &w)?.print();
             }
         }
         Command::ScaleStudy => {
-            let Some(r) = or_report(exp::scale_study(opts)) else {
-                return false;
-            };
+            let r = exp::scale_study(opts)?;
             r.print("§VII-D: scaling to larger systems");
             save_svg(svg, "scale-study", &r.to_svg("Scaling to larger systems"));
         }
-        Command::AblateFence => match or_report(exp::ablate_fences(opts)) {
-            Some(r) => r.print(),
-            None => return false,
-        },
-        Command::AblatePlacement => match or_report(exp::ablate_placement(opts)) {
-            Some(r) => r.print(),
-            None => return false,
-        },
-        Command::AblateWriteback => match or_report(exp::ablate_writeback(opts)) {
-            Some(r) => r.print(),
-            None => return false,
-        },
-        Command::AblateDowngrade => match or_report(exp::ablate_downgrades(opts)) {
-            Some(r) => r.print(),
-            None => return false,
-        },
+        Command::AblateFence => exp::ablate_fences(opts)?.print(),
+        Command::AblatePlacement => exp::ablate_placement(opts)?.print(),
+        Command::AblateWriteback => exp::ablate_writeback(opts)?.print(),
+        Command::AblateDowngrade => exp::ablate_downgrades(opts)?.print(),
         Command::All => {
             // Perf trajectory (ROADMAP item 1): tally every supervised
             // sweep of the full paper run and leave a machine-readable
@@ -206,7 +172,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                 Ok(()) => eprintln!("[wrote BENCH_sweep.json] {json}"),
                 Err(e) => eprintln!("cannot write BENCH_sweep.json: {e}"),
             }
-            return ok;
+            return Ok(ok);
         }
         Command::Check => {
             let cfg = hmg_check::CheckConfig {
@@ -253,7 +219,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             };
             let report = hmg_check::run_check(&cfg);
             print!("{report}");
-            return report.passed();
+            return Ok(report.passed());
         }
         Command::Audit => {
             let report = hmg_audit::run_audit(&hmg_audit::AuditOptions {
@@ -270,14 +236,14 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                 println!("{f}");
             }
             println!("{}", report.summary());
-            return report.passed();
+            return Ok(report.passed());
         }
         Command::Bench => {
             let report = match hmg::bench::run_bench(opts, p.bench_quick) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("bench failed: {e}");
-                    return false;
+                    return Ok(false);
                 }
             };
             report.print();
@@ -285,7 +251,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                 Ok(()) => println!("wrote {}", p.bench_out),
                 Err(e) => {
                     eprintln!("cannot write {}: {e}", p.bench_out);
-                    return false;
+                    return Ok(false);
                 }
             }
             if let Some(base) = &p.bench_baseline {
@@ -293,14 +259,14 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                     Ok(msg) => println!("{msg}"),
                     Err(msg) => {
                         eprintln!("{msg}");
-                        return false;
+                        return Ok(false);
                     }
                 }
             }
-            return true;
+            return Ok(true);
         }
     }
-    true
+    Ok(true)
 }
 
 fn main() -> ExitCode {

@@ -312,3 +312,63 @@ fn run_cell_mode_emits_the_outcome_marker() {
         stdout(&bad)
     );
 }
+
+/// The in-process drivers (Fig. 3, Figs. 9–11, the characterization)
+/// run on the same supervisor pool as the speedup sweeps: a workload
+/// that deadlocks under a dropped store becomes a row of the failure
+/// table with `--keep-going`, and a typed `[sweep failed]` error
+/// without it. Neither path may unwind the process with a panic.
+#[test]
+fn in_process_drivers_report_deadlocks_instead_of_panicking() {
+    for driver in ["fig3", "fig9-11", "characterize"] {
+        let run = |keep_going: bool| {
+            let mut cmd = Command::new(BIN);
+            cmd.args([
+                driver,
+                "--scale",
+                "tiny",
+                "--seed",
+                "4",
+                "--workloads",
+                "cuSolver,bfs",
+                "--faults",
+                "drop-store=1",
+            ]);
+            if keep_going {
+                cmd.arg("--keep-going");
+            }
+            cmd.env_remove("HMG_CELL_CRASH")
+                .env_remove("HMG_CELL_HANG")
+                .output()
+                .expect("experiments binary runs")
+        };
+
+        let kept = run(true);
+        let (out, err) = (stdout(&kept), stderr(&kept));
+        assert!(
+            kept.status.success(),
+            "{driver} --keep-going must exit 0:\n{out}\n{err}"
+        );
+        assert!(
+            out.contains("failed run(s); partial result") && out.contains("deadlocked"),
+            "{driver} must print the failure table with the deadlock:\n{out}"
+        );
+        assert!(!err.contains("panicked"), "{driver} panicked:\n{err}");
+
+        let failed = run(false);
+        let err = stderr(&failed);
+        assert_eq!(
+            failed.status.code(),
+            Some(1),
+            "{driver} without --keep-going must fail the run:\n{err}"
+        );
+        assert!(
+            err.contains("[sweep failed]") && err.contains("deadlocked"),
+            "{driver} reports the typed failure:\n{err}"
+        );
+        assert!(
+            !err.contains("panicked") && !err.contains("RUST_BACKTRACE"),
+            "{driver} must not unwind:\n{err}"
+        );
+    }
+}

@@ -242,7 +242,7 @@ pub fn check_program(p: &Program, cfg: &CheckConfig) -> ClassResult {
                         ecfg.arbitration = arb;
                     }
                     out.runs += 1;
-                    let result = run_isolated(ecfg, &trace);
+                    let result = run_isolated(ecfg, &trace, None).map(|(m, _)| m);
                     if let Ok(m) = &result {
                         out.outcomes += m.probe.len() as u64;
                         out.flips += m.integrity.flips();

@@ -232,14 +232,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckReport {
         &batch,
         |p: &Program| p.key(),
         &sup,
-        |p, _attempt| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            check_program(p, cfg)
-        })) {
-            Ok(r) => Attempt::Ok(r),
-            Err(payload) => {
-                Attempt::Crashed(supervisor::panic_message(payload.as_ref()).to_string())
-            }
-        },
+        |p, _attempt| Attempt::Ok(check_program(p, cfg)),
     );
     for cell in sweep.cells {
         match cell.status {

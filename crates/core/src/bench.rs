@@ -23,11 +23,11 @@ use std::path::Path;
 
 use hmg_protocol::ProtocolKind;
 use hmg_sim::SimError;
-use hmg_workloads::suite::by_abbrev;
 use hmg_workloads::Scale;
 
 use crate::experiments::ExpOptions;
 use crate::report::Table;
+use crate::runner::run_isolated;
 
 /// Schema tag of `BENCH_hotpath.json`; bump when the shape changes.
 pub const SCHEMA: &str = "hmg-bench-hotpath-v1";
@@ -333,18 +333,15 @@ pub fn run_bench(opts: &ExpOptions, quick: bool) -> Result<BenchReport, SimError
     };
     let mut cells = Vec::with_capacity(workloads.len() * protocols.len());
     for workload in &workloads {
-        let spec = by_abbrev(workload)
-            .ok_or_else(|| SimError::config(format!("unknown workload `{workload}`")))?;
         // Trace generation is untimed setup: the bench measures the DES.
-        let trace = spec.generate(opts.scale, opts.seed);
+        // The trace does not depend on the protocol.
+        let trace = opts.plain_cell(workload, protocols[0]).trace()?;
         for &protocol in protocols {
-            let mut cfg = opts.base_config(protocol);
-            crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
-            crate::runner::arm_watchdog(&mut cfg, &trace, opts.livelock_budget);
+            let cfg = opts.plain_cell(workload, protocol).config(&trace)?;
             // audit:allow(entropy): wall-clock benchmarking only; never
             // feeds simulated state.
             let start = std::time::Instant::now();
-            let m = crate::runner::run_isolated(cfg, &trace)?;
+            let (m, _) = run_isolated(cfg, &trace, None)?;
             let wall_s = start.elapsed().as_secs_f64();
             cells.push(BenchCell {
                 workload: workload.clone(),
@@ -380,12 +377,9 @@ fn snapshot_overhead(
         .copied()
         .find(|&p| p == ProtocolKind::Hmg)
         .unwrap_or(protocols[0]);
-    let spec = by_abbrev(workload)
-        .ok_or_else(|| SimError::config(format!("unknown workload `{workload}`")))?;
-    let trace = spec.generate(opts.scale, opts.seed);
-    let mut cfg = opts.base_config(protocol);
-    crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
-    crate::runner::arm_watchdog(&mut cfg, &trace, opts.livelock_budget);
+    let cell = opts.plain_cell(workload, protocol);
+    let trace = cell.trace()?;
+    let cfg = cell.config(&trace)?;
 
     let interval = crate::experiments::DEFAULT_SNAPSHOT_INTERVAL;
     let dir = std::env::temp_dir().join(format!("hmg-bench-snap-{}", std::process::id()));
@@ -410,7 +404,7 @@ fn snapshot_overhead(
         // audit:allow(entropy): wall-clock benchmarking only; never
         // feeds simulated state.
         let start = std::time::Instant::now();
-        let m = crate::runner::run_isolated(cfg.clone(), &trace)?;
+        let (m, _) = run_isolated(cfg.clone(), &trace, None)?;
         off_wall_s = off_wall_s.min(start.elapsed().as_secs_f64());
 
         // A stale store would turn the timed run into a (shorter)
@@ -421,7 +415,7 @@ fn snapshot_overhead(
         // audit:allow(entropy): wall-clock benchmarking only; never
         // feeds simulated state.
         let start = std::time::Instant::now();
-        let (on, report) = crate::runner::run_preemptible(cfg.clone(), &trace, &policy)?;
+        let (on, report) = run_isolated(cfg.clone(), &trace, Some(&policy))?;
         on_wall_s = on_wall_s.min(start.elapsed().as_secs_f64());
         written = report.written;
 

@@ -4,7 +4,7 @@
 //! them to the command line, and EXPERIMENTS.md records paper-measured
 //! comparisons.
 
-use hmg_gpu::{Engine, EngineConfig, RunMetrics};
+use hmg_gpu::EngineConfig;
 use hmg_protocol::{ProtocolKind, WorkloadTrace};
 use hmg_sim::{stats, FaultPlan, SimError};
 use hmg_workloads::micro::{correlation_suite, MachineParams, Micro};
@@ -12,7 +12,7 @@ use hmg_workloads::suite::{by_abbrev, table3};
 use hmg_workloads::{Scale, WorkloadSpec};
 
 use crate::report::{f2, f3, pct, Table};
-use crate::runner::{parallel_map, SweepCheckpoint};
+use crate::runner::{run_isolated, SweepCheckpoint};
 use crate::supervisor::{self, Attempt, CellCommand, CellStatus, Isolation, SupervisorConfig};
 
 /// Options shared by all experiments.
@@ -121,12 +121,6 @@ impl ExpOptions {
         }
     }
 
-    /// The engine configuration these options select for in-process
-    /// (non-supervised) drivers like Figs. 3 and 7.
-    pub(crate) fn base_config(&self, protocol: ProtocolKind) -> EngineConfig {
-        crate::runner::machine_config(self.scale, protocol, self.faults.as_ref())
-    }
-
     /// Builds the cell context for one (workload, protocol) run.
     fn cell(&self, key: String, workload: &str, protocol: ProtocolKind, tweak: &str) -> CellCtx {
         let snapshot_path = self
@@ -145,6 +139,26 @@ impl ExpOptions {
             snapshot_path,
             snapshot_interval: self.snapshot_interval,
         }
+    }
+
+    /// The untweaked cell running `workload` under `protocol`, keyed
+    /// `workload/protocol`.
+    pub(crate) fn plain_cell(&self, workload: &str, protocol: ProtocolKind) -> CellCtx {
+        self.cell(
+            format!("{workload}/{}", protocol.name()),
+            workload,
+            protocol,
+            "",
+        )
+    }
+
+    /// One untweaked cell per selected workload under `protocol`, in
+    /// figure order.
+    fn suite_cells(&self, protocol: ProtocolKind) -> Vec<CellCtx> {
+        self.specs()
+            .iter()
+            .map(|s| self.plain_cell(s.abbrev, protocol))
+            .collect()
     }
 }
 
@@ -276,12 +290,40 @@ pub struct CellCtx {
     pub snapshot_interval: u64,
 }
 
+impl CellCtx {
+    /// This cell's Table III workload.
+    fn spec(&self) -> Result<WorkloadSpec, SimError> {
+        by_abbrev(&self.workload)
+            .ok_or_else(|| SimError::config(format!("unknown workload `{}`", self.workload)))
+    }
+
+    /// Generates this cell's workload trace.
+    pub fn trace(&self) -> Result<WorkloadTrace, SimError> {
+        Ok(self.spec()?.generate(self.scale, self.seed))
+    }
+
+    /// The machine this cell runs `trace` on — the one configuration
+    /// recipe every experiment run shares: the scale's machine with the
+    /// cell's fault plan, then the serialized tweak, then capacities
+    /// shrunk by the workload's footprint compression, then the livelock
+    /// watchdog armed for `trace`.
+    pub fn config(&self, trace: &WorkloadTrace) -> Result<EngineConfig, SimError> {
+        let spec = self.spec()?;
+        let mut cfg =
+            crate::runner::machine_config(self.scale, self.protocol, self.faults.as_ref());
+        apply_tweak(&self.tweak, &mut cfg)?;
+        crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(self.scale));
+        crate::runner::arm_watchdog(&mut cfg, trace, self.livelock_budget);
+        Ok(cfg)
+    }
+}
+
 /// The result of one completed sweep cell.
 #[derive(Debug, Clone, Copy)]
 pub struct CellOutcome {
     /// Total simulated cycles.
     pub cycles: u64,
-    /// Committed-memory state digest ([`RunMetrics::state_digest`]).
+    /// Committed-memory state digest ([`hmg_gpu::RunMetrics::state_digest`]).
     pub digest: u64,
     /// DES events executed (throughput accounting).
     pub events: u64,
@@ -333,42 +375,34 @@ fn run_cell_attempt(
     attempt: u32,
     process_child: bool,
 ) -> Result<CellOutcome, SimError> {
-    let spec = by_abbrev(&ctx.workload)
-        .ok_or_else(|| SimError::config(format!("unknown workload `{}`", ctx.workload)))?;
-    let trace = spec.generate(ctx.scale, ctx.seed);
-    let mut cfg = crate::runner::machine_config(ctx.scale, ctx.protocol, ctx.faults.as_ref());
-    apply_tweak(&ctx.tweak, &mut cfg)?;
-    crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(ctx.scale));
-    crate::runner::arm_watchdog(&mut cfg, &trace, ctx.livelock_budget);
-    let (m, resumed_from) = match &ctx.snapshot_path {
-        None => (crate::runner::run_isolated(cfg, &trace)?, None),
-        Some(path) => {
-            // Best-effort: a missing store directory degrades to
-            // cold-start-plus-write-errors, never a failed cell.
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let mut policy = hmg_gpu::SnapshotPolicy::periodic(
-                path.clone(),
-                snapshot_identity(ctx),
-                ctx.snapshot_interval,
-            );
-            if process_child && attempt == 1 {
-                policy.kill_at = supervisor::snapshot_kill_cycle(&ctx.key);
-            }
-            let (m, rep) = crate::runner::run_preemptible(cfg, &trace, &policy)?;
-            // Greppable snapshot accounting, mirroring the
-            // `[fail-in-place]`/`[integrity]` contract: silent on
-            // snapshot-free cold runs.
-            for (p, e) in &rep.rejected {
-                println!("[snapshot] cell {} refused {}: {e}", ctx.key, p.display());
-            }
-            if let Some(c) = rep.resumed_from {
-                println!("[snapshot] cell {} resumed from cycle {c}", ctx.key);
-            }
-            (m, rep.resumed_from)
+    let trace = ctx.trace()?;
+    let cfg = ctx.config(&trace)?;
+    let policy = ctx.snapshot_path.as_ref().map(|path| {
+        // Best-effort: a missing store directory degrades to
+        // cold-start-plus-write-errors, never a failed cell.
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            let _ = std::fs::create_dir_all(dir);
         }
-    };
+        let mut policy = hmg_gpu::SnapshotPolicy::periodic(
+            path.clone(),
+            snapshot_identity(ctx),
+            ctx.snapshot_interval,
+        );
+        if process_child && attempt == 1 {
+            policy.kill_at = supervisor::snapshot_kill_cycle(&ctx.key);
+        }
+        policy
+    });
+    let (m, rep) = run_isolated(cfg, &trace, policy.as_ref())?;
+    // Greppable snapshot accounting, mirroring the
+    // `[fail-in-place]`/`[integrity]` contract: silent on snapshot-free
+    // cold runs.
+    for (p, e) in &rep.rejected {
+        println!("[snapshot] cell {} refused {}: {e}", ctx.key, p.display());
+    }
+    if let Some(c) = rep.resumed_from {
+        println!("[snapshot] cell {} resumed from cycle {c}", ctx.key);
+    }
     // Per-epoch fail-in-place accounting, greppable from sweep logs
     // (all-zero on fault-free runs, so print nothing).
     if m.reconfig.epochs > 0 {
@@ -392,7 +426,7 @@ fn run_cell_attempt(
         cycles: m.total_cycles.as_u64(),
         digest: m.state_digest,
         events: m.events,
-        resumed_from,
+        resumed_from: rep.resumed_from,
     })
 }
 
@@ -407,19 +441,11 @@ fn first_line(s: &str) -> &str {
 /// err ...` with exit code 2 on a typed simulation error). Any other
 /// exit — a panic, a kill — is classified by the parent as a crash.
 pub fn cell_main(args: &[String]) -> i32 {
-    let (ctx, attempt) = match parse_cell_args(args) {
-        Ok(v) => v,
-        Err(e) => {
-            println!(
-                "{} err {}",
-                supervisor::CELL_MARKER,
-                first_line(&e.to_string())
-            );
-            return supervisor::CELL_FAULT_EXIT;
-        }
-    };
-    supervisor::apply_test_knobs(&ctx.key, attempt);
-    match run_cell_attempt(&ctx, attempt, true) {
+    let outcome = parse_cell_args(args).and_then(|(ctx, attempt)| {
+        supervisor::apply_test_knobs(&ctx.key, attempt);
+        run_cell_attempt(&ctx, attempt, true)
+    });
+    match outcome {
         Ok(out) => {
             let resumed = out
                 .resumed_from
@@ -554,24 +580,6 @@ fn parse_cell_payload(payload: &str) -> Option<CellOutcome> {
     })
 }
 
-/// One attempt of a cell in-process: panics (from the injection knob or
-/// residual engine bugs outside [`crate::runner::run_isolated`]) are
-/// caught and classified as crashes so the supervisor can retry.
-fn thread_attempt(cell: &CellCtx, attempt_no: u32) -> Attempt<CellOutcome> {
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        supervisor::apply_test_knobs(&cell.key, attempt_no);
-        run_cell_attempt(cell, attempt_no, false)
-    }));
-    match r {
-        Ok(Ok(out)) => Attempt::Ok(out),
-        Ok(Err(e)) => Attempt::Fault(e),
-        Err(payload) => Attempt::Crashed(format!(
-            "cell panicked: {}",
-            supervisor::panic_message(payload.as_ref())
-        )),
-    }
-}
-
 /// One attempt of a cell in a child process via `__run-cell` re-exec.
 fn process_cell_attempt(
     cell: &CellCtx,
@@ -593,39 +601,27 @@ fn process_cell_attempt(
     }
 }
 
-/// Per-cell merged outcome of a supervised sweep.
-enum CellResult {
-    /// The cell completed (this run, or reused from the checkpoint).
-    Done { outcome: CellOutcome },
-    /// The cell failed: a typed error, a quarantined crash, or a
-    /// timeout-kill.
-    Failed(SimError),
-    /// The cell was drained unrun after a hard failure stopped the
-    /// sweep (no `--keep-going`).
-    Skipped,
-}
-
 /// Runs `cells` through the supervisor: checkpointed cells are reused,
 /// the rest execute under the configured isolation with retry/backoff
 /// and timeout-kill, completed cells are checkpointed as they finish,
-/// and results merge back in input order.
+/// and results merge back in input order. A cell drained unrun after a
+/// hard failure (no `--keep-going`) reads as a `skipped` error.
 fn run_cells(
     opts: &ExpOptions,
     cells: &[CellCtx],
     ckpt: Option<&SweepCheckpoint>,
-) -> Vec<CellResult> {
-    let mut merged: Vec<Option<CellResult>> = cells
+) -> Vec<Result<CellOutcome, SimError>> {
+    let mut merged: Vec<Option<Result<CellOutcome, SimError>>> = cells
         .iter()
         .map(|c| {
-            ckpt.and_then(|k| k.lookup(&c.key))
-                .map(|rec| CellResult::Done {
-                    outcome: CellOutcome {
-                        cycles: rec.cycles,
-                        digest: rec.digest,
-                        events: 0,
-                        resumed_from: None,
-                    },
+            ckpt.and_then(|k| k.lookup(&c.key)).map(|rec| {
+                Ok(CellOutcome {
+                    cycles: rec.cycles,
+                    digest: rec.digest,
+                    events: 0,
+                    resumed_from: None,
                 })
+            })
         })
         .collect();
     let reused = merged.iter().filter(|m| m.is_some()).count();
@@ -643,7 +639,13 @@ fn run_cells(
         &sup,
         |cell, attempt_no| {
             let a = match sup.isolation {
-                Isolation::Thread => thread_attempt(cell, attempt_no),
+                // A panic here (the injection knob, a residual engine
+                // bug) is classified a crash by the supervisor itself.
+                Isolation::Thread => {
+                    supervisor::apply_test_knobs(&cell.key, attempt_no);
+                    run_cell_attempt(cell, attempt_no, false)
+                        .map_or_else(Attempt::Fault, Attempt::Ok)
+                }
                 Isolation::Process => process_cell_attempt(cell, attempt_no, &sup),
             };
             // Record final outcomes immediately, so an interrupt loses
@@ -683,35 +685,126 @@ fn run_cells(
             continue;
         }
         let Some(cr) = live.next() else { break };
-        *slot = Some(match cr.status {
-            CellStatus::Ok => match cr.outcome {
-                Some(outcome) => CellResult::Done { outcome },
-                None => CellResult::Failed(SimError::protocol(
-                    "cell reported ok without an outcome".to_string(),
-                )),
-            },
-            CellStatus::Failed(e) => CellResult::Failed(e),
-            CellStatus::Crashed(m) => {
-                let e = SimError::protocol(format!("cell crashed: {m}"));
-                if let Some(k) = ckpt {
-                    k.record_failure(&cr.key, &e.to_string());
-                }
-                CellResult::Failed(e)
-            }
-            CellStatus::Timeout(m) => {
-                let e = SimError::protocol(format!("cell timed out: {m}"));
-                if let Some(k) = ckpt {
-                    k.record_failure(&cr.key, &e.to_string());
-                }
-                CellResult::Failed(e)
-            }
-            CellStatus::Skipped => CellResult::Skipped,
-        });
+        // Typed faults were checkpointed as they happened; crashes and
+        // timeouts only now that their retries are spent.
+        let retried = matches!(cr.status, CellStatus::Crashed(_) | CellStatus::Timeout(_));
+        let result = cr.outcome.ok_or_else(|| cell_error(cr.status));
+        if let (Err(e), Some(k)) = (&result, ckpt.filter(|_| retried)) {
+            k.record_failure(&cr.key, &e.to_string());
+        }
+        *slot = Some(result);
     }
     merged
         .into_iter()
-        .map(|m| m.unwrap_or(CellResult::Skipped))
+        .map(|m| m.unwrap_or_else(|| Err(cell_error(CellStatus::Skipped))))
         .collect()
+}
+
+/// The typed error of a cell that finished without a result.
+fn cell_error(status: CellStatus) -> SimError {
+    match status {
+        CellStatus::Failed(e) => e,
+        CellStatus::Crashed(m) => SimError::protocol(format!("cell crashed: {m}")),
+        CellStatus::Timeout(m) => SimError::protocol(format!("cell timed out: {m}")),
+        CellStatus::Ok => SimError::protocol("cell reported ok without an outcome".to_string()),
+        CellStatus::Skipped => SimError::protocol("skipped after an earlier failure".to_string()),
+    }
+}
+
+/// Runs `cells` in-process on the sweep supervisor — thread isolation,
+/// `opts.jobs` workers, `opts.retries`, `opts.keep_going` — for the
+/// drivers that need each run's full result rather than the
+/// `__run-cell` marker. Prints the sweep summary line and returns each
+/// cell's result in input order.
+fn run_in_process<T: Sync, R: Send>(
+    opts: &ExpOptions,
+    cells: &[T],
+    key_of: impl Fn(&T) -> String + Sync,
+    run: impl Fn(&T) -> Result<R, SimError> + Sync,
+) -> Vec<Result<R, SimError>> {
+    let sup = SupervisorConfig {
+        isolation: Isolation::Thread,
+        ..opts.supervisor_config()
+    };
+    let report = supervisor::supervise(cells, key_of, &sup, |cell, _| {
+        run(cell).map_or_else(Attempt::Fault, Attempt::Ok)
+    });
+    println!("{}", report.summary_line(0, 0));
+    report
+        .cells
+        .into_iter()
+        .map(|c| c.outcome.ok_or_else(|| cell_error(c.status)))
+        .collect()
+}
+
+/// One contained engine run of an in-process cell, its events counted
+/// into the sweep tally like a supervised speedup cell's.
+fn run_tallied(cfg: EngineConfig, trace: &WorkloadTrace) -> Result<hmg_gpu::RunMetrics, SimError> {
+    let (m, _) = run_isolated(cfg, trace, None)?;
+    supervisor::tally_events(m.events);
+    Ok(m)
+}
+
+/// The failure table of a sweep's per-cell results, in input order,
+/// each failed cell labelled by `label`. Without `--keep-going` the
+/// first failure comes back as `Err` instead: cells skipped by the
+/// drain always follow the failure that stopped the sweep.
+fn failure_table<T, R>(
+    opts: &ExpOptions,
+    cells: &[T],
+    results: &[Result<R, SimError>],
+    label: impl Fn(&T) -> (String, ProtocolKind),
+) -> Result<Vec<RunFailure>, SimError> {
+    let failures: Vec<RunFailure> = cells
+        .iter()
+        .zip(results)
+        .filter_map(|(cell, r)| {
+            let error = r.as_ref().err()?.clone();
+            let (workload, protocol) = label(cell);
+            Some(RunFailure {
+                workload,
+                protocol,
+                error,
+            })
+        })
+        .collect();
+    match failures.first() {
+        Some(f) if !opts.keep_going => Err(f.error.clone()),
+        _ => Ok(failures),
+    }
+}
+
+/// A cell's [`failure_table`] label: its key less the protocol suffix
+/// (the workload, or `point/workload` in sensitivity sweeps), and its
+/// protocol.
+fn cell_label(cell: &CellCtx) -> (String, ProtocolKind) {
+    let workload = cell
+        .key
+        .strip_suffix(&format!("/{}", cell.protocol.name()))
+        .unwrap_or(&cell.key);
+    (workload.to_string(), cell.protocol)
+}
+
+/// Prints the failure table of a `--keep-going` run: one row per failed
+/// run with the first line of its error. Silent when nothing failed.
+fn print_failures(failures: &[RunFailure]) {
+    if failures.is_empty() {
+        return;
+    }
+    println!("-- {} failed run(s); partial result --", failures.len());
+    let mut t = Table::new(vec![
+        "workload".to_string(),
+        "protocol".to_string(),
+        "error".to_string(),
+    ]);
+    for f in failures {
+        t.row(vec![
+            f.workload.clone(),
+            f.protocol.name().to_string(),
+            first_line(&f.error.to_string()).to_string(),
+        ]);
+    }
+    println!("{}", t.render());
 }
 
 // ---------------------------------------------------------------------
@@ -763,32 +856,7 @@ impl SpeedupResult {
         cells.extend(self.geomeans.iter().map(|&v| f2(v)));
         t.row(cells);
         println!("{}", t.render());
-        if !self.failures.is_empty() {
-            println!(
-                "-- {} failed run(s); partial result --",
-                self.failures.len()
-            );
-            let mut ft = Table::new(vec![
-                "workload".to_string(),
-                "protocol".to_string(),
-                "error".to_string(),
-            ]);
-            for f in &self.failures {
-                let first_line = f
-                    .error
-                    .to_string()
-                    .lines()
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-                ft.row(vec![
-                    f.workload.clone(),
-                    f.protocol.name().to_string(),
-                    first_line,
-                ]);
-            }
-            println!("{}", ft.render());
-        }
+        print_failures(&self.failures);
     }
 
     /// Renders the figure as an SVG grouped-bar chart.
@@ -847,7 +915,11 @@ pub fn speedup_suite(
     // they finish; `--resume` reuses them and re-runs only failed,
     // stale, or missing cells.
     let identity = sweep_identity(opts, protocols, &specs, tweak);
-    let ckpt = crate::runner::open_checkpoint(opts.checkpoint.as_ref(), &identity, opts.resume)?;
+    let ckpt = opts
+        .checkpoint
+        .as_ref()
+        .map(|p| SweepCheckpoint::open(p, &identity, opts.resume))
+        .transpose()?;
     // One cell per (workload, protocol-or-baseline).
     let mut cells: Vec<CellCtx> = Vec::new();
     for spec in &specs {
@@ -857,43 +929,15 @@ pub fn speedup_suite(
         }
     }
     let results = run_cells(opts, &cells, ckpt.as_ref());
-    let per_run = protocols.len() + 1;
-    let mut rows = Vec::with_capacity(specs.len());
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
     let mut workloads = Vec::with_capacity(specs.len());
-    let mut failures = Vec::new();
-    for (w, spec) in specs.iter().enumerate() {
-        let chunk = &results[w * per_run..(w + 1) * per_run];
-        if chunk.iter().all(|c| matches!(c, CellResult::Done { .. })) {
-            let cycles_of = |c: &CellResult| match c {
-                CellResult::Done { outcome, .. } => outcome.cycles,
-                _ => 1,
-            };
-            let base = cycles_of(&chunk[0]) as f64;
-            let row: Vec<f64> = (0..protocols.len())
-                .map(|p| base / cycles_of(&chunk[1 + p]) as f64)
-                .collect();
-            rows.push(row);
+    for (spec, chunk) in specs.iter().zip(results.chunks(protocols.len() + 1)) {
+        // Only workloads whose every cell completed get a speedup row.
+        if let Some(cycles) = chunk.iter().map(done_cycles).collect::<Option<Vec<u64>>>() {
+            let base = cycles[0] as f64;
+            rows.push(cycles[1..].iter().map(|&c| base / c as f64).collect());
             workloads.push(spec.abbrev.to_string());
-            continue;
-        }
-        for (i, c) in chunk.iter().enumerate() {
-            if let CellResult::Failed(e) = c {
-                let protocol = if i == 0 {
-                    ProtocolKind::NoPeerCaching
-                } else {
-                    protocols[i - 1]
-                };
-                failures.push(RunFailure {
-                    workload: spec.abbrev.to_string(),
-                    protocol,
-                    error: e.clone(),
-                });
-            }
-        }
-    }
-    if !opts.keep_going {
-        if let Some(f) = failures.first() {
-            return Err(f.error.clone());
         }
     }
     let geomeans: Vec<f64> = (0..protocols.len())
@@ -997,29 +1041,14 @@ pub fn scale_study(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         }
     }
     let results = run_cells(opts, &cells, None);
-    let (failures, first_error) = sweep_failures(&cells, &results);
-    if !opts.keep_going {
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-    }
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
     let per_point = specs.len() * per_run;
-    let geomeans: Vec<Vec<f64>> = (0..points.len())
-        .map(|pt| {
-            (0..protocols.len())
-                .map(|pi| {
-                    let speedups: Vec<f64> = (0..specs.len())
-                        .filter_map(|w| {
-                            let base = done_cycles(&results[pt * per_point + w * per_run])?;
-                            let c = done_cycles(&results[pt * per_point + w * per_run + 1 + pi])?;
-                            Some(base as f64 / c as f64)
-                        })
-                        .collect();
-                    stats::geomean(&speedups)
-                })
-                .collect()
-        })
-        .collect();
+    let geomeans = point_geomeans(
+        &results,
+        (points.len(), specs.len(), protocols.len()),
+        |pt, w| pt * per_point + w * per_run,
+        |pt, w, pi| pt * per_point + w * per_run + 1 + pi,
+    );
     Ok(SweepResult {
         parameter: "system size",
         points: points.into_iter().map(|(l, _)| l).collect(),
@@ -1040,36 +1069,35 @@ pub fn single_gpu(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
 }
 
 /// The completed cycle count of a merged cell, if it completed.
-fn done_cycles(r: &CellResult) -> Option<u64> {
-    match r {
-        CellResult::Done { outcome, .. } => Some(outcome.cycles),
-        _ => None,
-    }
+fn done_cycles(r: &Result<CellOutcome, SimError>) -> Option<u64> {
+    r.as_ref().ok().map(|o| o.cycles)
 }
 
-/// Collects the failure table of a supervised sweep (keyed by cell,
-/// since sensitivity sweeps run each workload at several points) and
-/// the first failure in input order.
-fn sweep_failures(
-    cells: &[CellCtx],
-    results: &[CellResult],
-) -> (Vec<RunFailure>, Option<SimError>) {
-    let mut failures = Vec::new();
-    for (cell, r) in cells.iter().zip(results) {
-        if let CellResult::Failed(e) = r {
-            failures.push(RunFailure {
-                workload: cell
-                    .key
-                    .strip_suffix(&format!("/{}", cell.protocol.name()))
-                    .unwrap_or(&cell.key)
-                    .to_string(),
-                protocol: cell.protocol,
-                error: e.clone(),
-            });
-        }
-    }
-    let first = failures.first().map(|f| f.error.clone());
-    (failures, first)
+/// `geomeans[point][protocol]` of a sensitivity sweep: per point and
+/// protocol, the geomean speedup over the workloads whose baseline cell
+/// (`results[base(pt, w)]`) and protocol cell (`results[cell(pt, w,
+/// pi)]`) both completed.
+fn point_geomeans(
+    results: &[Result<CellOutcome, SimError>],
+    (points, workloads, protocols): (usize, usize, usize),
+    base: impl Fn(usize, usize) -> usize,
+    cell: impl Fn(usize, usize, usize) -> usize,
+) -> Vec<Vec<f64>> {
+    let speedup = |pt, w, pi| {
+        let b = done_cycles(&results[base(pt, w)])?;
+        let c = done_cycles(&results[cell(pt, w, pi)])?;
+        Some(b as f64 / c as f64)
+    };
+    (0..points)
+        .map(|pt| {
+            (0..protocols)
+                .map(|pi| {
+                    let s: Vec<f64> = (0..workloads).filter_map(|w| speedup(pt, w, pi)).collect();
+                    stats::geomean(&s)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Drops persistent-kernel workloads from the selection (they require
@@ -1117,27 +1145,7 @@ impl SweepResult {
             t.row(cells);
         }
         println!("{}", t.render());
-        if !self.failures.is_empty() {
-            println!(
-                "-- {} failed cell(s); partial result --",
-                self.failures.len()
-            );
-            let mut ft = Table::new(vec!["cell".to_string(), "error".to_string()]);
-            for f in &self.failures {
-                let first_line = f
-                    .error
-                    .to_string()
-                    .lines()
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-                ft.row(vec![
-                    format!("{}/{}", f.workload, f.protocol.name()),
-                    first_line,
-                ]);
-            }
-            println!("{}", ft.render());
-        }
+        print_failures(&self.failures);
     }
 }
 
@@ -1198,31 +1206,14 @@ fn sweep_fixed_baseline(
         }
     }
     let results = run_cells(opts, &cells, None);
-    let (failures, first_error) = sweep_failures(&cells, &results);
-    if !opts.keep_going {
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-    }
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
     let per_point = specs.len() * protocols.len();
-    let geomeans: Vec<Vec<f64>> = (0..points.len())
-        .map(|pt| {
-            (0..protocols.len())
-                .map(|pi| {
-                    let speedups: Vec<f64> = (0..specs.len())
-                        .filter_map(|w| {
-                            let base = done_cycles(&results[w])?;
-                            let c = done_cycles(
-                                &results[specs.len() + pt * per_point + w * protocols.len() + pi],
-                            )?;
-                            Some(base as f64 / c as f64)
-                        })
-                        .collect();
-                    stats::geomean(&speedups)
-                })
-                .collect()
-        })
-        .collect();
+    let geomeans = point_geomeans(
+        &results,
+        (points.len(), specs.len(), protocols.len()),
+        |_, w| w,
+        |pt, w, pi| specs.len() + pt * per_point + w * protocols.len() + pi,
+    );
     Ok(SweepResult {
         parameter,
         points: points.into_iter().map(|(l, _)| l).collect(),
@@ -1280,9 +1271,12 @@ pub fn grain_sweep(opts: &ExpOptions) -> Result<SweepResult, SimError> {
 #[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// `(workload, redundancy)`; `None` when no inter-GPU loads occur.
+    /// Workloads whose run failed are listed in `failures` instead.
     pub rows: Vec<(String, Option<f64>)>,
     /// Mean over workloads with inter-GPU loads.
     pub average: f64,
+    /// Runs that failed under `--keep-going` (empty otherwise).
+    pub failures: Vec<RunFailure>,
 }
 
 impl Fig3Result {
@@ -1295,6 +1289,7 @@ impl Fig3Result {
         }
         t.row(vec!["Avg".into(), pct(self.average)]);
         println!("{}", t.render());
+        print_failures(&self.failures);
     }
 }
 
@@ -1316,21 +1311,28 @@ impl Fig3Result {
 
 /// Fig. 3: measured on the no-peer-caching baseline, where every remote
 /// load crosses the inter-GPU network.
-pub fn fig3(opts: &ExpOptions) -> Fig3Result {
-    let specs = opts.specs();
-    let rows: Vec<(String, Option<f64>)> = parallel_map(&specs, |spec| {
-        let trace = spec.generate(opts.scale, opts.seed);
-        let mut cfg = opts.base_config(ProtocolKind::NoPeerCaching);
-        cfg.track_peer_redundancy = true;
-        crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
-        let m = Engine::new(cfg).run(&trace);
-        (spec.abbrev.to_string(), m.peer_redundancy())
-    });
+pub fn fig3(opts: &ExpOptions) -> Result<Fig3Result, SimError> {
+    let cells = opts.suite_cells(ProtocolKind::NoPeerCaching);
+    let results = run_in_process(
+        opts,
+        &cells,
+        |c| c.key.clone(),
+        |cell| {
+            let trace = cell.trace()?;
+            let mut cfg = cell.config(&trace)?;
+            cfg.track_peer_redundancy = true;
+            let m = run_tallied(cfg, &trace)?;
+            Ok((cell.workload.clone(), m.peer_redundancy()))
+        },
+    );
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
+    let rows: Vec<_> = results.into_iter().flatten().collect();
     let vals: Vec<f64> = rows.iter().filter_map(|(_, v)| *v).collect();
-    Fig3Result {
+    Ok(Fig3Result {
         average: stats::mean(&vals),
         rows,
-    }
+        failures,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1359,6 +1361,9 @@ pub struct Fig7Result {
     pub mean_abs_rel_err: f64,
     /// Simulation throughput in events per second of wall time.
     pub events_per_second: f64,
+    /// Microbenchmarks whose run failed under `--keep-going` (empty
+    /// otherwise).
+    pub failures: Vec<RunFailure>,
 }
 
 impl Fig7Result {
@@ -1386,6 +1391,7 @@ impl Fig7Result {
             "simulator speed:     {:.1}M events/s",
             self.events_per_second / 1e6
         );
+        print_failures(&self.failures);
     }
 }
 
@@ -1408,14 +1414,11 @@ impl Fig7Result {
     }
 }
 
-/// Fig. 7 with the default microbenchmark suite.
-pub fn fig7() -> Fig7Result {
-    fig7_with(correlation_suite())
-}
-
-/// Fig. 7 over a caller-supplied microbenchmark set (the Table II
-/// machine is always used; the micros assume its 16-GPM shape).
-pub fn fig7_with(suite: Vec<Micro>) -> Fig7Result {
+/// Fig. 7 over the correlation microbenchmark suite. The Table II
+/// machine is always used (the micros assume its 16-GPM shape); `opts`
+/// supplies only the worker pool and `--keep-going`.
+pub fn fig7(opts: &ExpOptions) -> Result<Fig7Result, SimError> {
+    let suite = correlation_suite();
     let cfg = EngineConfig::paper_default(ProtocolKind::Hmg);
     let params = MachineParams {
         issue_cycles: cfg.issue_cycles as f64,
@@ -1433,35 +1436,38 @@ pub fn fig7_with(suite: Vec<Micro>) -> Fig7Result {
     // audit:allow(entropy): wall-clock runtime measurement (Fig. 7);
     // never feeds simulated state.
     let start = std::time::Instant::now();
-    let results: Vec<(String, f64, f64, u64)> = parallel_map(&suite, |m| {
-        let sim = Engine::new(EngineConfig::paper_default(ProtocolKind::Hmg)).run(&m.trace);
-        (
-            m.name.clone(),
-            (m.predict)(&params),
-            sim.total_cycles.as_u64() as f64,
-            sim.events,
-        )
-    });
+    let results = run_in_process(
+        opts,
+        &suite,
+        |m| m.name.clone(),
+        |m| {
+            let sim = run_tallied(cfg.clone(), &m.trace)?;
+            let point = Fig7Point {
+                name: m.name.clone(),
+                predicted: (m.predict)(&params),
+                simulated: sim.total_cycles.as_u64() as f64,
+            };
+            Ok((point, sim.events))
+        },
+    );
     let wall = start.elapsed().as_secs_f64();
-    let total_events: u64 = results.iter().map(|r| r.3).sum();
-    let points: Vec<Fig7Point> = results
-        .into_iter()
-        .map(|(name, predicted, simulated, _)| Fig7Point {
-            name,
-            predicted,
-            simulated,
-        })
-        .collect();
+    let failures = failure_table(opts, &suite, &results, |m: &Micro| {
+        (m.name.clone(), ProtocolKind::Hmg)
+    })?;
+    let runs: Vec<_> = results.into_iter().flatten().collect();
+    let total_events: u64 = runs.iter().map(|r| r.1).sum();
+    let points: Vec<Fig7Point> = runs.into_iter().map(|(p, _)| p).collect();
     let logp: Vec<f64> = points.iter().map(|p| p.predicted.log10()).collect();
     let logs: Vec<f64> = points.iter().map(|p| p.simulated.log10()).collect();
     let sims: Vec<f64> = points.iter().map(|p| p.simulated).collect();
     let preds: Vec<f64> = points.iter().map(|p| p.predicted).collect();
-    Fig7Result {
+    Ok(Fig7Result {
         r_log: stats::pearson(&logp, &logs),
         mean_abs_rel_err: stats::mean_abs_rel_err(&sims, &preds),
         events_per_second: total_events as f64 / wall.max(1e-9),
         points,
-    }
+        failures,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1492,6 +1498,8 @@ pub struct InvCostResult {
     pub avg_evict: f64,
     /// Average invalidation bandwidth.
     pub avg_gbps: f64,
+    /// Runs that failed under `--keep-going` (empty otherwise).
+    pub failures: Vec<RunFailure>,
 }
 
 impl InvCostResult {
@@ -1521,6 +1529,7 @@ impl InvCostResult {
             f2(self.avg_gbps),
         ]);
         println!("{}", t.render());
+        print_failures(&self.failures);
     }
 }
 
@@ -1573,33 +1582,40 @@ impl InvCostResult {
 }
 
 /// Runs HMG over the suite and extracts the Figs. 9–11 statistics.
-pub fn fig9_10_11(opts: &ExpOptions) -> InvCostResult {
-    let specs = opts.specs();
-    let rows: Vec<InvCostRow> = parallel_map(&specs, |spec| {
-        let trace = spec.generate(opts.scale, opts.seed);
-        let mut cfg = opts.base_config(ProtocolKind::Hmg);
-        crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
-        let freq = cfg.fabric.freq_ghz;
-        let m = Engine::new(cfg).run(&trace);
-        InvCostRow {
-            workload: spec.abbrev.to_string(),
-            lines_per_store_inv: m.lines_per_store_inv(),
-            lines_per_eviction_inv: m.lines_per_eviction_inv(),
-            inv_gbps: m.inv_bandwidth_gbps(freq),
-        }
-    });
+pub fn fig9_10_11(opts: &ExpOptions) -> Result<InvCostResult, SimError> {
+    let cells = opts.suite_cells(ProtocolKind::Hmg);
+    let results = run_in_process(
+        opts,
+        &cells,
+        |c| c.key.clone(),
+        |cell| {
+            let trace = cell.trace()?;
+            let cfg = cell.config(&trace)?;
+            let freq = cfg.fabric.freq_ghz;
+            let m = run_tallied(cfg, &trace)?;
+            Ok(InvCostRow {
+                workload: cell.workload.clone(),
+                lines_per_store_inv: m.lines_per_store_inv(),
+                lines_per_eviction_inv: m.lines_per_eviction_inv(),
+                inv_gbps: m.inv_bandwidth_gbps(freq),
+            })
+        },
+    );
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
+    let rows: Vec<_> = results.into_iter().flatten().collect();
     let stores: Vec<f64> = rows.iter().filter_map(|r| r.lines_per_store_inv).collect();
     let evicts: Vec<f64> = rows
         .iter()
         .filter_map(|r| r.lines_per_eviction_inv)
         .collect();
     let gbps: Vec<f64> = rows.iter().map(|r| r.inv_gbps).collect();
-    InvCostResult {
+    Ok(InvCostResult {
         avg_store: stats::mean(&stores),
         avg_evict: stats::mean(&evicts),
         avg_gbps: stats::mean(&gbps),
         rows,
-    }
+        failures,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1704,7 +1720,18 @@ pub fn ablate_placement(opts: &ExpOptions) -> Result<AblationResult, SimError> {
 }
 
 /// Prints Table III (the workload inventory) with generated-trace sizes.
-pub fn print_table3(opts: &ExpOptions) {
+/// No engine runs here, so there is no per-protocol failure row: a
+/// trace generator that crashes fails the table with a typed error.
+pub fn print_table3(opts: &ExpOptions) -> Result<(), SimError> {
+    let specs = opts.specs();
+    let traces = run_in_process(
+        opts,
+        &specs,
+        |s| s.abbrev.to_string(),
+        |s| Ok(s.generate(opts.scale, opts.seed)),
+    )
+    .into_iter()
+    .collect::<Result<Vec<WorkloadTrace>, SimError>>()?;
     println!("== Table III: benchmarks ==");
     let mut t = Table::new(vec![
         "benchmark".into(),
@@ -1713,8 +1740,6 @@ pub fn print_table3(opts: &ExpOptions) {
         "generated accesses".into(),
         "kernels".into(),
     ]);
-    let specs = opts.specs();
-    let traces: Vec<WorkloadTrace> = parallel_map(&specs, |s| s.generate(opts.scale, opts.seed));
     for (s, tr) in specs.iter().zip(&traces) {
         let fp = if s.paper_footprint_mb >= 1000.0 {
             format!("{:.2} GB", s.paper_footprint_mb / 1024.0)
@@ -1730,6 +1755,7 @@ pub fn print_table3(opts: &ExpOptions) {
         ]);
     }
     println!("{}", t.render());
+    Ok(())
 }
 
 /// One protocol's traffic/locality profile on one workload — the raw
@@ -1754,95 +1780,113 @@ pub struct CharacterizationRow {
     pub lat_p50_p99: (u64, u64),
 }
 
-/// Characterizes one workload under every protocol (the `characterize`
-/// CLI command) — a drill-down companion to Fig. 8.
-pub fn characterize(opts: &ExpOptions, abbrev: &str) -> Option<Vec<CharacterizationRow>> {
-    let spec = opts.specs().into_iter().find(|s| s.abbrev == abbrev)?;
-    let trace = spec.generate(opts.scale, opts.seed);
-    let protocols: Vec<ProtocolKind> = ProtocolKind::ALL.to_vec();
-    let rows = parallel_map(&protocols, |&p| {
-        let mut cfg = opts.base_config(p);
-        crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(opts.scale));
-        let m = Engine::new(cfg).run(&trace);
-        let inter: u64 = hmg_interconnect::MsgClass::ALL
-            .iter()
-            .map(|&c| m.fabric.inter_bytes(c))
-            .sum();
-        CharacterizationRow {
-            protocol: p,
-            cycles: m.total_cycles.as_u64(),
-            l1_hit_rate: m.l1_hit_rate(),
-            l2_serve_rate: if m.loads == 0 {
-                0.0
-            } else {
-                (m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits) as f64 / m.loads as f64
-            },
-            dram_per_load: if m.loads == 0 {
-                0.0
-            } else {
-                m.dram_accesses as f64 / m.loads as f64
-            },
-            inter_bytes: inter,
-            invalidations: m.invs_from_stores + m.invs_from_evictions,
-            lat_p50_p99: (
-                m.miss_latency_percentile(0.5),
-                m.miss_latency_percentile(0.99),
-            ),
-        }
-    });
-    Some(rows)
+/// One workload's characterization under every protocol.
+#[derive(Debug, Clone)]
+pub struct Characterization {
+    /// Workload abbreviation.
+    pub workload: String,
+    /// One row per protocol that completed, in [`ProtocolKind::ALL`]
+    /// order.
+    pub rows: Vec<CharacterizationRow>,
+    /// Runs that failed under `--keep-going` (empty otherwise).
+    pub failures: Vec<RunFailure>,
 }
 
-/// Prints a characterization as a table.
-pub fn print_characterization(abbrev: &str, rows: &[CharacterizationRow]) {
-    println!("== Characterization: {abbrev} ==");
-    let mut t = Table::new(vec![
-        "protocol".into(),
-        "cycles".into(),
-        "L1 hit".into(),
-        "L2 serve".into(),
-        "DRAM/load".into(),
-        "inter MB".into(),
-        "invs".into(),
-        "p50/p99 lat".into(),
-    ]);
-    for r in rows {
-        t.row(vec![
-            r.protocol.name().into(),
-            r.cycles.to_string(),
-            pct(r.l1_hit_rate),
-            pct(r.l2_serve_rate),
-            f2(r.dram_per_load),
-            format!("{:.1}", r.inter_bytes as f64 / 1e6),
-            r.invalidations.to_string(),
-            format!("{}/{}", r.lat_p50_p99.0, r.lat_p50_p99.1),
+impl Characterization {
+    /// Renders the characterization as a table.
+    pub fn print(&self) {
+        println!("== Characterization: {} ==", self.workload);
+        let mut t = Table::new(vec![
+            "protocol".into(),
+            "cycles".into(),
+            "L1 hit".into(),
+            "L2 serve".into(),
+            "DRAM/load".into(),
+            "inter MB".into(),
+            "invs".into(),
+            "p50/p99 lat".into(),
         ]);
+        for r in &self.rows {
+            t.row(vec![
+                r.protocol.name().into(),
+                r.cycles.to_string(),
+                pct(r.l1_hit_rate),
+                pct(r.l2_serve_rate),
+                f2(r.dram_per_load),
+                format!("{:.1}", r.inter_bytes as f64 / 1e6),
+                r.invalidations.to_string(),
+                format!("{}/{}", r.lat_p50_p99.0, r.lat_p50_p99.1),
+            ]);
+        }
+        println!("{}", t.render());
+        print_failures(&self.failures);
     }
-    println!("{}", t.render());
+}
+
+/// Characterizes one workload under every protocol (the `characterize`
+/// CLI command) — a drill-down companion to Fig. 8. The trace is
+/// generated once and shared by the per-protocol cells.
+pub fn characterize(opts: &ExpOptions, abbrev: &str) -> Result<Characterization, SimError> {
+    let cells: Vec<CellCtx> = ProtocolKind::ALL
+        .iter()
+        .map(|&p| opts.plain_cell(abbrev, p))
+        .collect();
+    let trace = cells[0].trace()?;
+    let results = run_in_process(
+        opts,
+        &cells,
+        |c| c.key.clone(),
+        |cell| {
+            let m = run_tallied(cell.config(&trace)?, &trace)?;
+            let inter: u64 = hmg_interconnect::MsgClass::ALL
+                .iter()
+                .map(|&c| m.fabric.inter_bytes(c))
+                .sum();
+            Ok(CharacterizationRow {
+                protocol: cell.protocol,
+                cycles: m.total_cycles.as_u64(),
+                l1_hit_rate: m.l1_hit_rate(),
+                l2_serve_rate: if m.loads == 0 {
+                    0.0
+                } else {
+                    (m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits) as f64 / m.loads as f64
+                },
+                dram_per_load: if m.loads == 0 {
+                    0.0
+                } else {
+                    m.dram_accesses as f64 / m.loads as f64
+                },
+                inter_bytes: inter,
+                invalidations: m.invs_from_stores + m.invs_from_evictions,
+                lat_p50_p99: (
+                    m.miss_latency_percentile(0.5),
+                    m.miss_latency_percentile(0.99),
+                ),
+            })
+        },
+    );
+    let failures = failure_table(opts, &cells, &results, cell_label)?;
+    let rows: Vec<_> = results.into_iter().flatten().collect();
+    Ok(Characterization {
+        workload: abbrev.to_string(),
+        rows,
+        failures,
+    })
 }
 
 /// Convenience: the headline numbers of the abstract, computed from a
 /// Fig. 8 result — HMG's improvement over SW coherence and NHCC, and the
-/// fraction of idealized caching it reaches.
-pub fn headline(fig8: &SpeedupResult) -> (f64, f64, f64) {
+/// fraction of idealized caching it reaches. `None` when no workload
+/// completed (the geomeans are then undefined).
+pub fn headline(fig8: &SpeedupResult) -> Option<(f64, f64, f64)> {
+    if fig8.workloads.is_empty() {
+        return None;
+    }
     let hmg = fig8.geomean_of(ProtocolKind::Hmg);
     let sw = fig8.geomean_of(ProtocolKind::SwNonHier);
     let nhcc = fig8.geomean_of(ProtocolKind::Nhcc);
     let ideal = fig8.geomean_of(ProtocolKind::Ideal);
-    (hmg / sw - 1.0, hmg / nhcc - 1.0, hmg / ideal)
-}
-
-/// Summary metrics of one run, used by the examples.
-pub fn describe_run(m: &RunMetrics) -> String {
-    format!(
-        "{} cycles, {} loads ({} L1 hits), {} stores, {} invs, {} DRAM reads",
-        m.total_cycles.as_u64(),
-        m.loads,
-        m.l1_hits,
-        m.stores,
-        m.invs_from_stores + m.invs_from_evictions,
-        m.dram_accesses,
-    )
+    Some((hmg / sw - 1.0, hmg / nhcc - 1.0, hmg / ideal))
 }
 
 #[cfg(test)]
@@ -1879,8 +1923,9 @@ mod tests {
 
     #[test]
     fn fig3_reports_redundancy() {
-        let r = fig3(&tiny());
+        let r = fig3(&tiny()).expect("fig3");
         assert_eq!(r.rows.len(), 3);
+        assert!(r.failures.is_empty());
         assert!(r.average >= 0.0 && r.average <= 1.0);
     }
 
@@ -1895,9 +1940,23 @@ mod tests {
     #[test]
     fn headline_computes_ratios() {
         let r = fig8(&tiny()).expect("fig8");
-        let (vs_sw, vs_nhcc, of_ideal) = headline(&r);
+        let (vs_sw, vs_nhcc, of_ideal) = headline(&r).expect("workloads completed");
         assert!(vs_sw > -0.9 && vs_nhcc > -0.9);
         assert!(of_ideal > 0.1 && of_ideal <= 1.5);
+    }
+
+    #[test]
+    fn headline_is_undefined_when_no_workload_completed() {
+        // Every run failed under --keep-going: the geomeans are over
+        // nothing, and the headline must say so instead of 0/0 = NaN.
+        let empty = SpeedupResult {
+            protocols: ProtocolKind::FIG8.to_vec(),
+            workloads: Vec::new(),
+            rows: Vec::new(),
+            geomeans: vec![0.0; ProtocolKind::FIG8.len()],
+            failures: Vec::new(),
+        };
+        assert_eq!(headline(&empty), None);
     }
 
     #[test]
@@ -1957,13 +2016,15 @@ mod tests {
             filter: Some(vec!["bfs".into()]),
             ..tiny()
         };
-        let rows = characterize(&opts, "bfs").expect("bfs known");
-        assert_eq!(rows.len(), ProtocolKind::ALL.len());
-        for r in &rows {
+        let c = characterize(&opts, "bfs").expect("bfs known");
+        assert_eq!(c.rows.len(), ProtocolKind::ALL.len());
+        assert!(c.failures.is_empty());
+        for r in &c.rows {
             assert!(r.cycles > 0);
             assert!((0.0..=1.0).contains(&r.l1_hit_rate));
         }
-        assert!(characterize(&opts, "nope").is_none());
+        let err = characterize(&opts, "nope").expect_err("unknown workload");
+        assert!(err.to_string().contains("unknown workload"), "{err}");
     }
 
     #[test]

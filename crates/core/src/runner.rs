@@ -1,5 +1,6 @@
-//! Runs workload traces through engine configurations, with the
-//! scale-appropriate Table II machine and per-experiment overrides.
+//! Runs workload traces through engine configurations on the
+//! scale-appropriate Table II machine, with panic containment, the
+//! livelock watchdog, capacity scaling and the sweep checkpoint.
 
 use hmg_gpu::{Engine, EngineConfig, RunMetrics, SnapshotPolicy, SnapshotReport};
 use hmg_protocol::{ProtocolKind, WorkloadTrace};
@@ -15,22 +16,17 @@ use std::sync::Mutex;
 /// traces through them.
 ///
 /// `Scale::Tiny` pairs with the small test machine; `Small` and `Full`
-/// pair with the paper's Table II machine. Overrides (for the
-/// sensitivity sweeps) are applied through [`Runner::configure`].
+/// pair with the paper's Table II machine. One-off configuration
+/// changes go through [`Runner::run_with`].
 #[derive(Debug)]
 pub struct Runner {
     scale: Scale,
-    /// Mutation applied to every configuration before running.
-    overrides: Vec<fn(&mut EngineConfig)>,
 }
 
 impl Runner {
-    /// Creates a runner for `scale` with no overrides.
+    /// Creates a runner for `scale`.
     pub fn new(scale: Scale) -> Self {
-        Runner {
-            scale,
-            overrides: Vec::new(),
-        }
+        Runner { scale }
     }
 
     /// The scale this runner was built for.
@@ -38,20 +34,9 @@ impl Runner {
         self.scale
     }
 
-    /// Registers a configuration override applied to every run (e.g. a
-    /// sweep point setting the inter-GPU bandwidth).
-    pub fn configure(&mut self, f: fn(&mut EngineConfig)) -> &mut Self {
-        self.overrides.push(f);
-        self
-    }
-
     /// The engine configuration this runner uses for `protocol`.
     pub fn config(&self, protocol: ProtocolKind) -> EngineConfig {
-        let mut cfg = machine_config(self.scale, protocol, None);
-        for f in &self.overrides {
-            f(&mut cfg);
-        }
-        cfg
+        machine_config(self.scale, protocol, None)
     }
 
     /// Runs `trace` under `protocol` and returns the metrics.
@@ -70,18 +55,6 @@ impl Runner {
         let mut cfg = self.config(protocol);
         tweak(&mut cfg);
         Engine::new(cfg).run(trace)
-    }
-
-    /// Fallible variant of [`Runner::run`]: deadlocks, livelocks and
-    /// protocol violations come back as typed errors instead of
-    /// panics. See [`run_isolated`] for the sweep-grade wrapper that
-    /// also contains panics.
-    pub fn try_run(
-        &mut self,
-        trace: &WorkloadTrace,
-        protocol: ProtocolKind,
-    ) -> Result<RunMetrics, SimError> {
-        run_isolated(self.config(protocol), trace)
     }
 }
 
@@ -107,21 +80,24 @@ pub(crate) fn machine_config(
 /// back as `Err`, and any residual panic inside the engine (an
 /// invariant `assert!`, an arithmetic underflow from a corrupted
 /// counter) is caught and converted to a [`SimError`] rather than
-/// taking down the whole sweep. Used by `--keep-going` sweeps.
-pub fn run_isolated(cfg: EngineConfig, trace: &WorkloadTrace) -> Result<RunMetrics, SimError> {
-    contain_panics(|| Engine::try_new(cfg)?.try_run(trace))
-}
-
-/// [`run_isolated`] for preemptible cells: resumes from the most
-/// recent valid snapshot in `policy.path` (if any), captures new
-/// snapshots as the policy directs, and contains residual panics the
-/// same way. A resumed run is bit-identical to an uninterrupted one.
-pub fn run_preemptible(
+/// taking down the whole sweep.
+///
+/// With `snapshots` set the run is preemptible: it resumes from the
+/// most recent valid snapshot in `policy.path` (if any) and captures
+/// new ones as the policy directs; a resumed run is bit-identical to an
+/// uninterrupted one. Without it the returned report is empty.
+pub fn run_isolated(
     cfg: EngineConfig,
     trace: &WorkloadTrace,
-    policy: &SnapshotPolicy,
+    snapshots: Option<&SnapshotPolicy>,
 ) -> Result<(RunMetrics, SnapshotReport), SimError> {
-    contain_panics(|| Engine::try_new(cfg)?.try_run_preemptible(trace, policy))
+    contain_panics(|| {
+        let engine = Engine::try_new(cfg)?;
+        match snapshots {
+            None => Ok((engine.try_run(trace)?, SnapshotReport::default())),
+            Some(policy) => engine.try_run_preemptible(trace, policy),
+        }
+    })
 }
 
 /// Runs `f`, converting a panic inside it into a typed [`SimError`].
@@ -169,16 +145,9 @@ pub struct CellRecord {
     pub digest: u64,
 }
 
-/// 64-bit FNV-1a over `bytes` — the std-only per-row checksum of the
-/// v2 checkpoint format.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// 64-bit FNV-1a — the std-only per-row checksum of the v2 checkpoint
+/// format, shared with the snapshot format.
+pub use hmg_sim::snap::fnv1a64;
 
 /// Append-only checkpoint of a sweep's per-cell results, enabling
 /// `--resume` to re-run only failed or missing cells after a crash or
@@ -406,20 +375,6 @@ fn sanitize(s: &str) -> String {
     s.replace(['\t', '\n', '\r'], " ")
 }
 
-/// Convenience wrapper: opens a checkpoint from optional CLI-style
-/// settings. Returns `Ok(None)` when no checkpoint path was requested,
-/// and the typed error if the checkpoint cannot be opened or belongs
-/// to a different sweep — both are configuration mistakes the user
-/// must resolve.
-pub fn open_checkpoint(
-    path: Option<&PathBuf>,
-    identity: &str,
-    resume: bool,
-) -> Result<Option<SweepCheckpoint>, SimError> {
-    path.map(|p| SweepCheckpoint::open(p, identity, resume))
-        .transpose()
-}
-
 /// Speedup of `measured` relative to `baseline` execution time.
 ///
 /// # Panics
@@ -464,56 +419,6 @@ pub fn scale_capacities(cfg: &mut EngineConfig, factor: f64) {
         hmg_sim::Cycle(((cfg.kernel_launch_overhead.as_u64() as f64 / factor) as u64).max(200));
 }
 
-/// Maps `f` over `items` on all available cores, preserving order.
-/// Simulation runs are independent, so the experiment drivers use this
-/// to fan whole sweeps out across the machine.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
-    let next = AtomicUsize::new(0);
-    // Each worker catches panics from `f` and stores them in the slot,
-    // so the mutex is never poisoned mid-panic and a single failing
-    // item cannot abort the process via a double panic. The first
-    // panicking slot (in input order) is re-raised exactly once below.
-    let results: Mutex<Vec<Option<std::thread::Result<R>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&items[i])));
-                results.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(r);
-            });
-        }
-    });
-    let slots = results.into_inner().unwrap_or_else(|p| p.into_inner());
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.expect("every claimed slot is filled before the scope ends") {
-            Ok(r) => out.push(r),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,13 +440,6 @@ mod tests {
         assert_eq!(e.message, "engine panicked: boom 7");
         let ok = contain_panics(|| Ok::<_, SimError>(3));
         assert_eq!(ok.unwrap(), 3);
-    }
-
-    #[test]
-    fn overrides_apply() {
-        let mut r = Runner::new(Scale::Small);
-        r.configure(|c| c.fabric.inter_gpu_gbps = 400.0);
-        assert_eq!(r.config(ProtocolKind::Nhcc).fabric.inter_gpu_gbps, 400.0);
     }
 
     #[test]
@@ -592,15 +490,6 @@ mod tests {
     fn scale_capacities_rejects_expansion() {
         let mut cfg = EngineConfig::paper_default(ProtocolKind::Hmg);
         scale_capacities(&mut cfg, 0.5);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(&empty, |&x: &u64| x).is_empty());
     }
 
     #[test]
@@ -846,28 +735,6 @@ mod tests {
         assert_eq!(c.completed(), 2);
         assert_eq!(c.lookup("c/HMG").map(|r| r.cycles), Some(3));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn parallel_map_propagates_worker_panic_once() {
-        // A panicking item must re-raise the panic exactly once (no
-        // poisoned-mutex double panic, which would abort the process),
-        // and the panic chosen is the first in input order.
-        let items: Vec<u64> = (0..64).collect();
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
-                if x % 10 == 3 {
-                    panic!("item {x} failed");
-                }
-                x
-            })
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(msg, "item 3 failed", "first panic in input order wins");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Resilient parallel sweep supervisor.
 //!
 //! Every experiment grid in this repo (the Fig. 8/12–14 speedup
-//! sweeps, the litmus sweeps of `hmg-check`, the fault and
-//! fail-in-place sweeps) is a set of *independent* simulation cells.
+//! sweeps, the Fig. 3/7/9–11, Table III and characterization drivers,
+//! the litmus sweeps of `hmg-check`, the fault and fail-in-place
+//! sweeps) is a set of *independent* simulation cells.
 //! [`run_isolated`](crate::runner::run_isolated) already contains
 //! panics, but an in-process cell can still take the whole sweep down
 //! with it: an unbounded hang wedges the worker forever, an OOM kill
@@ -29,7 +30,12 @@
 //! * **Thread fallback** ([`Isolation::Thread`]): the same supervisor
 //!   loop with in-process execution (panic containment only — no kill
 //!   is possible, so timeouts are not enforced). This is the mode
-//!   library tests use, since re-exec'ing a test binary is meaningless.
+//!   library tests use, since re-exec'ing a test binary is meaningless,
+//!   and the mode of every driver that needs a run's full metrics.
+//!
+//! Under either mode a panicking attempt is caught here and classified
+//! `crashed` (`cell panicked: <message>`), so no cell can unwind
+//! through the pool.
 //!
 //! Results merge in deterministic input order regardless of worker
 //! interleaving, and every cell records its wall time so sweeps emit a
@@ -211,11 +217,6 @@ impl<R> SweepReport<R> {
         self.cells.iter().all(CellReport::is_ok)
     }
 
-    /// Cells that did not complete.
-    pub fn failures(&self) -> impl Iterator<Item = &CellReport<R>> {
-        self.cells.iter().filter(|c| !c.is_ok())
-    }
-
     /// Count of cells with the given taxonomy name.
     pub fn count(&self, name: &str) -> usize {
         self.cells
@@ -341,7 +342,17 @@ where
     let mut last: Option<CellStatus> = None;
     while attempts < max_attempts {
         attempts += 1;
-        match attempt(cell, attempts) {
+        // A panicking attempt is a crash like any other: it is retried,
+        // then quarantined, and never unwinds through the pool.
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt(cell, attempts)))
+                .unwrap_or_else(|payload| {
+                    Attempt::Crashed(format!(
+                        "cell panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                });
+        match outcome {
             Attempt::Ok(r) => {
                 return CellReport {
                     key,
@@ -576,8 +587,8 @@ pub fn snapshot_kill_cycle(key: &str) -> Option<u64> {
 }
 
 /// Best-effort stringification of a caught panic payload, for turning
-/// an in-process (thread-isolated) panic into a `Crashed` message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+/// an in-process panic into a `Crashed` message or a typed error.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -813,6 +824,26 @@ mod tests {
         assert_eq!(r.count("ok"), 4);
         assert_eq!(r.count("crashed"), 4);
         assert_eq!(r.count("skipped"), 0);
+    }
+
+    #[test]
+    fn panicking_attempts_become_crashes_without_unwinding() {
+        // A panic neither unwinds out of the pool nor disturbs the other
+        // cells: it is retried, then quarantined as `crashed`.
+        let cells: Vec<u64> = (0..16).collect();
+        let r = supervise(
+            &cells,
+            |c| format!("c{c}"),
+            &cfg(1, true),
+            |&i, _| {
+                assert!(i != 3, "cell {i} exploded");
+                Attempt::Ok(i)
+            },
+        );
+        assert_eq!(r.count("ok"), 15);
+        let c = &r.cells[3];
+        assert_eq!(c.status.error().unwrap(), "cell panicked: cell 3 exploded");
+        assert_eq!((c.attempts, c.quarantined), (2, true), "1 try + 1 retry");
     }
 
     #[test]

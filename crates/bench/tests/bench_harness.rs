@@ -75,6 +75,7 @@ fn quick_bench_writes_a_schema_versioned_report() {
         "\"events\"",
         "\"cycles\"",
         "\"digest\"",
+        "\"fingerprint\"",
         "\"wall_s\"",
         "\"events_per_sec\"",
         "\"total_events_per_sec\"",
@@ -109,8 +110,9 @@ fn same_seed_reruns_are_identical_modulo_timing() {
     std::fs::remove_file(&out_a).ok();
     std::fs::remove_file(&out_b).ok();
 
-    // Events, cycles, and state digests are simulation outputs and must
-    // not wobble run-to-run; only wall-clock-derived lines may differ.
+    // Events, cycles, digests and fingerprints are simulation outputs
+    // and must not wobble run-to-run; only wall-clock-derived lines may
+    // differ.
     assert_eq!(
         stable_lines(&a),
         stable_lines(&b),

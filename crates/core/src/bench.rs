@@ -10,14 +10,17 @@
 //!
 //! Every cell also reports its [`RunMetrics::state_digest`], the
 //! behavioral oracle of the hot-path rewrite: a bench run whose digests
-//! differ from the seed tree's is *wrong*, not just slow.
+//! differ from the seed tree's is *wrong*, not just slow. Its
+//! [`RunMetrics::fingerprint`] goes further and also pins timing and
+//! traffic, so a speedup that claims identical behaviour shows it here.
 //!
-//! All stable fields (workload, protocol, events, cycles, digest) are
-//! deterministic for a given seed; only the timing-derived fields
-//! (`wall_s`, `*_per_sec`, `peak_rss_kb`) vary between reruns. The
-//! bench smoke test relies on that split.
+//! All stable fields (workload, protocol, events, cycles, digest,
+//! fingerprint) are deterministic for a given seed; only the
+//! timing-derived fields (`wall_s`, `*_per_sec`, `peak_rss_kb`) vary
+//! between reruns. The bench smoke test relies on that split.
 //!
 //! [`RunMetrics::state_digest`]: hmg_gpu::RunMetrics::state_digest
+//! [`RunMetrics::fingerprint`]: hmg_gpu::RunMetrics::fingerprint
 
 use std::path::Path;
 
@@ -62,6 +65,8 @@ pub struct BenchCell {
     pub cycles: u64,
     /// Committed-memory state digest — the behavioral oracle.
     pub digest: u64,
+    /// Behaviour fingerprint over every deterministic output of the run.
+    pub fingerprint: u64,
     /// Wall-clock seconds of the engine run (trace generation and
     /// configuration are excluded: this times the DES, not the setup).
     pub wall_s: f64,
@@ -187,6 +192,10 @@ impl BenchReport {
             s.push_str(&format!("      \"events\": {},\n", c.events));
             s.push_str(&format!("      \"cycles\": {},\n", c.cycles));
             s.push_str(&format!("      \"digest\": \"{:016x}\",\n", c.digest));
+            s.push_str(&format!(
+                "      \"fingerprint\": \"{:016x}\",\n",
+                c.fingerprint
+            ));
             s.push_str(&format!("      \"wall_s\": {:.6},\n", c.wall_s));
             s.push_str(&format!(
                 "      \"events_per_sec\": {:.0},\n",
@@ -349,6 +358,7 @@ pub fn run_bench(opts: &ExpOptions, quick: bool) -> Result<BenchReport, SimError
                 events: m.events,
                 cycles: m.total_cycles.as_u64(),
                 digest: m.state_digest,
+                fingerprint: m.fingerprint(),
                 wall_s,
                 peak_rss_kb: peak_rss_kb(),
             });

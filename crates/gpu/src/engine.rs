@@ -521,18 +521,12 @@ impl<'t> Sim<'t> {
         self.reconfigured && self.pages.is_rehomed(self.cfg.geometry.page_of_line(line))
     }
 
-    /// The cache level `node` represents for `line` requested by `req_gpm`.
-    fn level_of(
-        &self,
-        node: GpmId,
-        req_gpm: GpmId,
-        sys_home: GpmId,
-        gpu_home: GpmId,
-    ) -> CacheLevel {
+    /// The cache level `node` represents for a line homed at `sys_home`
+    /// (system home) and `gpu_home` (the requester's GPU home).
+    fn level_of(&self, node: GpmId, sys_home: GpmId, gpu_home: GpmId) -> CacheLevel {
         if node == sys_home {
             CacheLevel::SysHomeL2
         } else if self.cfg.protocol.hierarchical_routing() && node == gpu_home {
-            let _ = req_gpm;
             CacheLevel::GpuHomeL2
         } else {
             CacheLevel::LocalL2NonHome
@@ -1265,7 +1259,7 @@ impl<'t> Sim<'t> {
         let req_gpu = self.cfg.topo.gpu_of(req_gpm);
         let sys_home = self.sys_home(msg.line, req_gpm);
         let gpu_home = self.gpu_home(req_gpu, msg.line, sys_home);
-        let level = self.level_of(node, req_gpm, sys_home, gpu_home);
+        let level = self.level_of(node, sys_home, gpu_home);
         // A lookup that forwards costs only a tag probe; serving data
         // (hits, DRAM fetches, atomics) costs the full data-array access.
         let t = now + self.cfg.l2_tag_latency;
@@ -3883,6 +3877,16 @@ mod tests {
         let mut cfg = EngineConfig::small_test(protocol);
         cfg.probe_line = Some(line);
         Engine::new(cfg).run(trace)
+    }
+
+    #[test]
+    fn event_payloads_stay_small() {
+        // Payloads move by value through the inlined event queue (slab
+        // to handler in registers); growing `Ev` past 40 bytes brings
+        // back the stack-copy cost the inlining removed (DESIGN.md §13).
+        let (ev, msg) = (std::mem::size_of::<Ev>(), std::mem::size_of::<MemMsg>());
+        assert!(ev <= 40, "Ev is {ev} bytes");
+        assert!(msg <= 32, "MemMsg is {msg} bytes");
     }
 
     #[test]

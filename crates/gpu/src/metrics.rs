@@ -212,6 +212,19 @@ impl RunMetrics {
             self.l1_hits as f64 / self.loads as f64
         }
     }
+
+    /// Behaviour fingerprint: FNV-1a over the run's snapshot encoding,
+    /// so it covers every field the codec below lists — cycles, events,
+    /// every counter, fabric and table stats, the miss-latency
+    /// histogram, kernel end cycles, and [`RunMetrics::state_digest`].
+    /// Unlike the digest it moves when timing or traffic moves, which
+    /// makes it the gate for refactors that must not change behaviour.
+    pub fn fingerprint(&self) -> u64 {
+        use hmg_sim::SnapshotWrite;
+        let mut w = hmg_sim::SnapWriter::new();
+        self.write_snap(&mut w);
+        hmg_sim::snap::fnv1a64(&w.into_bytes())
+    }
 }
 
 // Serialized in declaration order; every field participates so a
@@ -284,6 +297,19 @@ mod tests {
         assert_eq!(m.miss_latency_percentile(0.5), 512);
         assert_eq!(m.miss_latency_percentile(0.95), 8192);
         assert_eq!(RunMetrics::default().miss_latency_percentile(0.5), 0);
+    }
+
+    #[test]
+    fn fingerprint_moves_with_timing_not_just_the_digest() {
+        let base = RunMetrics {
+            total_cycles: Cycle(7011),
+            state_digest: 42,
+            ..RunMetrics::default()
+        };
+        // Same final state, one miss landing in a slower bucket.
+        let mut later = base.clone();
+        later.miss_latency_hist[9] += 1;
+        assert_ne!(later.fingerprint(), base.fingerprint());
     }
 
     #[test]

@@ -156,6 +156,9 @@ impl<M: Default> Cache<M> {
     }
 
     /// Looks up `line`, updating LRU recency on a hit.
+    // `get` and `insert` are the L1/L2 probes of every load; they are
+    // forced inline so the engine's callers see the probe loop directly.
+    #[inline(always)]
     pub fn get(&mut self, line: LineAddr) -> Option<&M> {
         self.tick += 1;
         let (tag, idx) = self.locate(line);
@@ -179,6 +182,7 @@ impl<M: Default> Cache<M> {
 
     /// Inserts (or overwrites) `line` with `meta`. Returns the evicted
     /// line and its metadata if an LRU victim had to be displaced.
+    #[inline(always)]
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<(LineAddr, M)> {
         self.tick += 1;
         let tick = self.tick;

@@ -120,6 +120,11 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the time of the last popped event:
     /// scheduling into the past would silently corrupt causality.
+    // `push`, `pop` and `ring_insert` are forced inline into the engine
+    // loop so the payload moves between the slab and the handler in
+    // registers rather than through stack copies across out-of-line
+    // calls (DESIGN.md §13); the cold window-jump paths stay out of line.
+    #[inline(always)]
     pub fn push(&mut self, at: Cycle, payload: E) {
         assert!(
             at >= self.now,
@@ -138,6 +143,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, advancing the queue's clock.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         if self.ring_len == 0 {
             if self.far.is_empty() {
@@ -208,6 +214,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
+    #[inline(always)]
     fn ring_insert(&mut self, at: Cycle, payload: E) {
         let idx = match self.free.pop() {
             Some(i) => {

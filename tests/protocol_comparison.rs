@@ -132,6 +132,23 @@ fn whole_suite_runs_at_tiny_scale() {
     }
 }
 
+/// The untweaked, fault-free Fig. 8 cell for `workload` under `p` at
+/// tiny scale, seed 17 — the cell both golden tests pin.
+fn tiny_cell(workload: &str, p: ProtocolKind) -> hmg::experiments::CellCtx {
+    hmg::experiments::CellCtx {
+        key: format!("{workload}/{}", p.name()),
+        workload: workload.to_string(),
+        protocol: p,
+        tweak: String::new(),
+        scale: Scale::Tiny,
+        seed: 17,
+        faults: None,
+        livelock_budget: None,
+        snapshot_path: None,
+        snapshot_interval: 0,
+    }
+}
+
 /// Pre-refactor golden `(state_digest, total_cycles)` for every
 /// protocol configuration on the Fig. 8 tiny cells, recorded from the
 /// seed tree **before** the DES hot-path rewrite (calendar event queue,
@@ -141,7 +158,7 @@ fn whole_suite_runs_at_tiny_scale() {
 /// same memory state fails loudly here.
 #[test]
 fn fig8_cells_match_pre_refactor_goldens() {
-    use hmg::experiments::{run_cell, CellCtx};
+    use hmg::experiments::run_cell;
     // Cycle counts in `ProtocolKind::ALL` order: no-peer-caching,
     // sw-nonhier, nhcc, sw-hier, hmg, carve-like, ideal.
     const GOLDEN: [(&str, u64, [u64; 7]); 4] = [
@@ -168,19 +185,7 @@ fn fig8_cells_match_pre_refactor_goldens() {
     ];
     for (workload, digest, cycles) in GOLDEN {
         for (&p, &golden_cycles) in ProtocolKind::ALL.iter().zip(&cycles) {
-            let ctx = CellCtx {
-                key: format!("{workload}/{}", p.name()),
-                workload: workload.to_string(),
-                protocol: p,
-                tweak: String::new(),
-                scale: Scale::Tiny,
-                seed: 17,
-                faults: None,
-                livelock_budget: None,
-                snapshot_path: None,
-                snapshot_interval: 0,
-            };
-            let out = run_cell(&ctx).expect("golden cell runs clean");
+            let out = run_cell(&tiny_cell(workload, p)).expect("golden cell runs clean");
             assert_eq!(
                 out.digest, digest,
                 "{workload}/{p}: committed state diverged from the pre-refactor golden"
@@ -191,6 +196,91 @@ fn fig8_cells_match_pre_refactor_goldens() {
             );
         }
     }
+}
+
+/// Golden [`RunMetrics::fingerprint`] for the same 28 tiny cells. The
+/// fingerprint hashes every deterministic output — cycles, events,
+/// every counter, fabric traffic, table coverage, the miss-latency
+/// histogram, kernel end cycles, and the digest — so a change that
+/// moves any timing or traffic number fails here even when the final
+/// memory state and total cycles survive. A refactor or speedup that
+/// claims "same behaviour" must leave these untouched.
+#[test]
+fn fig8_cells_match_fingerprint_goldens() {
+    use hmg::runner::run_isolated;
+    // Fingerprints in `ProtocolKind::ALL` order, as above.
+    const GOLDEN: [(&str, [u64; 7]); 4] = [
+        (
+            "RNN_FW",
+            [
+                0xb2f16858584251eb,
+                0x01dc45afd856ba59,
+                0x22fae1094186913b,
+                0x443f8cbad72c2ea1,
+                0x24b86e3cd2fd5589,
+                0x28933ea74f8c34fe,
+                0xed2e3e4fcf86618a,
+            ],
+        ),
+        (
+            "bfs",
+            [
+                0xd2c587c2bbedad50,
+                0xd9d1f804ce3a895b,
+                0x8060e2ef49f07225,
+                0x802cd66dfd225ca5,
+                0x3d57b5ae09ee42f8,
+                0x4f17d4d08dc4bafb,
+                0xe0ee847089e01a47,
+            ],
+        ),
+        (
+            "CoMD",
+            [
+                0xefdf7ee9cdba1b23,
+                0x100376106f9cd524,
+                0x785a53def2f58cbc,
+                0xf21c5648f26ddc0a,
+                0xfbfa3279879bfeaa,
+                0x395a5da70db8a5a9,
+                0x243ffd3aec9d6fa7,
+            ],
+        ),
+        (
+            "lstm",
+            [
+                0x6085f75326043f5d,
+                0xb3645f64dfd3d4ff,
+                0xe6c2cadfe343d488,
+                0x5654e7da8ef22caa,
+                0x7e8970eb359f9c69,
+                0x3a68629620efa691,
+                0x331b294ef715d8b2,
+            ],
+        ),
+    ];
+    // Every cell runs before the verdict, so a drift names all the
+    // cells it touches rather than only the first.
+    let mut drifted = Vec::new();
+    for (workload, fingerprints) in GOLDEN {
+        for (&p, &golden) in ProtocolKind::ALL.iter().zip(&fingerprints) {
+            let ctx = tiny_cell(workload, p);
+            let trace = ctx.trace().expect("Table III workload");
+            let cfg = ctx.config(&trace).expect("untweaked config");
+            let (m, _) = run_isolated(cfg, &trace, None).expect("golden cell runs clean");
+            let got = m.fingerprint();
+            if got != golden {
+                drifted.push(format!(
+                    "{workload}/{p}: {got:#018x} != golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "behaviour fingerprint drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 /// Golden final-memory-state digest, one cell per protocol. The digest

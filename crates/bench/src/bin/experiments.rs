@@ -70,11 +70,13 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
             let r = exp::fig8(opts)?;
             r.print("Fig. 8: 4-GPU x 4-GPM, five coherence configurations");
             match exp::headline(&r) {
-                Some((vs_sw, vs_nhcc, of_ideal)) => println!(
-                    "headline: HMG vs SW-coherence {:+.0}%, vs NHCC {:+.0}%, {:.0}% of ideal",
-                    vs_sw * 100.0,
-                    vs_nhcc * 100.0,
-                    of_ideal * 100.0
+                Some(h) => println!(
+                    "headline: HMG vs SW-nonhier {:+.0}%, vs SW-hier {:+.0}%, vs NHCC {:+.0}%, \
+                     {:.0}% of ideal",
+                    h.vs_sw_nonhier * 100.0,
+                    h.vs_sw_hier * 100.0,
+                    h.vs_nhcc * 100.0,
+                    h.of_ideal * 100.0
                 ),
                 None => println!("headline: n/a (no workload completed)"),
             }
@@ -140,8 +142,8 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
                 .filter
                 .clone()
                 .unwrap_or_else(|| vec!["bfs".into(), "RNN_FW".into()]);
-            for w in list {
-                exp::characterize(opts, &w)?.print();
+            for c in exp::characterize(opts, &list)? {
+                c.print();
             }
         }
         Command::ScaleStudy => {

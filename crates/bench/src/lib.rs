@@ -1,7 +1,7 @@
 //! Benchmark harness crate: the `experiments` binary regenerates every
-//! table and figure of the paper (see `src/bin/experiments.rs`), and
-//! `benches/components.rs` times the simulator's hot components. All experiment logic lives in the `hmg` facade
-//! crate; this crate only wires it to the command line.
+//! table and figure of the paper (see `src/bin/experiments.rs`). All
+//! experiment logic lives in the `hmg` facade crate; this crate only
+//! wires it to the command line.
 
 pub mod cli;
 

@@ -1,8 +1,7 @@
 //! End-to-end preemptible-cell tests against the real `experiments`
 //! binary: a cell killed mid-run (process abort, no unwinding) is
 //! retried by the supervisor and resumes from its latest snapshot,
-//! producing `state_digest`-identical results to an uninterrupted
-//! sweep; corrupted snapshots are refused loudly and the cell still
+//! producing metrics identical to an uninterrupted sweep's; corrupted snapshots are refused loudly and the cell still
 //! completes from scratch.
 //!
 //! The mid-run kill is injected with the documented
@@ -37,8 +36,8 @@ fn stderr(out: &Output) -> String {
 }
 
 /// The checksummed `ok` rows of a checkpoint file, order-insensitive.
-/// Each row embeds the cell key, its cycle count, and its
-/// `state_digest`, so set equality *is* result equality.
+/// Each row embeds the cell key and the cell's full `RunMetrics`, so
+/// set equality *is* result equality.
 fn ok_rows(path: &Path) -> BTreeSet<String> {
     std::fs::read_to_string(path)
         .expect("checkpoint file readable")
@@ -125,8 +124,8 @@ fn killed_cell_resumes_mid_run_digest_identical() {
         assert_eq!(
             rows,
             ok_rows(&fresh),
-            "{tag}: a killed-and-resumed sweep must be state_digest-identical \
-             to an uninterrupted one"
+            "{tag}: a killed-and-resumed sweep must match an uninterrupted \
+             one in every metric"
         );
 
         let _ = std::fs::remove_file(&killed);
@@ -163,18 +162,17 @@ fn run_cell(snap: &Path) -> Output {
         .expect("experiments binary runs")
 }
 
-fn digest_of(out: &Output) -> String {
-    stdout(out)
-        .lines()
-        .last()
-        .and_then(|l| l.split_whitespace().find(|t| t.starts_with("digest=")))
-        .expect("marker line carries a digest")
-        .to_string()
+/// The marker line, which carries the cell's full metrics.
+fn metrics_of(out: &Output) -> String {
+    let text = stdout(out);
+    let marker = text.lines().last().unwrap_or_default();
+    assert!(marker.starts_with("__hmg_cell_v2 ok "), "{text}");
+    marker.to_string()
 }
 
 /// Seeded corruption: flipping a byte in every snapshot slot makes the
 /// next run refuse them with a typed, printed reason — and still
-/// complete from scratch with the identical digest. No silent
+/// complete from scratch with identical metrics. No silent
 /// acceptance, no crash.
 #[test]
 fn corrupted_snapshots_are_refused_loudly_and_cell_completes() {
@@ -216,9 +214,9 @@ fn corrupted_snapshots_are_refused_loudly_and_cell_completes() {
         "a corrupt store must fall back to scratch:\n{out}"
     );
     assert_eq!(
-        digest_of(&first),
-        digest_of(&second),
-        "the fallback run must reproduce the cold-start digest"
+        metrics_of(&first),
+        metrics_of(&second),
+        "the fallback run must reproduce the cold-start metrics"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! End-to-end supervisor tests against the real `experiments` binary:
 //! crash isolation, timeout-kill, quarantine, exit-code semantics, and
-//! `--resume` digest equality — the ISSUE acceptance criterion.
+//! `--resume` equality of every cell's full metrics.
 //!
 //! The crashing and hanging cells are injected with the documented env
 //! knobs (`HMG_CELL_CRASH` / `HMG_CELL_HANG`), scoped to each spawned
@@ -25,8 +25,8 @@ fn stderr(out: &Output) -> String {
 }
 
 /// The checksummed `ok` rows of a checkpoint file, order-insensitive.
-/// Each row embeds the cell key, its cycle count, and its
-/// `state_digest`, so set equality *is* result equality.
+/// Each row embeds the cell key and the cell's full `RunMetrics`, so
+/// set equality *is* result equality.
 fn ok_rows(path: &Path) -> BTreeSet<String> {
     std::fs::read_to_string(path)
         .expect("checkpoint file readable")
@@ -293,7 +293,7 @@ fn run_cell_mode_emits_the_outcome_marker() {
         text.lines()
             .last()
             .unwrap_or("")
-            .starts_with("__hmg_cell_v1 ok cycles="),
+            .starts_with("__hmg_cell_v2 ok "),
         "the cell marker is the last stdout line:\n{text}"
     );
 
@@ -307,17 +307,17 @@ fn run_cell_mode_emits_the_outcome_marker() {
         "a faulted cell exits with CELL_FAULT_EXIT"
     );
     assert!(
-        stdout(&bad).contains("__hmg_cell_v1 err"),
+        stdout(&bad).contains("__hmg_cell_v2 err"),
         "the error marker is reported:\n{}",
         stdout(&bad)
     );
 }
 
-/// The in-process drivers (Fig. 3, Figs. 9–11, the characterization)
-/// run on the same supervisor pool as the speedup sweeps: a workload
-/// that deadlocks under a dropped store becomes a row of the failure
-/// table with `--keep-going`, and a typed `[sweep failed]` error
-/// without it. Neither path may unwind the process with a panic.
+/// The drivers that read more than cycles (Fig. 3, Figs. 9–11, the
+/// characterization) run on the same executor as the speedup sweeps:
+/// a workload that deadlocks under a dropped store becomes a row of
+/// the failure table with `--keep-going`, and a typed `[sweep failed]`
+/// error without it. Neither path may unwind the process with a panic.
 #[test]
 fn in_process_drivers_report_deadlocks_instead_of_panicking() {
     for driver in ["fig3", "fig9-11", "characterize"] {
@@ -371,4 +371,85 @@ fn in_process_drivers_report_deadlocks_instead_of_panicking() {
             "{driver} must not unwind:\n{err}"
         );
     }
+}
+
+/// Runs `experiments <driver>` on a tiny two-workload sweep that keeps
+/// going past a crash without retrying it, with `HMG_CELL_CRASH` set to
+/// `crash` (or unset).
+fn tiny_sweep(driver: &str, extra: &[&str], crash: Option<&str>) -> Output {
+    let mut cmd = Command::new(BIN);
+    cmd.args([driver, "--scale", "tiny", "--seed", "4"])
+        .args(["--workloads", "bfs,CoMD", "--jobs", "2", "--keep-going"])
+        .args(["--retries", "0"])
+        .args(extra)
+        .env_remove("HMG_CELL_HANG");
+    match crash {
+        Some(pat) => cmd.env("HMG_CELL_CRASH", pat),
+        None => cmd.env_remove("HMG_CELL_CRASH"),
+    };
+    cmd.output().expect("experiments binary runs")
+}
+
+/// Stdout without the `[sweep]` summary lines, which carry wall time
+/// and reuse counts.
+fn tables(out: &Output) -> String {
+    let text = stdout(out);
+    let kept: Vec<&str> = text.lines().filter(|l| !l.starts_with("[sweep]")).collect();
+    kept.join("\n")
+}
+
+/// Every engine-running driver executes its cells through the one
+/// executor: under process isolation (the CLI default) an injected
+/// crash kills a child process, and never unwinds a panic in the
+/// sweep's own process.
+#[test]
+fn figure_driver_cells_run_in_child_processes() {
+    for (driver, cell) in [
+        ("fig3", "bfs/no-peer-caching"),
+        ("fig7", "inter-gpu-bound-250"),
+        ("fig9-11", "bfs/hmg"),
+        ("characterize", "bfs/hmg"),
+    ] {
+        let out = tiny_sweep(driver, &[], Some(cell));
+        let text = stdout(&out);
+        assert!(out.status.success(), "{driver}:\n{text}\n{}", stderr(&out));
+        assert!(
+            text.contains("crashed=1") && text.contains("cell process died without a result"),
+            "{driver}: the crash must kill a child process:\n{text}"
+        );
+        assert!(!text.contains("cell panicked"), "{driver}:\n{text}");
+    }
+}
+
+/// A Figs. 9–11 sweep that lost a cell to a crash, resumed from its
+/// checkpoint, prints the same table as an uninterrupted run, and its
+/// rows — each a cell's full metrics from a child process — equal the
+/// rows a thread-isolated run writes.
+#[test]
+fn crashed_sweep_resumes_to_the_thread_isolated_result() {
+    let (ckpt, fresh) = (tmp("inv.ckpt"), tmp("inv-fresh.ckpt"));
+    let path = |p: &PathBuf| p.to_str().expect("utf-8 temp path").to_string();
+    let (ckpt_arg, fresh_arg) = (path(&ckpt), path(&fresh));
+
+    let crashed = tiny_sweep("fig9-11", &["--checkpoint", &ckpt_arg], Some("bfs/hmg"));
+    assert!(stdout(&crashed).contains("cell crashed: cell process died"));
+    let resumed = tiny_sweep("fig9-11", &["--checkpoint", &ckpt_arg, "--resume"], None);
+    let text = stdout(&resumed);
+    assert!(
+        text.contains("reused=1") && text.contains("crashed=0"),
+        "resume reuses the completed cell and heals the crashed one:\n{text}"
+    );
+
+    let thread = ["--isolation", "thread", "--checkpoint", &fresh_arg];
+    let clean = tiny_sweep("fig9-11", &thread, None);
+    assert!(resumed.status.success() && clean.status.success());
+    assert_eq!(tables(&resumed), tables(&clean));
+    assert_eq!(ok_rows(&ckpt).len(), 2);
+    assert_eq!(
+        ok_rows(&ckpt),
+        ok_rows(&fresh),
+        "process and thread metrics agree"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_file(&fresh);
 }

@@ -453,25 +453,57 @@ fn snapshot_overhead(
     })
 }
 
+/// The value of `line` when it holds the one-per-line JSON field
+/// `"name": value`, with quotes and the trailing comma stripped.
+fn json_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+    let rest = line
+        .trim()
+        .strip_prefix('"')?
+        .strip_prefix(name)?
+        .strip_prefix("\":")?;
+    Some(rest.trim().trim_end_matches(',').trim_matches('"'))
+}
+
+/// The first value of field `name` in a `BENCH_hotpath.json` document.
+fn first_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
+    json.lines().find_map(|l| json_field(l, name))
+}
+
 /// Extracts `"total_events_per_sec"` from a `BENCH_hotpath.json`
 /// document (used to compare against a checked-in baseline).
 pub fn parse_total_events_per_sec(json: &str) -> Option<f64> {
-    for line in json.lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("\"total_events_per_sec\":") {
-            return rest.trim().trim_end_matches(',').parse().ok();
-        }
-    }
-    None
+    first_field(json, "total_events_per_sec")?.parse().ok()
 }
 
-/// Compares `report` against the checked-in baseline at `path`.
+/// `(workload/protocol, fingerprint)` of every cell of a
+/// `BENCH_hotpath.json` document, in document order.
+fn cell_fingerprints(json: &str) -> Vec<(String, String)> {
+    let (mut workload, mut protocol) = ("", "");
+    let mut cells = Vec::new();
+    for line in json.lines() {
+        if let Some(v) = json_field(line, "workload") {
+            workload = v;
+        } else if let Some(v) = json_field(line, "protocol") {
+            protocol = v;
+        } else if let Some(fp) = json_field(line, "fingerprint") {
+            cells.push((format!("{workload}/{protocol}"), fp.to_string()));
+        }
+    }
+    cells
+}
+
+/// Compares `report` against the checked-in baseline at `path`: the
+/// throughput must stay within [`REGRESSION_TOLERANCE`] of the
+/// baseline's, and — when the baseline ran the same mode, scale and
+/// seed — every cell the two share must keep its behaviour
+/// fingerprint. Otherwise the fingerprint check is skipped, and the ok
+/// message says so.
 ///
 /// # Errors
 ///
-/// Returns a description of the failure when the baseline is
-/// missing/unparseable or throughput regressed more than
-/// [`REGRESSION_TOLERANCE`] below it.
+/// Returns a description of every failure when the baseline is
+/// missing/unparseable, throughput regressed, or a cell's fingerprint
+/// drifted (each drifted cell is named).
 pub fn regression_gate(report: &BenchReport, path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
@@ -479,16 +511,44 @@ pub fn regression_gate(report: &BenchReport, path: &Path) -> Result<String, Stri
         .ok_or_else(|| format!("no total_events_per_sec in baseline {}", path.display()))?;
     let current = report.total_events_per_sec();
     let floor = baseline * (1.0 - REGRESSION_TOLERANCE);
+    let mut errors = Vec::new();
     if current < floor {
-        return Err(format!(
+        errors.push(format!(
             "hot-path throughput regressed: {current:.0} events/s < {floor:.0} \
              (baseline {baseline:.0} - {:.0}% tolerance)",
             REGRESSION_TOLERANCE * 100.0
         ));
     }
+    let json = report.to_json();
+    let shape = |j: &str| ["mode", "scale", "seed"].map(|f| first_field(j, f).map(str::to_string));
+    let behaviour = if shape(&text) == shape(&json) {
+        let base = cell_fingerprints(&text);
+        let (mut shared, mut drifted) = (0, Vec::new());
+        for (cell, fp) in cell_fingerprints(&json) {
+            if let Some((_, want)) = base.iter().find(|(c, _)| *c == cell) {
+                shared += 1;
+                if *want != fp {
+                    drifted.push(format!("{cell}: {fp} != baseline {want}"));
+                }
+            }
+        }
+        if !drifted.is_empty() {
+            errors.push(format!(
+                "behaviour fingerprint drifted in {} cell(s):\n  {}",
+                drifted.len(),
+                drifted.join("\n  ")
+            ));
+        }
+        format!("{shared} cell fingerprints match")
+    } else {
+        "fingerprint check skipped: the baseline's mode, scale or seed differs".to_string()
+    };
+    if !errors.is_empty() {
+        return Err(errors.join("\n"));
+    }
     Ok(format!(
         "bench gate ok: {current:.0} events/s vs baseline {baseline:.0} \
-         ({:+.1}%)",
+         ({:+.1}%); {behaviour}",
         (current / baseline - 1.0) * 100.0
     ))
 }
@@ -581,6 +641,32 @@ mod tests {
 
         // Missing baseline: a loud error, not a silent pass.
         assert!(regression_gate(&r, &dir.join("nope.json")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn regression_gate_names_drifted_fingerprints_of_the_same_seed_only() {
+        let r = tiny_quick_report();
+        let dir = std::env::temp_dir().join("hmg-bench-gate-drift");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let fp = r.cells[0].fingerprint;
+        let drifted = r
+            .to_json()
+            .replacen(&format!("{fp:016x}"), &format!("{:016x}", !fp), 1);
+        std::fs::write(&path, &drifted).unwrap();
+        let err = regression_gate(&r, &path).expect_err("a drifted cell fails");
+        let cell = format!("{}/{}", r.cells[0].workload, r.cells[0].protocol.name());
+        assert!(
+            err.contains("drifted in 1 cell(s)") && err.contains(&cell),
+            "{err}"
+        );
+
+        // Another seed's fingerprints are not comparable: skipped, and said so.
+        let seed = |s: u64| format!("\"seed\": {s},");
+        std::fs::write(&path, drifted.replacen(&seed(r.seed), &seed(r.seed + 1), 1)).unwrap();
+        let ok = regression_gate(&r, &path).expect("seed mismatch skips fingerprints");
+        assert!(ok.contains("fingerprint check skipped"), "{ok}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,16 +4,18 @@
 //! them to the command line, and EXPERIMENTS.md records paper-measured
 //! comparisons.
 
-use hmg_gpu::EngineConfig;
+use hmg_gpu::{EngineConfig, RunMetrics};
 use hmg_protocol::{ProtocolKind, WorkloadTrace};
 use hmg_sim::{stats, FaultPlan, SimError};
-use hmg_workloads::micro::{correlation_suite, MachineParams, Micro};
+use hmg_workloads::micro::{correlation_suite, MachineParams};
 use hmg_workloads::suite::{by_abbrev, table3};
 use hmg_workloads::{Scale, WorkloadSpec};
 
 use crate::report::{f2, f3, pct, Table};
 use crate::runner::{run_isolated, SweepCheckpoint};
-use crate::supervisor::{self, Attempt, CellCommand, CellStatus, Isolation, SupervisorConfig};
+use crate::supervisor::{
+    self, Attempt, CellCommand, CellRun, CellStatus, Isolation, SupervisorConfig,
+};
 
 /// Options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -31,9 +33,9 @@ pub struct ExpOptions {
     /// partial result with a failure table instead of aborting the
     /// whole sweep on the first deadlocked workload.
     pub keep_going: bool,
-    /// Checkpoint file for speedup sweeps: every completed cell is
-    /// appended as it finishes, so an interrupted sweep can be resumed.
-    /// `None` disables checkpointing.
+    /// Checkpoint file: every completed cell of a sweep is appended as
+    /// it finishes, so an interrupted sweep can be resumed. `None`
+    /// disables checkpointing.
     pub checkpoint: Option<std::path::PathBuf>,
     /// With a checkpoint file: reuse its completed cells and re-run
     /// only failed or missing ones. The final report is identical to an
@@ -143,7 +145,7 @@ impl ExpOptions {
 
     /// The untweaked cell running `workload` under `protocol`, keyed
     /// `workload/protocol`.
-    pub(crate) fn plain_cell(&self, workload: &str, protocol: ProtocolKind) -> CellCtx {
+    pub fn plain_cell(&self, workload: &str, protocol: ProtocolKind) -> CellCtx {
         self.cell(
             format!("{workload}/{}", protocol.name()),
             workload,
@@ -152,12 +154,15 @@ impl ExpOptions {
         )
     }
 
-    /// One untweaked cell per selected workload under `protocol`, in
-    /// figure order.
-    fn suite_cells(&self, protocol: ProtocolKind) -> Vec<CellCtx> {
+    /// One cell per selected workload under `protocol` with `tweak`
+    /// applied, keyed `workload/protocol`, in figure order.
+    fn suite_cells(&self, protocol: ProtocolKind, tweak: &str) -> Vec<CellCtx> {
         self.specs()
             .iter()
-            .map(|s| self.plain_cell(s.abbrev, protocol))
+            .map(|s| {
+                let key = format!("{}/{}", s.abbrev, protocol.name());
+                self.cell(key, s.abbrev, protocol, tweak)
+            })
             .collect()
     }
 }
@@ -189,6 +194,7 @@ impl ExpOptions {
 /// | `double-bit=F`      | SEC-DED uncorrectable-flip fraction in \[0,1\] |
 /// | `nack-thr=N`        | busy-home flow-control threshold in cycles   |
 /// | `arbitration=nack/phase` | busy-home discipline: NACK/retry or phase-priority |
+/// | `peer-redundancy`   | track Fig. 3's intra-GPU peer redundancy     |
 pub fn apply_tweak(spec: &str, cfg: &mut EngineConfig) -> Result<(), SimError> {
     for clause in spec.split('+').filter(|c| !c.is_empty()) {
         let (key, value) = match clause.split_once('=') {
@@ -227,6 +233,7 @@ pub fn apply_tweak(spec: &str, cfg: &mut EngineConfig) -> Result<(), SimError> {
                 cfg.topo = hmg_interconnect::Topology::new(n, 4);
             }
             ("zero-cost-fences", None) => cfg.zero_cost_fences = true,
+            ("peer-redundancy", None) => cfg.track_peer_redundancy = true,
             ("write-policy", Some("wt")) => {
                 cfg.l2_write_policy = hmg_gpu::WritePolicy::WriteThrough;
             }
@@ -291,53 +298,42 @@ pub struct CellCtx {
 }
 
 impl CellCtx {
-    /// This cell's Table III workload.
-    fn spec(&self) -> Result<WorkloadSpec, SimError> {
-        by_abbrev(&self.workload)
-            .ok_or_else(|| SimError::config(format!("unknown workload `{}`", self.workload)))
-    }
-
-    /// Generates this cell's workload trace.
+    /// Generates this cell's workload trace: a Table III workload at
+    /// the cell's scale and seed, or a Fig. 7 correlation micro looked
+    /// up by name.
     pub fn trace(&self) -> Result<WorkloadTrace, SimError> {
-        Ok(self.spec()?.generate(self.scale, self.seed))
+        if let Some(spec) = by_abbrev(&self.workload) {
+            return Ok(spec.generate(self.scale, self.seed));
+        }
+        correlation_suite()
+            .into_iter()
+            .find(|m| m.name == self.workload)
+            .map(|m| m.trace)
+            .ok_or_else(|| SimError::config(format!("unknown workload `{}`", self.workload)))
     }
 
     /// The machine this cell runs `trace` on — the one configuration
     /// recipe every experiment run shares: the scale's machine with the
     /// cell's fault plan, then the serialized tweak, then capacities
-    /// shrunk by the workload's footprint compression, then the livelock
-    /// watchdog armed for `trace`.
+    /// shrunk by the workload's footprint compression (none for a
+    /// Fig. 7 micro), then the livelock watchdog armed for `trace`.
     pub fn config(&self, trace: &WorkloadTrace) -> Result<EngineConfig, SimError> {
-        let spec = self.spec()?;
+        let factor = by_abbrev(&self.workload).map_or(1.0, |s| s.capacity_factor(self.scale));
         let mut cfg =
             crate::runner::machine_config(self.scale, self.protocol, self.faults.as_ref());
         apply_tweak(&self.tweak, &mut cfg)?;
-        crate::runner::scale_capacities(&mut cfg, spec.capacity_factor(self.scale));
+        crate::runner::scale_capacities(&mut cfg, factor);
         crate::runner::arm_watchdog(&mut cfg, trace, self.livelock_budget);
         Ok(cfg)
     }
 }
 
-/// The result of one completed sweep cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CellOutcome {
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// Committed-memory state digest ([`hmg_gpu::RunMetrics::state_digest`]).
-    pub digest: u64,
-    /// DES events executed (throughput accounting).
-    pub events: u64,
-    /// Cycle this cell resumed from (a snapshot left by an interrupted
-    /// earlier attempt), or `None` for a cold start.
-    pub resumed_from: Option<u64>,
-}
-
 /// Runs one sweep cell from scratch: trace generation, configuration,
 /// watchdog arming, isolated execution. This is the single code path
 /// shared by thread-isolated cells and `__run-cell` children, so both
-/// isolation modes produce bit-identical results.
-pub fn run_cell(ctx: &CellCtx) -> Result<CellOutcome, SimError> {
-    run_cell_attempt(ctx, 1, false)
+/// isolation modes produce bit-identical metrics.
+pub fn run_cell(ctx: &CellCtx) -> Result<RunMetrics, SimError> {
+    run_cell_attempt(ctx, 1, false).map(|(m, _)| m)
 }
 
 /// Stable identity hash of everything that defines a cell's result,
@@ -370,11 +366,7 @@ fn snapshot_identity(ctx: &CellCtx) -> u64 {
 /// first attempt of a process-isolated cell — later attempts must
 /// resume and finish, and an in-process abort would take the whole
 /// sweep down.
-fn run_cell_attempt(
-    ctx: &CellCtx,
-    attempt: u32,
-    process_child: bool,
-) -> Result<CellOutcome, SimError> {
+fn run_cell_attempt(ctx: &CellCtx, attempt: u32, process_child: bool) -> Result<CellRun, SimError> {
     let trace = ctx.trace()?;
     let cfg = ctx.config(&trace)?;
     let policy = ctx.snapshot_path.as_ref().map(|path| {
@@ -422,12 +414,7 @@ fn run_cell_attempt(
             m.integrity
         );
     }
-    Ok(CellOutcome {
-        cycles: m.total_cycles.as_u64(),
-        digest: m.state_digest,
-        events: m.events,
-        resumed_from: rep.resumed_from,
-    })
+    Ok((m, rep.resumed_from))
 }
 
 fn first_line(s: &str) -> &str {
@@ -437,28 +424,18 @@ fn first_line(s: &str) -> &str {
 /// Entry point of the hidden `__run-cell` mode the `experiments`
 /// binary dispatches before normal argument parsing. Parses the cell
 /// spec from `args`, runs the cell, and reports the outcome as the
-/// final stdout line (`__hmg_cell_v1 ok ...` on success, `__hmg_cell_v1
-/// err ...` with exit code 2 on a typed simulation error). Any other
-/// exit — a panic, a kill — is classified by the parent as a crash.
+/// final stdout line ([`supervisor::ok_marker`] with the full metrics
+/// on success, `__hmg_cell_v2 err ...` with exit code 2 on a typed
+/// simulation error). Any other exit — a panic, a kill — is classified
+/// by the parent as a crash.
 pub fn cell_main(args: &[String]) -> i32 {
     let outcome = parse_cell_args(args).and_then(|(ctx, attempt)| {
         supervisor::apply_test_knobs(&ctx.key, attempt);
         run_cell_attempt(&ctx, attempt, true)
     });
     match outcome {
-        Ok(out) => {
-            let resumed = out
-                .resumed_from
-                .map(|c| format!(" resumed={c}"))
-                .unwrap_or_default();
-            println!(
-                "{} ok cycles={} digest={:016x} events={}{}",
-                supervisor::CELL_MARKER,
-                out.cycles,
-                out.digest,
-                out.events,
-                resumed
-            );
+        Ok(run) => {
+            println!("{}", supervisor::ok_marker(&run));
             0
         }
         Err(e) => {
@@ -486,14 +463,12 @@ fn parse_cell_args(args: &[String]) -> Result<(CellCtx, u32), SimError> {
         snapshot_interval: 0,
     };
     let mut attempt = 1u32;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| SimError::config(format!("{flag} needs a value")))?;
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(SimError::config(format!("{} needs a value", pair[0])));
+        };
         let bad = || SimError::config(format!("bad {flag} value `{value}`"));
-        match flag {
+        match flag.as_str() {
             "--key" => ctx.key = value.clone(),
             "--workload" => ctx.workload = value.clone(),
             "--protocol" => ctx.protocol = ProtocolKind::from_name(value).ok_or_else(bad)?,
@@ -507,7 +482,6 @@ fn parse_cell_args(args: &[String]) -> Result<(CellCtx, u32), SimError> {
             "--snapshot-interval" => ctx.snapshot_interval = value.parse().map_err(|_| bad())?,
             other => return Err(SimError::config(format!("unknown cell flag `{other}`"))),
         }
-        i += 2;
     }
     if ctx.workload.is_empty() {
         return Err(SimError::config(
@@ -524,120 +498,82 @@ fn parse_cell_args(args: &[String]) -> Result<(CellCtx, u32), SimError> {
 fn cell_command(ctx: &CellCtx, attempt: u32) -> Result<CellCommand, SimError> {
     let exe = std::env::current_exe()
         .map_err(|e| SimError::config(format!("cannot locate the experiments binary: {e}")))?;
-    let mut args: Vec<String> = vec![
-        "__run-cell".into(),
-        "--key".into(),
-        ctx.key.clone(),
-        "--workload".into(),
-        ctx.workload.clone(),
-        "--protocol".into(),
-        ctx.protocol.name().to_string(),
-        "--tweak".into(),
-        ctx.tweak.clone(),
-        "--scale".into(),
-        ctx.scale.name().to_string(),
-        "--seed".into(),
-        ctx.seed.to_string(),
-        "--attempt".into(),
-        attempt.to_string(),
+    let mut flags = vec![
+        ("--key", ctx.key.clone()),
+        ("--workload", ctx.workload.clone()),
+        ("--protocol", ctx.protocol.name().to_string()),
+        ("--tweak", ctx.tweak.clone()),
+        ("--scale", ctx.scale.name().to_string()),
+        ("--seed", ctx.seed.to_string()),
+        ("--attempt", attempt.to_string()),
     ];
     if let Some(f) = &ctx.faults {
-        args.push("--faults".into());
-        args.push(f.to_spec());
+        flags.push(("--faults", f.to_spec()));
     }
     if let Some(b) = ctx.livelock_budget {
-        args.push("--livelock-budget".into());
-        args.push(b.to_string());
+        flags.push(("--livelock-budget", b.to_string()));
     }
     if let Some(p) = &ctx.snapshot_path {
-        args.push("--snapshot-path".into());
-        args.push(p.display().to_string());
-        args.push("--snapshot-interval".into());
-        args.push(ctx.snapshot_interval.to_string());
+        flags.push(("--snapshot-path", p.display().to_string()));
+        flags.push(("--snapshot-interval", ctx.snapshot_interval.to_string()));
     }
+    let args = std::iter::once("__run-cell".to_string())
+        .chain(flags.into_iter().flat_map(|(f, v)| [f.to_string(), v]))
+        .collect();
     Ok(CellCommand { exe, args })
 }
 
-/// Parses the `__hmg_cell_v1 ok` marker payload a child printed.
-fn parse_cell_payload(payload: &str) -> Option<CellOutcome> {
-    let (mut cycles, mut digest, mut events) = (None, None, None);
-    let mut resumed_from = None;
-    for tok in payload.split_whitespace() {
-        let (k, v) = tok.split_once('=')?;
-        match k {
-            "cycles" => cycles = Some(v.parse().ok()?),
-            "digest" => digest = Some(u64::from_str_radix(v, 16).ok()?),
-            "events" => events = Some(v.parse().ok()?),
-            "resumed" => resumed_from = Some(v.parse().ok()?),
-            _ => return None,
-        }
-    }
-    Some(CellOutcome {
-        cycles: cycles?,
-        digest: digest?,
-        events: events?,
-        resumed_from,
-    })
-}
-
-/// One attempt of a cell in a child process via `__run-cell` re-exec.
-fn process_cell_attempt(
-    cell: &CellCtx,
-    attempt_no: u32,
-    sup: &SupervisorConfig,
-) -> Attempt<CellOutcome> {
-    let cmd = match cell_command(cell, attempt_no) {
-        Ok(cmd) => cmd,
-        Err(e) => return Attempt::Fault(e),
-    };
-    match supervisor::process_attempt(&cmd, sup.cell_timeout) {
-        Attempt::Ok(payload) => match parse_cell_payload(&payload) {
-            Some(out) => Attempt::Ok(out),
-            None => Attempt::Crashed(format!("unparseable cell marker payload `{payload}`")),
-        },
-        Attempt::Fault(e) => Attempt::Fault(e),
-        Attempt::Crashed(m) => Attempt::Crashed(m),
-        Attempt::Timeout(m) => Attempt::Timeout(m),
-    }
-}
-
-/// Runs `cells` through the supervisor: checkpointed cells are reused,
-/// the rest execute under the configured isolation with retry/backoff
-/// and timeout-kill, completed cells are checkpointed as they finish,
-/// and results merge back in input order. A cell drained unrun after a
-/// hard failure (no `--keep-going`) reads as a `skipped` error.
-fn run_cells(
+/// Runs `cells` through the supervisor — the one executor of every
+/// engine-running driver. `opts.checkpoint` is opened here, under an
+/// identity hashed from every cell's snapshot identity; its
+/// completed cells are reused with `opts.resume`, the rest execute
+/// under the configured isolation with retry/backoff and timeout-kill,
+/// completed cells are checkpointed as they finish, and each cell's
+/// full metrics merge back in input order. A cell drained unrun after
+/// a hard failure (no `--keep-going`) reads as a `skipped` error.
+///
+/// # Errors
+///
+/// Only when the checkpoint cannot be opened (unwritable, or written by
+/// a different sweep); a failed cell is an `Err` entry instead.
+pub fn run_cells(
     opts: &ExpOptions,
     cells: &[CellCtx],
-    ckpt: Option<&SweepCheckpoint>,
-) -> Vec<Result<CellOutcome, SimError>> {
-    let mut merged: Vec<Option<Result<CellOutcome, SimError>>> = cells
+) -> Result<Vec<Result<RunMetrics, SimError>>, SimError> {
+    let ckpt = match &opts.checkpoint {
+        Some(path) => {
+            let ids: Vec<u8> = cells
+                .iter()
+                .flat_map(|c| snapshot_identity(c).to_le_bytes())
+                .collect();
+            let identity = format!(
+                "cells={} identity={:016x}",
+                cells.len(),
+                crate::runner::fnv1a64(&ids)
+            );
+            Some(SweepCheckpoint::open(path, &identity, opts.resume)?)
+        }
+        None => None,
+    };
+    let ckpt = ckpt.as_ref();
+    let mut merged: Vec<Option<Result<RunMetrics, SimError>>> = cells
         .iter()
-        .map(|c| {
-            ckpt.and_then(|k| k.lookup(&c.key)).map(|rec| {
-                Ok(CellOutcome {
-                    cycles: rec.cycles,
-                    digest: rec.digest,
-                    events: 0,
-                    resumed_from: None,
-                })
-            })
-        })
+        .map(|c| ckpt.and_then(|k| k.lookup(&c.key)).map(Ok))
         .collect();
     let reused = merged.iter().filter(|m| m.is_some()).count();
-    let pending: Vec<CellCtx> = cells
+    let pending: Vec<&CellCtx> = cells
         .iter()
         .zip(&merged)
         .filter(|(_, m)| m.is_none())
-        .map(|(c, _)| c.clone())
+        .map(|(c, _)| c)
         .collect();
     let sup = opts.supervisor_config();
     let resumed_cells = std::sync::atomic::AtomicU64::new(0);
     let report = supervisor::supervise(
         &pending,
-        |c: &CellCtx| c.key.clone(),
+        |c| c.key.clone(),
         &sup,
-        |cell, attempt_no| {
+        |&cell, attempt_no| {
             let a = match sup.isolation {
                 // A panic here (the injection knob, a residual engine
                 // bug) is classified a crash by the supervisor itself.
@@ -646,19 +582,22 @@ fn run_cells(
                     run_cell_attempt(cell, attempt_no, false)
                         .map_or_else(Attempt::Fault, Attempt::Ok)
                 }
-                Isolation::Process => process_cell_attempt(cell, attempt_no, &sup),
+                Isolation::Process => match cell_command(cell, attempt_no) {
+                    Ok(cmd) => supervisor::process_attempt(&cmd, sup.cell_timeout),
+                    Err(e) => Attempt::Fault(e),
+                },
             };
             // Record final outcomes immediately, so an interrupt loses
             // at most the in-flight cells. Crashes/timeouts may still
             // be retried; they are recorded post-merge instead.
             match &a {
-                Attempt::Ok(out) => {
-                    supervisor::tally_events(out.events);
-                    if out.resumed_from.is_some() {
+                Attempt::Ok((m, resumed_from)) => {
+                    supervisor::tally_events(m.events);
+                    if resumed_from.is_some() {
                         resumed_cells.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                     if let Some(k) = ckpt {
-                        k.record_ok(&cell.key, out.cycles, out.digest);
+                        k.record_ok(&cell.key, m);
                     }
                 }
                 Attempt::Fault(e) => {
@@ -688,16 +627,19 @@ fn run_cells(
         // Typed faults were checkpointed as they happened; crashes and
         // timeouts only now that their retries are spent.
         let retried = matches!(cr.status, CellStatus::Crashed(_) | CellStatus::Timeout(_));
-        let result = cr.outcome.ok_or_else(|| cell_error(cr.status));
+        let result = cr
+            .outcome
+            .map(|(m, _)| m)
+            .ok_or_else(|| cell_error(cr.status));
         if let (Err(e), Some(k)) = (&result, ckpt.filter(|_| retried)) {
             k.record_failure(&cr.key, &e.to_string());
         }
         *slot = Some(result);
     }
-    merged
+    Ok(merged
         .into_iter()
         .map(|m| m.unwrap_or_else(|| Err(cell_error(CellStatus::Skipped))))
-        .collect()
+        .collect())
 }
 
 /// The typed error of a cell that finished without a result.
@@ -711,56 +653,21 @@ fn cell_error(status: CellStatus) -> SimError {
     }
 }
 
-/// Runs `cells` in-process on the sweep supervisor — thread isolation,
-/// `opts.jobs` workers, `opts.retries`, `opts.keep_going` — for the
-/// drivers that need each run's full result rather than the
-/// `__run-cell` marker. Prints the sweep summary line and returns each
-/// cell's result in input order.
-fn run_in_process<T: Sync, R: Send>(
-    opts: &ExpOptions,
-    cells: &[T],
-    key_of: impl Fn(&T) -> String + Sync,
-    run: impl Fn(&T) -> Result<R, SimError> + Sync,
-) -> Vec<Result<R, SimError>> {
-    let sup = SupervisorConfig {
-        isolation: Isolation::Thread,
-        ..opts.supervisor_config()
-    };
-    let report = supervisor::supervise(cells, key_of, &sup, |cell, _| {
-        run(cell).map_or_else(Attempt::Fault, Attempt::Ok)
-    });
-    println!("{}", report.summary_line(0, 0));
-    report
-        .cells
-        .into_iter()
-        .map(|c| c.outcome.ok_or_else(|| cell_error(c.status)))
-        .collect()
-}
-
-/// One contained engine run of an in-process cell, its events counted
-/// into the sweep tally like a supervised speedup cell's.
-fn run_tallied(cfg: EngineConfig, trace: &WorkloadTrace) -> Result<hmg_gpu::RunMetrics, SimError> {
-    let (m, _) = run_isolated(cfg, trace, None)?;
-    supervisor::tally_events(m.events);
-    Ok(m)
-}
-
 /// The failure table of a sweep's per-cell results, in input order,
-/// each failed cell labelled by `label`. Without `--keep-going` the
-/// first failure comes back as `Err` instead: cells skipped by the
+/// each failed cell labelled by [`cell_label`]. Without `--keep-going`
+/// the first failure comes back as `Err` instead: cells skipped by the
 /// drain always follow the failure that stopped the sweep.
-fn failure_table<T, R>(
+fn failure_table(
     opts: &ExpOptions,
-    cells: &[T],
-    results: &[Result<R, SimError>],
-    label: impl Fn(&T) -> (String, ProtocolKind),
+    cells: &[CellCtx],
+    results: &[Result<RunMetrics, SimError>],
 ) -> Result<Vec<RunFailure>, SimError> {
     let failures: Vec<RunFailure> = cells
         .iter()
         .zip(results)
         .filter_map(|(cell, r)| {
             let error = r.as_ref().err()?.clone();
-            let (workload, protocol) = label(cell);
+            let (workload, protocol) = cell_label(cell);
             Some(RunFailure {
                 workload,
                 protocol,
@@ -911,15 +818,6 @@ pub fn speedup_suite(
     tweak: &str,
 ) -> Result<SpeedupResult, SimError> {
     let specs = opts.specs();
-    // Sweep supervisor: completed cells are checkpointed to disk as
-    // they finish; `--resume` reuses them and re-runs only failed,
-    // stale, or missing cells.
-    let identity = sweep_identity(opts, protocols, &specs, tweak);
-    let ckpt = opts
-        .checkpoint
-        .as_ref()
-        .map(|p| SweepCheckpoint::open(p, &identity, opts.resume))
-        .transpose()?;
     // One cell per (workload, protocol-or-baseline).
     let mut cells: Vec<CellCtx> = Vec::new();
     for spec in &specs {
@@ -928,8 +826,8 @@ pub fn speedup_suite(
             cells.push(opts.cell(key, spec.abbrev, p, tweak));
         }
     }
-    let results = run_cells(opts, &cells, ckpt.as_ref());
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
+    let results = run_cells(opts, &cells)?;
+    let failures = failure_table(opts, &cells, &results)?;
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
     let mut workloads = Vec::with_capacity(specs.len());
     for (spec, chunk) in specs.iter().zip(results.chunks(protocols.len() + 1)) {
@@ -950,33 +848,6 @@ pub fn speedup_suite(
         geomeans,
         failures,
     })
-}
-
-/// The shape of a speedup sweep, pinned into its checkpoint header so
-/// cells from a different sweep are never silently mixed in. The
-/// serialized tweak and fault plan are part of the identity, so the
-/// same protocol/workload sets under different configurations or
-/// fault schedules are still told apart.
-fn sweep_identity(
-    opts: &ExpOptions,
-    protocols: &[ProtocolKind],
-    specs: &[WorkloadSpec],
-    tweak: &str,
-) -> String {
-    let protos: Vec<&str> = protocols.iter().map(|p| p.name()).collect();
-    let loads: Vec<&str> = specs.iter().map(|s| s.abbrev).collect();
-    format!(
-        "scale={:?} seed={} protocols={} workloads={} tweak={} faults={}",
-        opts.scale,
-        opts.seed,
-        protos.join(","),
-        loads.join(","),
-        tweak,
-        opts.faults
-            .as_ref()
-            .map(FaultPlan::to_spec)
-            .unwrap_or_default(),
-    )
 }
 
 /// Fig. 8: all five configurations on the 4-GPU Table II machine.
@@ -1028,34 +899,7 @@ pub fn scale_study(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         .collect();
     // Per-point normalization here (a bigger machine changes the
     // baseline too); the interesting output is HMG's gap at each size.
-    let specs = opts.specs();
-    let protocols = SWEEP_PROTOCOLS;
-    let per_run = protocols.len() + 1;
-    let mut cells: Vec<CellCtx> = Vec::new();
-    for (label, tweak) in &points {
-        for spec in &specs {
-            for p in std::iter::once(ProtocolKind::NoPeerCaching).chain(protocols) {
-                let key = format!("{label}/{}/{}", spec.abbrev, p.name());
-                cells.push(opts.cell(key, spec.abbrev, p, tweak));
-            }
-        }
-    }
-    let results = run_cells(opts, &cells, None);
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
-    let per_point = specs.len() * per_run;
-    let geomeans = point_geomeans(
-        &results,
-        (points.len(), specs.len(), protocols.len()),
-        |pt, w| pt * per_point + w * per_run,
-        |pt, w, pi| pt * per_point + w * per_run + 1 + pi,
-    );
-    Ok(SweepResult {
-        parameter: "system size",
-        points: points.into_iter().map(|(l, _)| l).collect(),
-        protocols: protocols.to_vec(),
-        geomeans,
-        failures,
-    })
+    point_sweep(opts, "system size", points, &SWEEP_PROTOCOLS, true)
 }
 
 /// §VII-A single-GPU check: on one GPU, protocols should be close.
@@ -1069,35 +913,8 @@ pub fn single_gpu(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
 }
 
 /// The completed cycle count of a merged cell, if it completed.
-fn done_cycles(r: &Result<CellOutcome, SimError>) -> Option<u64> {
-    r.as_ref().ok().map(|o| o.cycles)
-}
-
-/// `geomeans[point][protocol]` of a sensitivity sweep: per point and
-/// protocol, the geomean speedup over the workloads whose baseline cell
-/// (`results[base(pt, w)]`) and protocol cell (`results[cell(pt, w,
-/// pi)]`) both completed.
-fn point_geomeans(
-    results: &[Result<CellOutcome, SimError>],
-    (points, workloads, protocols): (usize, usize, usize),
-    base: impl Fn(usize, usize) -> usize,
-    cell: impl Fn(usize, usize, usize) -> usize,
-) -> Vec<Vec<f64>> {
-    let speedup = |pt, w, pi| {
-        let b = done_cycles(&results[base(pt, w)])?;
-        let c = done_cycles(&results[cell(pt, w, pi)])?;
-        Some(b as f64 / c as f64)
-    };
-    (0..points)
-        .map(|pt| {
-            (0..protocols)
-                .map(|pi| {
-                    let s: Vec<f64> = (0..workloads).filter_map(|w| speedup(pt, w, pi)).collect();
-                    stats::geomean(&s)
-                })
-                .collect()
-        })
-        .collect()
+fn done_cycles(r: &Result<RunMetrics, SimError>) -> Option<u64> {
+    r.as_ref().ok().map(|m| m.total_cycles.as_u64())
 }
 
 /// Drops persistent-kernel workloads from the selection (they require
@@ -1147,9 +964,7 @@ impl SweepResult {
         println!("{}", t.render());
         print_failures(&self.failures);
     }
-}
 
-impl SweepResult {
     /// Renders the sweep as an SVG line chart.
     pub fn to_svg(&self, title: &str) -> String {
         let mut chart = hmg_plot::LineChart::new(title)
@@ -1176,44 +991,65 @@ const SWEEP_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::Ideal,
 ];
 
-/// Runs a sensitivity sweep the way the paper's Figs. 12–14 are
-/// normalized: the no-peer-caching baseline is measured **once, on the
-/// Table II configuration**, and every sweep point's protocols are
-/// compared against it ("baseline is no caching with configurations of
-/// Table II"). All cells — baseline and points — run under the sweep
-/// supervisor.
-fn sweep_fixed_baseline(
+/// Runs a sensitivity sweep: every `(point, workload, protocol)` cell,
+/// and the no-peer-caching baseline each is normalized to. With
+/// `per_point_baseline` the baseline runs at every point. Without it,
+/// the baseline runs **once, on the Table II configuration**, the way
+/// the paper's Figs. 12–14 are normalized ("baseline is no caching with
+/// configurations of Table II"). The geomean per point and protocol is
+/// over the workloads whose baseline and protocol cells both completed.
+fn point_sweep(
     opts: &ExpOptions,
     parameter: &'static str,
     points: Vec<SweepPoint>,
     protocols: &[ProtocolKind],
+    per_point_baseline: bool,
 ) -> Result<SweepResult, SimError> {
     let specs = opts.specs();
-    // The fixed Table II baseline once per workload, then every
-    // (point, workload, protocol) cell.
+    let base = ProtocolKind::NoPeerCaching;
+    let key = |label: &str, w: &str, p: ProtocolKind| format!("{label}/{w}/{}", p.name());
     let mut cells: Vec<CellCtx> = Vec::new();
-    for spec in &specs {
-        let p = ProtocolKind::NoPeerCaching;
-        let key = format!("table2/{}/{}", spec.abbrev, p.name());
-        cells.push(opts.cell(key, spec.abbrev, p, ""));
+    if !per_point_baseline {
+        for s in &specs {
+            cells.push(opts.cell(key("table2", s.abbrev, base), s.abbrev, base, ""));
+        }
     }
     for (label, tweak) in &points {
-        for spec in &specs {
-            for &p in protocols {
-                let key = format!("{label}/{}/{}", spec.abbrev, p.name());
-                cells.push(opts.cell(key, spec.abbrev, p, tweak));
+        for s in &specs {
+            let own_base = per_point_baseline.then_some(base);
+            for p in own_base.into_iter().chain(protocols.iter().copied()) {
+                cells.push(opts.cell(key(label, s.abbrev, p), s.abbrev, p, tweak));
             }
         }
     }
-    let results = run_cells(opts, &cells, None);
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
-    let per_point = specs.len() * protocols.len();
-    let geomeans = point_geomeans(
-        &results,
-        (points.len(), specs.len(), protocols.len()),
-        |_, w| w,
-        |pt, w, pi| specs.len() + pt * per_point + w * protocols.len() + pi,
-    );
+    let results = run_cells(opts, &cells)?;
+    let failures = failure_table(opts, &cells, &results)?;
+    let cycles: std::collections::HashMap<&str, u64> = cells
+        .iter()
+        .zip(&results)
+        .filter_map(|(c, r)| Some((c.key.as_str(), done_cycles(r)?)))
+        .collect();
+    let speedup = |base_label: &str, label: &str, w: &str, p| {
+        let b = cycles.get(key(base_label, w, base).as_str())?;
+        let c = cycles.get(key(label, w, p).as_str())?;
+        Some(*b as f64 / *c as f64)
+    };
+    let geomeans = points
+        .iter()
+        .map(|(label, _)| {
+            let base_label = if per_point_baseline { label } else { "table2" };
+            protocols
+                .iter()
+                .map(|&p| {
+                    let s: Vec<f64> = specs
+                        .iter()
+                        .filter_map(|s| speedup(base_label, label, s.abbrev, p))
+                        .collect();
+                    stats::geomean(&s)
+                })
+                .collect()
+        })
+        .collect();
     Ok(SweepResult {
         parameter,
         points: points.into_iter().map(|(l, _)| l).collect(),
@@ -1229,7 +1065,7 @@ pub fn fig12(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         .into_iter()
         .map(|bw| (format!("{bw:.0}GB/s"), format!("bw={bw}")))
         .collect();
-    sweep_fixed_baseline(opts, "inter-GPU BW", points, &SWEEP_PROTOCOLS)
+    point_sweep(opts, "inter-GPU BW", points, &SWEEP_PROTOCOLS, false)
 }
 
 /// Fig. 13: sensitivity to L2 capacity (6/12/24 MB per GPU).
@@ -1238,7 +1074,7 @@ pub fn fig13(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         .into_iter()
         .map(|mb| (format!("{mb}MB/GPU"), format!("l2mb={mb}")))
         .collect();
-    sweep_fixed_baseline(opts, "L2 per GPU", points, &SWEEP_PROTOCOLS)
+    point_sweep(opts, "L2 per GPU", points, &SWEEP_PROTOCOLS, false)
 }
 
 /// Fig. 14: sensitivity to coherence directory capacity
@@ -1248,7 +1084,7 @@ pub fn fig14(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         .into_iter()
         .map(|k| (format!("{k}K/GPM"), format!("dirk={k}")))
         .collect();
-    sweep_fixed_baseline(opts, "dir entries", points, &SWEEP_PROTOCOLS)
+    point_sweep(opts, "dir entries", points, &SWEEP_PROTOCOLS, false)
 }
 
 /// §VII-B (not pictured): directory tracking granularity at constant
@@ -1259,7 +1095,7 @@ pub fn grain_sweep(opts: &ExpOptions) -> Result<SweepResult, SimError> {
         .into_iter()
         .map(|g| (format!("{g}x128B"), format!("grain={g}")))
         .collect();
-    sweep_fixed_baseline(opts, "lines/entry", points, &[ProtocolKind::Hmg])
+    point_sweep(opts, "lines/entry", points, &[ProtocolKind::Hmg], false)
 }
 
 // ---------------------------------------------------------------------
@@ -1291,9 +1127,7 @@ impl Fig3Result {
         println!("{}", t.render());
         print_failures(&self.failures);
     }
-}
 
-impl Fig3Result {
     /// Renders the figure as an SVG bar chart (percent per workload).
     pub fn to_svg(&self) -> String {
         let mut chart =
@@ -1312,21 +1146,14 @@ impl Fig3Result {
 /// Fig. 3: measured on the no-peer-caching baseline, where every remote
 /// load crosses the inter-GPU network.
 pub fn fig3(opts: &ExpOptions) -> Result<Fig3Result, SimError> {
-    let cells = opts.suite_cells(ProtocolKind::NoPeerCaching);
-    let results = run_in_process(
-        opts,
-        &cells,
-        |c| c.key.clone(),
-        |cell| {
-            let trace = cell.trace()?;
-            let mut cfg = cell.config(&trace)?;
-            cfg.track_peer_redundancy = true;
-            let m = run_tallied(cfg, &trace)?;
-            Ok((cell.workload.clone(), m.peer_redundancy()))
-        },
-    );
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
-    let rows: Vec<_> = results.into_iter().flatten().collect();
+    let cells = opts.suite_cells(ProtocolKind::NoPeerCaching, "peer-redundancy");
+    let results = run_cells(opts, &cells)?;
+    let failures = failure_table(opts, &cells, &results)?;
+    let rows: Vec<_> = cells
+        .iter()
+        .zip(&results)
+        .filter_map(|(c, r)| Some((c.workload.clone(), r.as_ref().ok()?.peer_redundancy())))
+        .collect();
     let vals: Vec<f64> = rows.iter().filter_map(|(_, v)| *v).collect();
     Ok(Fig3Result {
         average: stats::mean(&vals),
@@ -1393,9 +1220,7 @@ impl Fig7Result {
         );
         print_failures(&self.failures);
     }
-}
 
-impl Fig7Result {
     /// Renders the correlation scatter as SVG.
     pub fn to_svg(&self) -> String {
         let mut chart = hmg_plot::LogLogScatter::new(
@@ -1415,10 +1240,21 @@ impl Fig7Result {
 }
 
 /// Fig. 7 over the correlation microbenchmark suite. The Table II
-/// machine is always used (the micros assume its 16-GPM shape); `opts`
-/// supplies only the worker pool and `--keep-going`.
+/// machine is always used (the micros assume its 16-GPM shape): each
+/// micro is an HMG cell at [`Scale::Small`] with no fault plan, and
+/// `opts` supplies only the worker pool, isolation, checkpoint and
+/// `--keep-going`.
 pub fn fig7(opts: &ExpOptions) -> Result<Fig7Result, SimError> {
     let suite = correlation_suite();
+    let machine = ExpOptions {
+        scale: Scale::Small,
+        faults: None,
+        ..opts.clone()
+    };
+    let cells: Vec<CellCtx> = suite
+        .iter()
+        .map(|m| machine.cell(m.name.clone(), &m.name, ProtocolKind::Hmg, ""))
+        .collect();
     let cfg = EngineConfig::paper_default(ProtocolKind::Hmg);
     let params = MachineParams {
         issue_cycles: cfg.issue_cycles as f64,
@@ -1436,27 +1272,23 @@ pub fn fig7(opts: &ExpOptions) -> Result<Fig7Result, SimError> {
     // audit:allow(entropy): wall-clock runtime measurement (Fig. 7);
     // never feeds simulated state.
     let start = std::time::Instant::now();
-    let results = run_in_process(
-        opts,
-        &suite,
-        |m| m.name.clone(),
-        |m| {
-            let sim = run_tallied(cfg.clone(), &m.trace)?;
-            let point = Fig7Point {
-                name: m.name.clone(),
-                predicted: (m.predict)(&params),
-                simulated: sim.total_cycles.as_u64() as f64,
-            };
-            Ok((point, sim.events))
-        },
-    );
+    let results = run_cells(opts, &cells)?;
     let wall = start.elapsed().as_secs_f64();
-    let failures = failure_table(opts, &suite, &results, |m: &Micro| {
-        (m.name.clone(), ProtocolKind::Hmg)
-    })?;
-    let runs: Vec<_> = results.into_iter().flatten().collect();
-    let total_events: u64 = runs.iter().map(|r| r.1).sum();
-    let points: Vec<Fig7Point> = runs.into_iter().map(|(p, _)| p).collect();
+    let failures = failure_table(opts, &cells, &results)?;
+    let runs: Vec<_> = suite
+        .iter()
+        .zip(&results)
+        .filter_map(|(m, r)| Some((m, r.as_ref().ok()?)))
+        .collect();
+    let total_events: u64 = runs.iter().map(|(_, sim)| sim.events).sum();
+    let points: Vec<Fig7Point> = runs
+        .into_iter()
+        .map(|(m, sim)| Fig7Point {
+            name: m.name.clone(),
+            predicted: (m.predict)(&params),
+            simulated: sim.total_cycles.as_u64() as f64,
+        })
+        .collect();
     let logp: Vec<f64> = points.iter().map(|p| p.predicted.log10()).collect();
     let logs: Vec<f64> = points.iter().map(|p| p.simulated.log10()).collect();
     let sims: Vec<f64> = points.iter().map(|p| p.simulated).collect();
@@ -1531,9 +1363,7 @@ impl InvCostResult {
         println!("{}", t.render());
         print_failures(&self.failures);
     }
-}
 
-impl InvCostResult {
     /// Renders Figs. 9–11 as three single-series SVG bar charts,
     /// concatenated vertically is left to the caller; this returns the
     /// three documents in figure order.
@@ -1583,26 +1413,26 @@ impl InvCostResult {
 
 /// Runs HMG over the suite and extracts the Figs. 9–11 statistics.
 pub fn fig9_10_11(opts: &ExpOptions) -> Result<InvCostResult, SimError> {
-    let cells = opts.suite_cells(ProtocolKind::Hmg);
-    let results = run_in_process(
-        opts,
-        &cells,
-        |c| c.key.clone(),
-        |cell| {
-            let trace = cell.trace()?;
-            let cfg = cell.config(&trace)?;
-            let freq = cfg.fabric.freq_ghz;
-            let m = run_tallied(cfg, &trace)?;
-            Ok(InvCostRow {
+    let cells = opts.suite_cells(ProtocolKind::Hmg, "");
+    let results = run_cells(opts, &cells)?;
+    let failures = failure_table(opts, &cells, &results)?;
+    // The scale's machine clock; nothing these cells apply changes it.
+    let freq = crate::runner::machine_config(opts.scale, ProtocolKind::Hmg, None)
+        .fabric
+        .freq_ghz;
+    let rows: Vec<InvCostRow> = cells
+        .iter()
+        .zip(&results)
+        .filter_map(|(cell, r)| {
+            let m = r.as_ref().ok()?;
+            Some(InvCostRow {
                 workload: cell.workload.clone(),
                 lines_per_store_inv: m.lines_per_store_inv(),
                 lines_per_eviction_inv: m.lines_per_eviction_inv(),
                 inv_gbps: m.inv_bandwidth_gbps(freq),
             })
-        },
-    );
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
-    let rows: Vec<_> = results.into_iter().flatten().collect();
+        })
+        .collect();
     let stores: Vec<f64> = rows.iter().filter_map(|r| r.lines_per_store_inv).collect();
     let evicts: Vec<f64> = rows
         .iter()
@@ -1720,18 +1550,27 @@ pub fn ablate_placement(opts: &ExpOptions) -> Result<AblationResult, SimError> {
 }
 
 /// Prints Table III (the workload inventory) with generated-trace sizes.
-/// No engine runs here, so there is no per-protocol failure row: a
-/// trace generator that crashes fails the table with a typed error.
+/// No engine runs here, so the traces are generated in-process on the
+/// supervisor pool, and there is no per-protocol failure row: a trace
+/// generator that crashes fails the table with a typed error.
 pub fn print_table3(opts: &ExpOptions) -> Result<(), SimError> {
     let specs = opts.specs();
-    let traces = run_in_process(
-        opts,
+    let sup = SupervisorConfig {
+        isolation: Isolation::Thread,
+        ..opts.supervisor_config()
+    };
+    let report = supervisor::supervise(
         &specs,
         |s| s.abbrev.to_string(),
-        |s| Ok(s.generate(opts.scale, opts.seed)),
-    )
-    .into_iter()
-    .collect::<Result<Vec<WorkloadTrace>, SimError>>()?;
+        &sup,
+        |s, _| Attempt::Ok(s.generate(opts.scale, opts.seed)),
+    );
+    println!("{}", report.summary_line(0, 0));
+    let traces = report
+        .cells
+        .into_iter()
+        .map(|c| c.outcome.ok_or_else(|| cell_error(c.status)))
+        .collect::<Result<Vec<WorkloadTrace>, SimError>>()?;
     println!("== Table III: benchmarks ==");
     let mut t = Table::new(vec![
         "benchmark".into(),
@@ -1823,70 +1662,96 @@ impl Characterization {
     }
 }
 
-/// Characterizes one workload under every protocol (the `characterize`
-/// CLI command) — a drill-down companion to Fig. 8. The trace is
-/// generated once and shared by the per-protocol cells.
-pub fn characterize(opts: &ExpOptions, abbrev: &str) -> Result<Characterization, SimError> {
-    let cells: Vec<CellCtx> = ProtocolKind::ALL
+/// Characterizes each of `workloads` under every protocol (the
+/// `characterize` CLI command) — a drill-down companion to Fig. 8. All
+/// workloads run as one sweep, so one checkpoint covers them.
+pub fn characterize(
+    opts: &ExpOptions,
+    workloads: &[String],
+) -> Result<Vec<Characterization>, SimError> {
+    if let Some(w) = workloads.iter().find(|w| by_abbrev(w).is_none()) {
+        return Err(SimError::config(format!("unknown workload `{w}`")));
+    }
+    let cells: Vec<CellCtx> = workloads
         .iter()
-        .map(|&p| opts.plain_cell(abbrev, p))
+        .flat_map(|w| ProtocolKind::ALL.iter().map(|&p| opts.plain_cell(w, p)))
         .collect();
-    let trace = cells[0].trace()?;
-    let results = run_in_process(
-        opts,
-        &cells,
-        |c| c.key.clone(),
-        |cell| {
-            let m = run_tallied(cell.config(&trace)?, &trace)?;
-            let inter: u64 = hmg_interconnect::MsgClass::ALL
-                .iter()
-                .map(|&c| m.fabric.inter_bytes(c))
-                .sum();
-            Ok(CharacterizationRow {
-                protocol: cell.protocol,
-                cycles: m.total_cycles.as_u64(),
-                l1_hit_rate: m.l1_hit_rate(),
-                l2_serve_rate: if m.loads == 0 {
-                    0.0
-                } else {
-                    (m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits) as f64 / m.loads as f64
-                },
-                dram_per_load: if m.loads == 0 {
-                    0.0
-                } else {
-                    m.dram_accesses as f64 / m.loads as f64
-                },
-                inter_bytes: inter,
-                invalidations: m.invs_from_stores + m.invs_from_evictions,
-                lat_p50_p99: (
-                    m.miss_latency_percentile(0.5),
-                    m.miss_latency_percentile(0.99),
-                ),
+    let results = run_cells(opts, &cells)?;
+    let per = ProtocolKind::ALL.len();
+    workloads
+        .iter()
+        .zip(cells.chunks(per).zip(results.chunks(per)))
+        .map(|(w, (cells, results))| {
+            Ok(Characterization {
+                workload: w.clone(),
+                failures: failure_table(opts, cells, results)?,
+                rows: cells
+                    .iter()
+                    .zip(results)
+                    .filter_map(|(c, r)| Some(characterization_row(c.protocol, r.as_ref().ok()?)))
+                    .collect(),
             })
-        },
-    );
-    let failures = failure_table(opts, &cells, &results, cell_label)?;
-    let rows: Vec<_> = results.into_iter().flatten().collect();
-    Ok(Characterization {
-        workload: abbrev.to_string(),
-        rows,
-        failures,
-    })
+        })
+        .collect()
 }
 
-/// Convenience: the headline numbers of the abstract, computed from a
-/// Fig. 8 result — HMG's improvement over SW coherence and NHCC, and the
-/// fraction of idealized caching it reaches. `None` when no workload
+/// One protocol's [`CharacterizationRow`] from its run's metrics.
+fn characterization_row(protocol: ProtocolKind, m: &RunMetrics) -> CharacterizationRow {
+    let per_load = |n: u64| {
+        if m.loads == 0 {
+            0.0
+        } else {
+            n as f64 / m.loads as f64
+        }
+    };
+    CharacterizationRow {
+        protocol,
+        cycles: m.total_cycles.as_u64(),
+        l1_hit_rate: m.l1_hit_rate(),
+        l2_serve_rate: per_load(m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits),
+        dram_per_load: per_load(m.dram_accesses),
+        inter_bytes: hmg_interconnect::MsgClass::ALL
+            .iter()
+            .map(|&c| m.fabric.inter_bytes(c))
+            .sum(),
+        invalidations: m.invs_from_stores + m.invs_from_evictions,
+        lat_p50_p99: (
+            m.miss_latency_percentile(0.5),
+            m.miss_latency_percentile(0.99),
+        ),
+    }
+}
+
+/// The headline numbers of the abstract, computed from a Fig. 8
+/// result: HMG's geomean speedup relative to each software-coherence
+/// baseline and to NHCC, and the fraction of idealized caching it
+/// reaches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Headline {
+    /// HMG over non-hierarchical software coherence, minus one.
+    pub vs_sw_nonhier: f64,
+    /// HMG over hierarchical software coherence, minus one.
+    pub vs_sw_hier: f64,
+    /// HMG over NHCC, minus one.
+    pub vs_nhcc: f64,
+    /// HMG as a fraction of idealized caching.
+    pub of_ideal: f64,
+}
+
+/// The [`Headline`] of a Fig. 8 result; `None` when no workload
 /// completed (the geomeans are then undefined).
-pub fn headline(fig8: &SpeedupResult) -> Option<(f64, f64, f64)> {
+pub fn headline(fig8: &SpeedupResult) -> Option<Headline> {
     if fig8.workloads.is_empty() {
         return None;
     }
     let hmg = fig8.geomean_of(ProtocolKind::Hmg);
-    let sw = fig8.geomean_of(ProtocolKind::SwNonHier);
-    let nhcc = fig8.geomean_of(ProtocolKind::Nhcc);
-    let ideal = fig8.geomean_of(ProtocolKind::Ideal);
-    Some((hmg / sw - 1.0, hmg / nhcc - 1.0, hmg / ideal))
+    let vs = |p| hmg / fig8.geomean_of(p) - 1.0;
+    Some(Headline {
+        vs_sw_nonhier: vs(ProtocolKind::SwNonHier),
+        vs_sw_hier: vs(ProtocolKind::SwHier),
+        vs_nhcc: vs(ProtocolKind::Nhcc),
+        of_ideal: hmg / fig8.geomean_of(ProtocolKind::Ideal),
+    })
 }
 
 #[cfg(test)]
@@ -1940,9 +1805,15 @@ mod tests {
     #[test]
     fn headline_computes_ratios() {
         let r = fig8(&tiny()).expect("fig8");
-        let (vs_sw, vs_nhcc, of_ideal) = headline(&r).expect("workloads completed");
-        assert!(vs_sw > -0.9 && vs_nhcc > -0.9);
-        assert!(of_ideal > 0.1 && of_ideal <= 1.5);
+        let h = headline(&r).expect("workloads completed");
+        assert!(h.vs_sw_nonhier > -0.9 && h.vs_sw_hier > -0.9 && h.vs_nhcc > -0.9);
+        assert!(h.of_ideal > 0.1 && h.of_ideal <= 1.5);
+        // Each ratio is over its own named baseline.
+        let hmg = r.geomean_of(ProtocolKind::Hmg);
+        let over = |p| hmg / r.geomean_of(p) - 1.0;
+        assert_eq!(h.vs_sw_nonhier, over(ProtocolKind::SwNonHier));
+        assert_eq!(h.vs_sw_hier, over(ProtocolKind::SwHier));
+        assert_eq!(h.vs_nhcc, over(ProtocolKind::Nhcc));
     }
 
     #[test]
@@ -2016,14 +1887,17 @@ mod tests {
             filter: Some(vec!["bfs".into()]),
             ..tiny()
         };
-        let c = characterize(&opts, "bfs").expect("bfs known");
+        let c = characterize(&opts, &["bfs".into()]).expect("bfs known");
+        let [c] = c.as_slice() else {
+            panic!("one characterization per workload")
+        };
         assert_eq!(c.rows.len(), ProtocolKind::ALL.len());
         assert!(c.failures.is_empty());
         for r in &c.rows {
             assert!(r.cycles > 0);
             assert!((0.0..=1.0).contains(&r.l1_hit_rate));
         }
-        let err = characterize(&opts, "nope").expect_err("unknown workload");
+        let err = characterize(&opts, &["nope".into()]).expect_err("unknown workload");
         assert!(err.to_string().contains("unknown workload"), "{err}");
     }
 
@@ -2082,7 +1956,8 @@ mod tests {
         apply_tweak(
             "bw=150+l2mb=12+dirk=6+grain=4+gpus=2+zero-cost-fences\
              +write-policy=wb+downgrades=off+placement=il\
-             +ecc=parity+checksums=off+scrub=250+double-bit=0.5",
+             +ecc=parity+checksums=off+scrub=250+double-bit=0.5\
+             +peer-redundancy",
             &mut cfg,
         )
         .expect("valid tweak spec");
@@ -2090,6 +1965,7 @@ mod tests {
         assert_eq!(cfg.geometry.lines_per_block(), 4);
         assert_eq!(cfg.topo.num_gpus(), 2);
         assert!(cfg.zero_cost_fences);
+        assert!(cfg.track_peer_redundancy);
         assert_eq!(cfg.l2_write_policy, hmg_gpu::WritePolicy::WriteBack);
         assert!(!cfg.sharer_downgrades);
         assert_eq!(cfg.placement, hmg_mem::PagePlacement::Interleaved);
@@ -2138,15 +2014,5 @@ mod tests {
         assert_eq!(parsed.tweak, ctx.tweak);
         assert_eq!(parsed.scale, ctx.scale);
         assert_eq!(parsed.seed, ctx.seed);
-    }
-
-    #[test]
-    fn cell_payload_round_trips() {
-        let line = "ok cycles=1234 digest=00ff00ff00ff00ff events=99";
-        let out = parse_cell_payload(line.strip_prefix("ok ").unwrap()).expect("payload");
-        assert_eq!(out.cycles, 1234);
-        assert_eq!(out.digest, 0x00ff00ff00ff00ff);
-        assert_eq!(out.events, 99);
-        assert!(parse_cell_payload("cycles=x digest=y events=z").is_none());
     }
 }

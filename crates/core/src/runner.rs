@@ -135,37 +135,58 @@ pub fn arm_watchdog(cfg: &mut EngineConfig, trace: &WorkloadTrace, override_budg
     };
 }
 
-/// A completed cell reusable from a checkpoint: its cycle count and the
-/// committed-memory `state_digest` the supervisor verifies on resume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellRecord {
-    /// Total simulated cycles of the completed run.
-    pub cycles: u64,
-    /// `RunMetrics::state_digest` of the completed run.
-    pub digest: u64,
-}
-
-/// 64-bit FNV-1a — the std-only per-row checksum of the v2 checkpoint
+/// 64-bit FNV-1a — the std-only per-row checksum of the checkpoint
 /// format, shared with the snapshot format.
 pub use hmg_sim::snap::fnv1a64;
+
+/// A run's metrics as lowercase hex of their `snapshot_codec!` bytes —
+/// the bytes [`RunMetrics::fingerprint`] hashes. This one text form
+/// carries a cell's full result across the `__run-cell` process
+/// boundary and into checkpoint rows.
+pub fn metrics_to_hex(m: &RunMetrics) -> String {
+    use hmg_sim::SnapshotWrite;
+    let mut w = hmg_sim::SnapWriter::new();
+    m.write_snap(&mut w);
+    w.into_bytes().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Decodes [`metrics_to_hex`] output. `None` on odd length, a non-hex
+/// digit, a truncated encoding, or trailing bytes — never a panic.
+pub fn metrics_from_hex(hex: &str) -> Option<RunMetrics> {
+    use hmg_sim::SnapshotRead;
+    let digits = hex.as_bytes();
+    if !digits.len().is_multiple_of(2) {
+        return None;
+    }
+    let nibble = |d: u8| char::from(d).to_digit(16);
+    let bytes: Vec<u8> = digits
+        .chunks_exact(2)
+        .map(|p| Some((nibble(p[0])? << 4 | nibble(p[1])?) as u8))
+        .collect::<Option<_>>()?;
+    let mut r = hmg_sim::SnapReader::new(&bytes);
+    let m = RunMetrics::read_snap(&mut r).ok()?;
+    r.is_exhausted().then_some(m)
+}
 
 /// Append-only checkpoint of a sweep's per-cell results, enabling
 /// `--resume` to re-run only failed or missing cells after a crash or
 /// interruption.
 ///
-/// The on-disk format (v2) is a line-oriented text file where every
+/// The on-disk format (v3) is a line-oriented text file where every
 /// row carries an FNV-1a checksum of its payload, so torn or corrupt
 /// rows are detected rather than silently parsed:
 ///
 /// ```text
-/// #hmg-sweep v2 <identity>
-/// <fnv1a64 hex16>\t<cell key>\tok\t<cycles>\t<state_digest hex16>
+/// #hmg-sweep v3 <identity>
+/// <fnv1a64 hex16>\t<cell key>\tok\t<RunMetrics as metrics_to_hex>
 /// <fnv1a64 hex16>\t<cell key>\tfailed\t<first error line>
 /// ```
 ///
-/// The identity line pins the sweep's shape (figure, scale, seed,
-/// protocol set, workload list, fault plan); resuming against a file
-/// written by a different sweep is rejected rather than silently
+/// An `ok` row carries the cell's full [`RunMetrics`], so a resumed
+/// sweep reuses exactly what the cell returned. The identity line pins
+/// the sweep's shape (every cell's key, workload, protocol, tweak,
+/// scale, seed, fault plan and watchdog budget); resuming against a
+/// file written by a different sweep is rejected rather than silently
 /// mixing results. Only `ok` cells are reused on resume — failed
 /// cells re-run, so a transient failure (an injected fault, a killed
 /// cell process) heals on the next invocation and the final report is
@@ -177,12 +198,13 @@ pub use hmg_sim::snap::fnv1a64;
 #[derive(Debug)]
 pub struct SweepCheckpoint {
     file: Mutex<File>,
-    done: HashMap<String, CellRecord>,
+    /// Reusable cells: key -> the row's verified metrics hex.
+    done: HashMap<String, String>,
     corrupt_rows: usize,
     stale_rows: usize,
 }
 
-const CHECKPOINT_MAGIC: &str = "#hmg-sweep v2";
+const CHECKPOINT_MAGIC: &str = "#hmg-sweep v3";
 
 impl SweepCheckpoint {
     /// Opens (or creates) the checkpoint at `path`.
@@ -221,7 +243,7 @@ impl SweepCheckpoint {
                 path.display()
             )));
         }
-        let mut done: HashMap<String, CellRecord> = HashMap::new();
+        let mut done: HashMap<String, String> = HashMap::new();
         // Keys whose rows disagreed with each other: every copy is
         // suspect, so none may be reused.
         let mut poisoned: Vec<String> = Vec::new();
@@ -268,7 +290,7 @@ impl SweepCheckpoint {
                 let mut keys: Vec<&String> = done.keys().collect();
                 keys.sort();
                 for k in keys {
-                    writeln!(file, "{}", ok_row(k, done[k]))?;
+                    writeln!(file, "{}", ok_row(k, &done[k]))?;
                 }
                 file.flush()
             })
@@ -285,8 +307,8 @@ impl SweepCheckpoint {
     }
 
     /// The completed result for `key`, if a prior run finished it.
-    pub fn lookup(&self, key: &str) -> Option<CellRecord> {
-        self.done.get(key).copied()
+    pub fn lookup(&self, key: &str) -> Option<RunMetrics> {
+        self.done.get(key).and_then(|hex| metrics_from_hex(hex))
     }
 
     /// Number of cells reusable from the prior run.
@@ -307,8 +329,8 @@ impl SweepCheckpoint {
 
     /// Records a successful cell; flushed immediately so a crash loses
     /// at most the in-flight cells.
-    pub fn record_ok(&self, key: &str, cycles: u64, digest: u64) {
-        self.append(&ok_row(&sanitize(key), CellRecord { cycles, digest }));
+    pub fn record_ok(&self, key: &str, metrics: &RunMetrics) {
+        self.append(&ok_row(&sanitize(key), &metrics_to_hex(metrics)));
     }
 
     /// Records a failed cell (kept for the report; re-run on resume).
@@ -339,9 +361,8 @@ pub fn checkpoint_tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Formats a checksummed `ok` row for `key`.
-fn ok_row(key: &str, cell: CellRecord) -> String {
-    let payload = format!("{key}\tok\t{}\t{:016x}", cell.cycles, cell.digest);
-    checksummed(&payload)
+fn ok_row(key: &str, hex: &str) -> String {
+    checksummed(&format!("{key}\tok\t{hex}"))
 }
 
 /// Prefixes `payload` with its FNV-1a checksum.
@@ -350,21 +371,21 @@ fn checksummed(payload: &str) -> String {
 }
 
 /// Parses one checkpoint row. Returns `None` for torn or corrupt rows,
-/// `Some((key, Some(record)))` for verified `ok` rows, and
-/// `Some((key, None))` for verified `failed` rows.
-fn parse_row(line: &str) -> Option<(String, Option<CellRecord>)> {
+/// `Some((key, Some(hex)))` for verified `ok` rows whose metrics
+/// decode, and `Some((key, None))` for verified `failed` rows.
+fn parse_row(line: &str) -> Option<(String, Option<String>)> {
     let (sum, payload) = line.split_once('\t')?;
     let sum = u64::from_str_radix(sum, 16).ok()?;
     if sum != fnv1a64(payload.as_bytes()) {
         return None;
     }
-    let mut parts = payload.splitn(4, '\t');
+    let mut parts = payload.splitn(3, '\t');
     let key = parts.next()?;
     match parts.next()? {
         "ok" => {
-            let cycles = parts.next()?.parse::<u64>().ok()?;
-            let digest = u64::from_str_radix(parts.next()?, 16).ok()?;
-            Some((key.to_string(), Some(CellRecord { cycles, digest })))
+            let hex = parts.next()?;
+            metrics_from_hex(hex)?;
+            Some((key.to_string(), Some(hex.to_string())))
         }
         "failed" => Some((key.to_string(), None)),
         _ => None,
@@ -555,35 +576,39 @@ mod tests {
         assert_eq!(cfg.livelock_budget, Some(123));
     }
 
+    /// Metrics whose cycles and digest identify them in the tests.
+    fn metrics(cycles: u64, digest: u64) -> RunMetrics {
+        RunMetrics {
+            total_cycles: hmg_sim::Cycle(cycles),
+            state_digest: digest,
+            kernel_end_cycles: vec![cycles / 2, cycles],
+            ..RunMetrics::default()
+        }
+    }
+
+    fn cycles_of(m: Option<RunMetrics>) -> Option<u64> {
+        m.map(|m| m.total_cycles.as_u64())
+    }
+
     #[test]
     fn checkpoint_roundtrip_reuses_ok_cells_only() {
         let dir = std::env::temp_dir().join("hmg-ckpt-test-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.ckpt");
+        let (hmg, nhcc) = (metrics(12345, 0xdead_beef), metrics(777, 0xcafe));
         {
             let c = SweepCheckpoint::open(&path, "fig8|tiny|seed=1", false).unwrap();
             assert_eq!(c.completed(), 0);
-            c.record_ok("bfs/HMG", 12345, 0xdead_beef);
-            c.record_ok("bfs/NHCC", 777, 0xcafe);
+            c.record_ok("bfs/HMG", &hmg);
+            c.record_ok("bfs/NHCC", &nhcc);
             c.record_failure("lstm/HMG", "deadlocked: st_pending\nmachine dump...");
         }
         let c = SweepCheckpoint::open(&path, "fig8|tiny|seed=1", true).unwrap();
         assert_eq!(c.completed(), 2, "failed cells must not be reused");
-        assert_eq!(
-            c.lookup("bfs/HMG"),
-            Some(CellRecord {
-                cycles: 12345,
-                digest: 0xdead_beef
-            })
-        );
-        assert_eq!(
-            c.lookup("bfs/NHCC"),
-            Some(CellRecord {
-                cycles: 777,
-                digest: 0xcafe
-            })
-        );
-        assert_eq!(c.lookup("lstm/HMG"), None);
+        let reused = |key| c.lookup(key).map(|m| m.fingerprint());
+        assert_eq!(reused("bfs/HMG"), Some(hmg.fingerprint()));
+        assert_eq!(reused("bfs/NHCC"), Some(nhcc.fingerprint()));
+        assert_eq!(reused("lstm/HMG"), None);
         assert_eq!(c.corrupt_rows(), 0);
         assert_eq!(c.stale_rows(), 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -607,7 +632,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         {
             let c = SweepCheckpoint::open(&path, "id", false).unwrap();
-            c.record_ok("a/HMG", 1, 2);
+            c.record_ok("a/HMG", &metrics(1, 2));
         }
         let c = SweepCheckpoint::open(&path, "id", false).unwrap();
         assert_eq!(c.completed(), 0, "no --resume means a clean slate");
@@ -621,7 +646,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         {
             let c = SweepCheckpoint::open(&path, "id", false).unwrap();
-            c.record_ok("a/HMG", 42, 7);
+            c.record_ok("a/HMG", &metrics(42, 7));
         }
         // Simulate a crash mid-write: a truncated trailing record whose
         // checksum no longer matches the partial payload.
@@ -635,23 +660,25 @@ mod tests {
         }
         let c = SweepCheckpoint::open(&path, "id", true).unwrap();
         assert_eq!(c.completed(), 1);
-        assert_eq!(c.lookup("a/HMG").map(|r| r.cycles), Some(42));
+        assert_eq!(cycles_of(c.lookup("a/HMG")), Some(42));
         assert_eq!(c.corrupt_rows(), 1, "the torn row must be counted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_rejects_corrupt_rows_and_keeps_valid_ones() {
-        // Fuzz the v2 parser: bit-flipped checksums, truncated payloads,
-        // missing fields, non-hex digests, raw v1-style rows, and binary
-        // garbage must all be dropped without losing the valid rows.
+        // Fuzz the row parser: bit-flipped checksums, truncated payloads,
+        // missing fields, undecodable metrics, raw v2-style rows, and
+        // binary garbage must all be dropped without losing the valid
+        // rows.
         let dir = std::env::temp_dir().join("hmg-ckpt-test-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.ckpt");
+        let hex = metrics_to_hex(&metrics(5, 5));
         {
             let c = SweepCheckpoint::open(&path, "id", false).unwrap();
-            c.record_ok("good/HMG", 100, 0xabc);
-            c.record_ok("also-good/NHCC", 200, 0xdef);
+            c.record_ok("good/HMG", &metrics(100, 0xabc));
+            c.record_ok("also-good/NHCC", &metrics(200, 0xdef));
         }
         {
             use std::io::Write as _;
@@ -659,28 +686,38 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            // A valid row with one checksum hex digit flipped.
-            let row = format!("{:016x}\tflip/HMG\tok\t1\t{:016x}", 0u64, 5u64);
-            writeln!(f, "{row}").unwrap();
-            writeln!(f, "not-hex\tx/HMG\tok\t1\t0000000000000005").unwrap();
+            // A valid row with a wrong checksum.
+            writeln!(f, "{:016x}\tflip/HMG\tok\t{hex}", 0u64).unwrap();
+            writeln!(f, "not-hex\tx/HMG\tok\t{hex}").unwrap();
             writeln!(f, "v1-style/HMG\tok\t123").unwrap();
             writeln!(f, "{}", checksummed("short/HMG\tok")).unwrap();
-            writeln!(f, "{}", checksummed("bad-digest/HMG\tok\t5\tzzzz")).unwrap();
+            writeln!(
+                f,
+                "{}",
+                checksummed("v2-style/HMG\tok\t5\t0000000000000005")
+            )
+            .unwrap();
+            writeln!(
+                f,
+                "{}",
+                checksummed(&format!("cut/HMG\tok\t{}", &hex[..40]))
+            )
+            .unwrap();
             writeln!(f, "{}", checksummed("weird/HMG\tmaybe\t5")).unwrap();
             writeln!(f, "\u{1}\u{2}\u{3}garbage").unwrap();
         }
         let c = SweepCheckpoint::open(&path, "id", true).unwrap();
         assert_eq!(c.completed(), 2, "only checksum-verified rows survive");
-        assert_eq!(c.lookup("good/HMG").map(|r| r.cycles), Some(100));
-        assert_eq!(c.lookup("also-good/NHCC").map(|r| r.cycles), Some(200));
-        assert_eq!(c.lookup("flip/HMG"), None);
-        assert_eq!(c.corrupt_rows(), 7);
+        assert_eq!(cycles_of(c.lookup("good/HMG")), Some(100));
+        assert_eq!(cycles_of(c.lookup("also-good/NHCC")), Some(200));
+        assert!(c.lookup("flip/HMG").is_none());
+        assert_eq!(c.corrupt_rows(), 8);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_drops_conflicting_duplicates_as_stale() {
-        // Two verified `ok` rows for the same key with different digests
+        // Two verified `ok` rows for the same key with different metrics
         // mean the sweep's inputs changed under the checkpoint: neither
         // copy can be trusted, the cell re-runs, and the conflict is
         // counted as stale.
@@ -689,21 +726,21 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         {
             let c = SweepCheckpoint::open(&path, "id", false).unwrap();
-            c.record_ok("a/HMG", 10, 111);
-            c.record_ok("b/HMG", 20, 222);
-            c.record_ok("a/HMG", 10, 999); // conflicting digest
-            c.record_ok("a/HMG", 10, 111); // must not resurrect the key
+            c.record_ok("a/HMG", &metrics(10, 111));
+            c.record_ok("b/HMG", &metrics(20, 222));
+            c.record_ok("a/HMG", &metrics(10, 999)); // conflicting digest
+            c.record_ok("a/HMG", &metrics(10, 111)); // must not resurrect the key
         }
         let c = SweepCheckpoint::open(&path, "id", true).unwrap();
-        assert_eq!(c.lookup("a/HMG"), None, "conflicting cell re-runs");
-        assert_eq!(c.lookup("b/HMG").map(|r| r.digest), Some(222));
+        assert!(c.lookup("a/HMG").is_none(), "conflicting cell re-runs");
+        assert_eq!(c.lookup("b/HMG").map(|m| m.state_digest), Some(222));
         assert_eq!(c.completed(), 1);
         assert_eq!(c.stale_rows(), 1);
         // Re-recording after the conflict heals the checkpoint.
-        c.record_ok("a/HMG", 10, 111);
+        c.record_ok("a/HMG", &metrics(10, 111));
         drop(c);
         let c = SweepCheckpoint::open(&path, "id", true).unwrap();
-        assert_eq!(c.lookup("a/HMG").map(|r| r.digest), Some(111));
+        assert_eq!(c.lookup("a/HMG").map(|m| m.state_digest), Some(111));
         assert_eq!(c.stale_rows(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -715,7 +752,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         {
             let c = SweepCheckpoint::open(&path, "id", false).unwrap();
-            c.record_ok("a/HMG", 1, 2);
+            c.record_ok("a/HMG", &metrics(1, 2));
             c.record_failure("b/HMG", "boom");
         }
         // A stale tempfile from an interrupted compaction must not
@@ -725,7 +762,7 @@ mod tests {
         assert_eq!(c.completed(), 1);
         // Appends after the rename must land in the live file, not a
         // dangling tempfile.
-        c.record_ok("c/HMG", 3, 4);
+        c.record_ok("c/HMG", &metrics(3, 4));
         drop(c);
         assert!(
             !checkpoint_tmp_path(&path).exists(),
@@ -733,7 +770,7 @@ mod tests {
         );
         let c = SweepCheckpoint::open(&path, "id", true).unwrap();
         assert_eq!(c.completed(), 2);
-        assert_eq!(c.lookup("c/HMG").map(|r| r.cycles), Some(3));
+        assert_eq!(cycles_of(c.lookup("c/HMG")), Some(3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

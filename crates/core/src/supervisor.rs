@@ -30,8 +30,11 @@
 //! * **Thread fallback** ([`Isolation::Thread`]): the same supervisor
 //!   loop with in-process execution (panic containment only — no kill
 //!   is possible, so timeouts are not enforced). This is the mode
-//!   library tests use, since re-exec'ing a test binary is meaningless,
-//!   and the mode of every driver that needs a run's full metrics.
+//!   library tests use, since re-exec'ing a test binary is meaningless.
+//!
+//! Both modes return a cell's full [`RunMetrics`]: a child prints them
+//! as hex of their `snapshot_codec!` bytes on its marker line
+//! ([`ok_marker`]), and the parent decodes them back bit-exactly.
 //!
 //! Under either mode a panicking attempt is caught here and classified
 //! `crashed` (`cell panicked: <message>`), so no cell can unwind
@@ -48,7 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use hmg_gpu::RunMetrics;
 use hmg_sim::SimError;
+
+use crate::runner::{metrics_from_hex, metrics_to_hex};
 
 /// How cells are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,7 +405,39 @@ where
 /// *last* stdout line is a marker of this form; every preceding stdout
 /// line is forwarded verbatim to the parent's stdout (greppable
 /// `[fail-in-place]` accounting etc. survives isolation).
-pub const CELL_MARKER: &str = "__hmg_cell_v1";
+///
+/// ```text
+/// __hmg_cell_v2 ok [resumed=<cycle>] <RunMetrics as metrics_to_hex>
+/// __hmg_cell_v2 err <first line of the SimError>
+/// ```
+pub const CELL_MARKER: &str = "__hmg_cell_v2";
+
+/// A completed cell attempt: its full metrics, and the cycle it
+/// resumed from (a snapshot an interrupted earlier attempt left), or
+/// `None` for a cold start.
+pub type CellRun = (RunMetrics, Option<u64>);
+
+/// The marker line a `__run-cell` child prints on success.
+pub fn ok_marker((metrics, resumed_from): &CellRun) -> String {
+    let resumed = resumed_from
+        .map(|c| format!("resumed={c} "))
+        .unwrap_or_default();
+    format!("{CELL_MARKER} ok {resumed}{}", metrics_to_hex(metrics))
+}
+
+/// Decodes the payload after `ok ` of an [`ok_marker`] line; `None` for
+/// anything [`ok_marker`] could not have printed.
+fn parse_ok_payload(payload: &str) -> Option<CellRun> {
+    let mut toks = payload.split_whitespace();
+    let mut tok = toks.next()?;
+    let mut resumed_from = None;
+    if let Some(c) = tok.strip_prefix("resumed=") {
+        resumed_from = Some(c.parse().ok()?);
+        tok = toks.next()?;
+    }
+    let metrics = metrics_from_hex(tok)?;
+    toks.next().is_none().then_some((metrics, resumed_from))
+}
 
 /// Exit code a child uses for a typed simulation error (distinguishes
 /// deterministic failures from crashes, which exit however they die).
@@ -416,8 +454,9 @@ pub struct CellCommand {
 
 /// Runs one attempt in a child process: spawns `cmd`, polls for exit
 /// with the wall-clock budget, kills on timeout, forwards pre-marker
-/// stdout, and classifies the outcome.
-pub fn process_attempt(cmd: &CellCommand, timeout: Option<Duration>) -> Attempt<String> {
+/// stdout, and classifies the outcome. A marker that does not decode
+/// is a crash: a result is never guessed from a damaged line.
+pub fn process_attempt(cmd: &CellCommand, timeout: Option<Duration>) -> Attempt<CellRun> {
     let child = Command::new(&cmd.exe)
         .args(&cmd.args)
         .stdin(Stdio::null())
@@ -498,7 +537,13 @@ pub fn process_attempt(cmd: &CellCommand, timeout: Option<Duration>) -> Attempt<
         Some(line) => {
             let payload = line[CELL_MARKER.len()..].trim_start();
             if let Some(rest) = payload.strip_prefix("ok ") {
-                Attempt::Ok(rest.to_string())
+                match parse_ok_payload(rest) {
+                    Some(run) => Attempt::Ok(run),
+                    None => Attempt::Crashed(format!(
+                        "malformed cell marker: undecodable ok payload ({} chars)",
+                        rest.len()
+                    )),
+                }
             } else if let Some(rest) = payload.strip_prefix("err ") {
                 Attempt::Fault(SimError::protocol(rest.to_string()))
             } else {
@@ -888,6 +933,58 @@ mod tests {
         assert_eq!(Isolation::parse("thread"), Some(Isolation::Thread));
         assert_eq!(Isolation::parse("vm"), None);
         assert_eq!(Isolation::Process.name(), "process");
+    }
+
+    /// A child that prints `stdout` and exits 0, run through the real
+    /// process executor.
+    #[cfg(unix)]
+    fn fake_child(stdout: &str) -> Attempt<CellRun> {
+        let cmd = CellCommand {
+            exe: PathBuf::from("/bin/sh"),
+            args: vec!["-c".into(), format!("printf '%s\\n' '{stdout}'")],
+        };
+        process_attempt(&cmd, None)
+    }
+
+    /// The marker carries a cell's full metrics across the process
+    /// boundary bit-exactly; anything else on the line is a crash.
+    #[cfg(unix)]
+    #[test]
+    fn process_attempt_decodes_full_metrics_from_the_marker() {
+        let m = RunMetrics {
+            total_cycles: hmg_sim::Cycle(7011),
+            state_digest: 0xe1d7_f3f0_ef5b_3e4e,
+            kernel_end_cycles: vec![2000, 7011],
+            ..RunMetrics::default()
+        };
+        for resumed in [None, Some(1750)] {
+            match fake_child(&ok_marker(&(m.clone(), resumed))) {
+                Attempt::Ok((got, r)) => {
+                    assert_eq!((got.fingerprint(), r), (m.fingerprint(), resumed))
+                }
+                other => panic!("expected a decoded result, got {other:?}"),
+            }
+        }
+        let hex = metrics_to_hex(&m);
+        let ok = |payload: &str| format!("{CELL_MARKER} ok {payload}");
+        for (what, line) in [
+            ("odd length", ok(&hex[1..])),
+            ("non-hex", ok(&format!("zz{}", &hex[2..]))),
+            ("truncated", ok(&hex[..hex.len() / 2])),
+            ("trailing bytes", ok(&format!("{hex}00"))),
+            ("trailing token", ok(&format!("{hex} extra"))),
+            ("bad resume cycle", ok(&format!("resumed=soon {hex}"))),
+            ("empty", ok("")),
+            (
+                "v1 marker",
+                "__hmg_cell_v1 ok cycles=1 digest=00 events=1".into(),
+            ),
+        ] {
+            match fake_child(&line) {
+                Attempt::Crashed(_) => {}
+                other => panic!("{what}: expected a crash, got {other:?}"),
+            }
+        }
     }
 
     #[test]

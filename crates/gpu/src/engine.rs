@@ -946,18 +946,21 @@ impl<'t> Sim<'t> {
             }
         }
         self.draining = true;
-        self.kernel_fences_left = 0;
         let domain = self.cfg.protocol.release_domain(Scope::Sys);
         if domain == FenceDomain::None {
+            self.kernel_fences_left = 0;
             self.advance_kernel(now);
             return;
         }
+        // Count every fence before starting any: a zero-cost fence
+        // completes inside `start_fence`, and the kernel must advance
+        // once, after the last of them.
+        let live = self.cfg.topo.all_gpms().filter(|&g| !self.gpm_is_dead(g));
+        self.kernel_fences_left = live.count() as u32;
         for gpm in self.cfg.topo.all_gpms() {
-            if self.gpm_is_dead(gpm) {
-                continue;
+            if !self.gpm_is_dead(gpm) {
+                self.start_fence(now, gpm, Scope::Sys, None);
             }
-            self.kernel_fences_left += 1;
-            self.start_fence(now, gpm, Scope::Sys, None);
         }
     }
 
@@ -3887,6 +3890,24 @@ mod tests {
         let (ev, msg) = (std::mem::size_of::<Ev>(), std::mem::size_of::<MemMsg>());
         assert!(ev <= 40, "Ev is {ev} bytes");
         assert!(msg <= 32, "MemMsg is {msg} bytes");
+    }
+
+    #[test]
+    fn zero_cost_fences_advance_each_kernel_boundary_once() {
+        // Every live GPM fences at a kernel boundary; with the ablation
+        // each fence completes inside `start_fence`, and the kernel must
+        // still advance once per boundary, not once per GPM.
+        let k = |base: u64| {
+            kernel_per_gpm((0..4).map(|g| vec![st(base + g * 128), ld(base)]).collect())
+        };
+        let trace = WorkloadTrace::new("three", vec![k(0), k(4096), k(8192)]);
+        let mut cfg = EngineConfig::small_test(ProtocolKind::Hmg);
+        cfg.zero_cost_fences = true;
+        let free = Engine::new(cfg).run(&trace);
+        let fenced = run(ProtocolKind::Hmg, &trace);
+        assert_eq!(free.kernel_end_cycles.len(), trace.num_kernels());
+        assert_eq!(fenced.kernel_end_cycles.len(), trace.num_kernels());
+        assert_eq!((free.loads, free.stores), (fenced.loads, fenced.stores));
     }
 
     #[test]

@@ -1,94 +1,41 @@
-//! Interactive sensitivity sweep over one machine parameter for one
-//! workload — the per-workload version of the paper's Figs. 12–14.
+//! Sensitivity sweep over one machine parameter for one workload — the
+//! per-workload version of the paper's Figs. 12–14, run by the same
+//! drivers and normalized the same way (to the no-peer-caching baseline
+//! on the Table II configuration).
 //!
 //! ```text
 //! cargo run --release --example sensitivity_sweep [workload] [bw|l2|dir] [tiny|small]
 //! ```
 
+use hmg::experiments::{fig12, fig13, fig14, ExpOptions};
 use hmg::prelude::*;
-use hmg::report::{f2, Table};
-use hmg::workloads::suite::by_abbrev;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().map(String::as_str).unwrap_or("RNN_FW");
     let axis = args.get(1).map(String::as_str).unwrap_or("bw");
-    let scale = match args.get(2).map(String::as_str) {
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
+    let opts = ExpOptions {
+        scale: match args.get(2).map(String::as_str) {
+            Some("tiny") => Scale::Tiny,
+            _ => Scale::Small,
+        },
+        filter: Some(vec![workload.to_string()]),
+        ..ExpOptions::default()
     };
-
-    let spec = by_abbrev(workload).unwrap_or_else(|| {
+    if opts.specs().is_empty() {
         eprintln!("unknown workload `{workload}`");
         std::process::exit(1);
-    });
-    let trace = spec.generate(scale, 2020);
-    let factor = spec.capacity_factor(scale);
-    let mut runner = Runner::new(scale);
-
-    let protocols = [
-        ProtocolKind::Nhcc,
-        ProtocolKind::SwHier,
-        ProtocolKind::Hmg,
-        ProtocolKind::Ideal,
-    ];
-    type Point = (String, Box<dyn Fn(&mut EngineConfig)>);
-    let points: Vec<Point> = match axis {
-        "l2" => [6u32, 12, 24]
-            .iter()
-            .map(|&mb| {
-                let label = format!("{mb}MB/GPU");
-                let f: Box<dyn Fn(&mut EngineConfig)> = Box::new(move |c: &mut EngineConfig| {
-                    let lines = mb * 1024 * 1024 / 4 / 128;
-                    c.l2 = hmg::mem::CacheConfig::new(lines, 16);
-                });
-                (label, f)
-            })
-            .collect(),
-        "dir" => [3u32, 6, 12]
-            .iter()
-            .map(|&k| {
-                let label = format!("{k}K entries/GPM");
-                let f: Box<dyn Fn(&mut EngineConfig)> = Box::new(move |c: &mut EngineConfig| {
-                    c.dir = hmg::mem::DirectoryConfig::new(k * 1024, 16);
-                });
-                (label, f)
-            })
-            .collect(),
-        _ => [100.0f64, 200.0, 300.0, 400.0]
-            .iter()
-            .map(|&bw| {
-                let label = format!("{bw:.0}GB/s");
-                let f: Box<dyn Fn(&mut EngineConfig)> = Box::new(move |c: &mut EngineConfig| {
-                    c.fabric.inter_gpu_gbps = bw;
-                });
-                (label, f)
-            })
-            .collect(),
-    };
-
-    println!("sweep: {} over {axis} (scale {scale:?})\n", spec.name);
-    let mut t = Table::new({
-        let mut h = vec!["point".to_string()];
-        h.extend(protocols.iter().map(|p| p.name().to_string()));
-        h
-    });
-    for (label, tweak) in &points {
-        let base = runner.run_with(&trace, ProtocolKind::NoPeerCaching, |c| {
-            tweak(c);
-            hmg::runner::scale_capacities(c, factor);
-        });
-        let mut row = vec![label.clone()];
-        for &p in &protocols {
-            let m = runner.run_with(&trace, p, |c| {
-                tweak(c);
-                hmg::runner::scale_capacities(c, factor);
-            });
-            row.push(f2(
-                base.total_cycles.as_u64() as f64 / m.total_cycles.as_u64() as f64
-            ));
-        }
-        t.row(row);
     }
-    println!("{}", t.render());
+    let (sweep, parameter) = match axis {
+        "l2" => (fig13(&opts), "L2 capacity"),
+        "dir" => (fig14(&opts), "directory capacity"),
+        _ => (fig12(&opts), "inter-GPU bandwidth"),
+    };
+    match sweep {
+        Ok(r) => r.print(&format!("{workload}: {parameter} sensitivity")),
+        Err(e) => {
+            eprintln!("sweep failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }

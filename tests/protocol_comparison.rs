@@ -135,18 +135,12 @@ fn whole_suite_runs_at_tiny_scale() {
 /// The untweaked, fault-free Fig. 8 cell for `workload` under `p` at
 /// tiny scale, seed 17 — the cell both golden tests pin.
 fn tiny_cell(workload: &str, p: ProtocolKind) -> hmg::experiments::CellCtx {
-    hmg::experiments::CellCtx {
-        key: format!("{workload}/{}", p.name()),
-        workload: workload.to_string(),
-        protocol: p,
-        tweak: String::new(),
+    let opts = ExpOptions {
         scale: Scale::Tiny,
         seed: 17,
-        faults: None,
-        livelock_budget: None,
-        snapshot_path: None,
-        snapshot_interval: 0,
-    }
+        ..ExpOptions::default()
+    };
+    opts.plain_cell(workload, p)
 }
 
 /// Pre-refactor golden `(state_digest, total_cycles)` for every
@@ -185,13 +179,14 @@ fn fig8_cells_match_pre_refactor_goldens() {
     ];
     for (workload, digest, cycles) in GOLDEN {
         for (&p, &golden_cycles) in ProtocolKind::ALL.iter().zip(&cycles) {
-            let out = run_cell(&tiny_cell(workload, p)).expect("golden cell runs clean");
+            let m = run_cell(&tiny_cell(workload, p)).expect("golden cell runs clean");
             assert_eq!(
-                out.digest, digest,
+                m.state_digest, digest,
                 "{workload}/{p}: committed state diverged from the pre-refactor golden"
             );
             assert_eq!(
-                out.cycles, golden_cycles,
+                m.total_cycles.as_u64(),
+                golden_cycles,
                 "{workload}/{p}: event schedule drifted from the pre-refactor golden"
             );
         }
@@ -207,7 +202,7 @@ fn fig8_cells_match_pre_refactor_goldens() {
 /// claims "same behaviour" must leave these untouched.
 #[test]
 fn fig8_cells_match_fingerprint_goldens() {
-    use hmg::runner::run_isolated;
+    use hmg::experiments::run_cell;
     // Fingerprints in `ProtocolKind::ALL` order, as above.
     const GOLDEN: [(&str, [u64; 7]); 4] = [
         (
@@ -264,10 +259,7 @@ fn fig8_cells_match_fingerprint_goldens() {
     let mut drifted = Vec::new();
     for (workload, fingerprints) in GOLDEN {
         for (&p, &golden) in ProtocolKind::ALL.iter().zip(&fingerprints) {
-            let ctx = tiny_cell(workload, p);
-            let trace = ctx.trace().expect("Table III workload");
-            let cfg = ctx.config(&trace).expect("untweaked config");
-            let (m, _) = run_isolated(cfg, &trace, None).expect("golden cell runs clean");
+            let m = run_cell(&tiny_cell(workload, p)).expect("golden cell runs clean");
             let got = m.fingerprint();
             if got != golden {
                 drifted.push(format!(

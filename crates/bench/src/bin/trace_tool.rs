@@ -4,6 +4,7 @@
 //! trace-tool gen bfs --scale small --seed 2020 -o bfs.hmgtrace
 //! trace-tool stats bfs.hmgtrace
 //! trace-tool dump bfs.hmgtrace --kernel 0 --cta 3 --limit 40
+//! trace-tool simulate bfs.hmgtrace --scale small --protocol hmg
 //! ```
 
 use std::collections::HashMap;
@@ -11,9 +12,11 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
+use hmg::experiments::ExpOptions;
 use hmg::protocol::tracefile::{read_trace, write_trace};
-use hmg::protocol::{AccessKind, Cta, Scope, TraceOp, WorkloadTrace};
+use hmg::protocol::{AccessKind, Cta, ProtocolKind, Scope, TraceOp, WorkloadTrace};
 use hmg::report::Table;
+use hmg::runner::run_isolated;
 use hmg::workloads::suite::by_abbrev;
 use hmg::workloads::Scale;
 
@@ -21,7 +24,7 @@ const USAGE: &str = "usage:
   trace-tool gen <workload> [--scale tiny|small|full] [--seed N] -o <file>
   trace-tool stats <file>
   trace-tool dump <file> [--kernel K] [--cta C] [--limit N]
-  trace-tool simulate <file> [--protocol NAME] [--machine paper|small]";
+  trace-tool simulate <file> [--protocol NAME] [--scale tiny|small|full]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,10 +53,7 @@ fn gen(args: &[String]) -> Result<(), String> {
     let mut out: Option<String> = None;
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = Scale::from_name(v).ok_or_else(|| format!("unknown scale `{v}`"))?;
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             "--seed" => {
                 seed = it
                     .next()
@@ -76,6 +76,11 @@ fn gen(args: &[String]) -> Result<(), String> {
         trace.num_accesses()
     );
     Ok(())
+}
+
+fn parse_scale(value: Option<&String>) -> Result<Scale, String> {
+    let v = value.ok_or("--scale needs a value")?;
+    Scale::from_name(v).ok_or_else(|| format!("unknown scale `{v}`"))
 }
 
 fn load(path: &str) -> Result<WorkloadTrace, String> {
@@ -177,39 +182,37 @@ fn stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Simulates a trace file on the machine its experiment cell runs: the
+/// scale's machine with capacities shrunk by the footprint compression
+/// of the Table III workload the trace is named after.
 fn simulate(args: &[String]) -> Result<(), String> {
-    use hmg::prelude::*;
     let mut it = args.iter();
     let path = it.next().ok_or(USAGE)?;
     let mut protocols: Vec<ProtocolKind> = ProtocolKind::ALL.to_vec();
-    let mut paper = true;
+    let mut scale = Scale::Small;
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--protocol" => {
                 let name = it.next().ok_or("--protocol needs a name")?;
-                let p = ProtocolKind::ALL
-                    .into_iter()
-                    .find(|p| p.name() == name)
+                let p = ProtocolKind::from_name(name)
                     .ok_or_else(|| format!("unknown protocol `{name}`"))?;
                 protocols = vec![p];
             }
-            "--machine" => {
-                paper = match it.next().ok_or("--machine needs a value")?.as_str() {
-                    "paper" => true,
-                    "small" => false,
-                    other => return Err(format!("unknown machine `{other}`")),
-                };
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
     let trace = load(path)?;
     println!(
-        "simulating {} ({} accesses) on the {} machine",
+        "simulating {} ({} accesses) at {} scale",
         trace.name,
         trace.num_accesses(),
-        if paper { "Table II" } else { "small test" }
+        scale.name()
     );
+    let opts = ExpOptions {
+        scale,
+        ..ExpOptions::default()
+    };
     let mut t = Table::new(vec![
         "protocol".into(),
         "cycles".into(),
@@ -218,12 +221,11 @@ fn simulate(args: &[String]) -> Result<(), String> {
         "p99 lat".into(),
     ]);
     for p in protocols {
-        let cfg = if paper {
-            hmg::gpu::EngineConfig::paper_default(p)
-        } else {
-            hmg::gpu::EngineConfig::small_test(p)
-        };
-        let m = Engine::new(cfg).run(&trace);
+        let (m, _) = opts
+            .plain_cell(&trace.name, p)
+            .config(&trace)
+            .and_then(|cfg| run_isolated(cfg, &trace, None))
+            .map_err(|e| format!("{}: {e}", p.name()))?;
         t.row(vec![
             p.name().into(),
             m.total_cycles.as_u64().to_string(),

@@ -317,10 +317,14 @@ impl CellCtx {
     /// cell's fault plan, then the serialized tweak, then capacities
     /// shrunk by the workload's footprint compression (none for a
     /// Fig. 7 micro), then the livelock watchdog armed for `trace`.
+    ///
+    /// `scale_capacities` floors the kernel launch overhead at 200
+    /// cycles even when it shrinks nothing, so a `Scale::Tiny` cell runs
+    /// the small test machine with a 200-cycle launch, not its 100.
     pub fn config(&self, trace: &WorkloadTrace) -> Result<EngineConfig, SimError> {
         let factor = by_abbrev(&self.workload).map_or(1.0, |s| s.capacity_factor(self.scale));
-        let mut cfg =
-            crate::runner::machine_config(self.scale, self.protocol, self.faults.as_ref());
+        let mut cfg = crate::runner::machine_config(self.scale, self.protocol);
+        cfg.faults = self.faults.clone().unwrap_or_default();
         apply_tweak(&self.tweak, &mut cfg)?;
         crate::runner::scale_capacities(&mut cfg, factor);
         crate::runner::arm_watchdog(&mut cfg, trace, self.livelock_budget);
@@ -1417,7 +1421,7 @@ pub fn fig9_10_11(opts: &ExpOptions) -> Result<InvCostResult, SimError> {
     let results = run_cells(opts, &cells)?;
     let failures = failure_table(opts, &cells, &results)?;
     // The scale's machine clock; nothing these cells apply changes it.
-    let freq = crate::runner::machine_config(opts.scale, ProtocolKind::Hmg, None)
+    let freq = crate::runner::machine_config(opts.scale, ProtocolKind::Hmg)
         .fabric
         .freq_ghz;
     let rows: Vec<InvCostRow> = cells
@@ -1999,6 +2003,20 @@ mod tests {
         assert!(apply_tweak("arbitration=lottery", &mut cfg).is_err());
         assert!(apply_tweak("nack-thr=soon", &mut cfg).is_err());
         assert!(apply_tweak("", &mut cfg).is_ok(), "empty spec is a no-op");
+    }
+
+    #[test]
+    fn tiny_cells_run_the_small_test_machine_with_a_floored_launch() {
+        for p in ProtocolKind::ALL {
+            let cell = tiny().plain_cell("CoMD", p);
+            let trace = cell.trace().expect("trace");
+            let cfg = cell.config(&trace).expect("config");
+            let mut expected = EngineConfig::small_test(p);
+            assert_eq!(expected.kernel_launch_overhead, hmg_sim::Cycle(100));
+            expected.kernel_launch_overhead = hmg_sim::Cycle(200);
+            expected.livelock_budget = Some(crate::runner::auto_livelock_budget(&expected, &trace));
+            assert_eq!(format!("{cfg:?}"), format!("{expected:?}"), "{p}");
+        }
     }
 
     #[test]

@@ -10,20 +10,22 @@
 //! table and figure of the paper's evaluation.
 //!
 //! This crate is the facade: it re-exports the subsystem crates and adds
-//! the experiment runner ([`runner`]), the per-figure experiment drivers
-//! ([`experiments`]), and plain-text report formatting ([`report`]).
+//! the per-figure experiment drivers and their cells ([`experiments`]),
+//! the parts of the cell recipe and the sweep checkpoint ([`runner`]),
+//! and plain-text report formatting ([`report`]).
 //!
 //! # Quickstart
 //!
 //! ```
+//! use hmg::experiments::{run_cell, ExpOptions};
 //! use hmg::prelude::*;
 //!
-//! // Simulate one workload under two protocols and compare.
-//! let spec = hmg::workloads::suite::by_abbrev("bfs").expect("known workload");
-//! let trace = spec.generate(Scale::Tiny, 42);
-//! let mut runner = Runner::new(Scale::Tiny);
-//! let base = runner.run(&trace, ProtocolKind::NoPeerCaching);
-//! let hmg = runner.run(&trace, ProtocolKind::Hmg);
+//! // Simulate one workload under two protocols and compare, on the
+//! // machine every experiment cell runs.
+//! let opts = ExpOptions { scale: Scale::Tiny, seed: 42, ..ExpOptions::default() };
+//! let run = |p| run_cell(&opts.plain_cell("bfs", p)).expect("clean run");
+//! let base = run(ProtocolKind::NoPeerCaching);
+//! let hmg = run(ProtocolKind::Hmg);
 //! assert!(hmg.total_cycles <= base.total_cycles);
 //! ```
 
@@ -50,7 +52,6 @@ pub use hmg_workloads as workloads;
 
 /// The types most users need.
 pub mod prelude {
-    pub use crate::runner::Runner;
     pub use hmg_gpu::{Engine, EngineConfig, RunMetrics};
     pub use hmg_protocol::{ProtocolKind, Scope};
     pub use hmg_sim::{FaultPlan, SimError, SimErrorKind};

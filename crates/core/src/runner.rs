@@ -1,10 +1,10 @@
-//! Runs workload traces through engine configurations on the
-//! scale-appropriate Table II machine, with panic containment, the
-//! livelock watchdog, capacity scaling and the sweep checkpoint.
+//! The parts of the one cell recipe (`experiments::CellCtx::config`):
+//! the scale's machine, capacity scaling and the livelock watchdog;
+//! plus the contained engine call and the sweep checkpoint.
 
 use hmg_gpu::{Engine, EngineConfig, RunMetrics, SnapshotPolicy, SnapshotReport};
 use hmg_protocol::{ProtocolKind, WorkloadTrace};
-use hmg_sim::{FaultPlan, SimError};
+use hmg_sim::SimError;
 use hmg_workloads::Scale;
 use std::collections::HashMap;
 use std::fs::File;
@@ -12,68 +12,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Builds engine configurations matched to an experiment scale and runs
-/// traces through them.
-///
-/// `Scale::Tiny` pairs with the small test machine; `Small` and `Full`
-/// pair with the paper's Table II machine. One-off configuration
-/// changes go through [`Runner::run_with`].
-#[derive(Debug)]
-pub struct Runner {
-    scale: Scale,
-}
-
-impl Runner {
-    /// Creates a runner for `scale`.
-    pub fn new(scale: Scale) -> Self {
-        Runner { scale }
-    }
-
-    /// The scale this runner was built for.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// The engine configuration this runner uses for `protocol`.
-    pub fn config(&self, protocol: ProtocolKind) -> EngineConfig {
-        machine_config(self.scale, protocol, None)
-    }
-
-    /// Runs `trace` under `protocol` and returns the metrics.
-    pub fn run(&mut self, trace: &WorkloadTrace, protocol: ProtocolKind) -> RunMetrics {
-        Engine::new(self.config(protocol)).run(trace)
-    }
-
-    /// Runs `trace` under `protocol` with an additional one-off
-    /// configuration tweak.
-    pub fn run_with(
-        &mut self,
-        trace: &WorkloadTrace,
-        protocol: ProtocolKind,
-        tweak: impl FnOnce(&mut EngineConfig),
-    ) -> RunMetrics {
-        let mut cfg = self.config(protocol);
-        tweak(&mut cfg);
-        Engine::new(cfg).run(trace)
-    }
-}
-
 /// The machine paired with `scale` (the small test machine for
-/// `Tiny`, the Table II machine otherwise) running `protocol`, with
-/// `faults` armed when given.
-pub(crate) fn machine_config(
-    scale: Scale,
-    protocol: ProtocolKind,
-    faults: Option<&FaultPlan>,
-) -> EngineConfig {
-    let mut cfg = match scale {
+/// `Tiny`, the Table II machine otherwise) running `protocol`.
+pub(crate) fn machine_config(scale: Scale, protocol: ProtocolKind) -> EngineConfig {
+    match scale {
         Scale::Tiny => EngineConfig::small_test(protocol),
         Scale::Small | Scale::Full => EngineConfig::paper_default(protocol),
-    };
-    if let Some(f) = faults {
-        cfg.faults = f.clone();
     }
-    cfg
 }
 
 /// Runs one simulation with full failure isolation: typed errors come
@@ -396,16 +341,6 @@ fn sanitize(s: &str) -> String {
     s.replace(['\t', '\n', '\r'], " ")
 }
 
-/// Speedup of `measured` relative to `baseline` execution time.
-///
-/// # Panics
-///
-/// Panics if `measured` reports zero cycles.
-pub fn speedup(baseline: &RunMetrics, measured: &RunMetrics) -> f64 {
-    assert!(measured.total_cycles.as_u64() > 0, "empty run");
-    baseline.total_cycles.as_u64() as f64 / measured.total_cycles.as_u64() as f64
-}
-
 /// Shrinks a machine's cache/directory capacities — and the OS page
 /// size — by `factor`, keeping associativities and line/block sizes.
 /// Used by the experiment drivers so that a workload whose footprint was
@@ -413,6 +348,11 @@ pub fn speedup(baseline: &RunMetrics, measured: &RunMetrics) -> f64 {
 /// by the same N, preserving both the footprint-to-cache ratios and the
 /// pages-per-region ratios (home-node distribution) that the paper's
 /// results depend on (DESIGN.md).
+///
+/// Kernel launch overhead shrinks by `factor` too, but never below 200
+/// cycles — and that floor applies even at `factor` 1.0, so the small
+/// test machine's 100-cycle launch becomes 200 on every `Scale::Tiny`
+/// cell.
 pub fn scale_capacities(cfg: &mut EngineConfig, factor: f64) {
     assert!(factor >= 1.0, "capacity factor must be >= 1, got {factor}");
     let shrink = |c: hmg_mem::CacheConfig| {
@@ -447,11 +387,9 @@ mod tests {
 
     #[test]
     fn tiny_scale_uses_small_machine() {
-        let r = Runner::new(Scale::Tiny);
-        let cfg = r.config(ProtocolKind::Hmg);
-        assert_eq!(cfg.topo.num_gpus(), 2);
-        let r = Runner::new(Scale::Small);
-        assert_eq!(r.config(ProtocolKind::Hmg).topo.num_gpus(), 4);
+        let gpus = |scale| machine_config(scale, ProtocolKind::Hmg).topo.num_gpus();
+        assert_eq!(gpus(Scale::Tiny), 2);
+        assert_eq!(gpus(Scale::Small), 4);
     }
 
     #[test]
@@ -776,13 +714,16 @@ mod tests {
 
     #[test]
     fn runs_produce_metrics_and_speedup() {
-        let spec = by_abbrev("bfs").unwrap();
-        let trace = spec.generate(Scale::Tiny, 7);
-        let mut r = Runner::new(Scale::Tiny);
-        let base = r.run(&trace, ProtocolKind::NoPeerCaching);
-        let hmg = r.run(&trace, ProtocolKind::Hmg);
-        assert!(base.total_cycles.as_u64() > 0);
-        let s = speedup(&base, &hmg);
+        let opts = crate::experiments::ExpOptions {
+            scale: Scale::Tiny,
+            seed: 7,
+            ..Default::default()
+        };
+        let run = |p| crate::experiments::run_cell(&opts.plain_cell("bfs", p)).unwrap();
+        let base = run(ProtocolKind::NoPeerCaching).total_cycles.as_u64();
+        let hmg = run(ProtocolKind::Hmg).total_cycles.as_u64();
+        assert!(base > 0 && hmg > 0);
+        let s = base as f64 / hmg as f64;
         assert!(s > 0.5, "speedup {s} implausible");
     }
 }

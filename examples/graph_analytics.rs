@@ -8,6 +8,7 @@
 //! cargo run --release --example graph_analytics [tiny|small|full]
 //! ```
 
+use hmg::experiments::{run_cells, CellCtx, ExpOptions};
 use hmg::prelude::*;
 use hmg::report::{f2, pct, Table};
 use hmg::workloads::suite::by_abbrev;
@@ -17,12 +18,30 @@ fn main() {
         .nth(1)
         .and_then(|s| Scale::from_name(&s))
         .unwrap_or_default();
-    let mut runner = Runner::new(scale);
+    let opts = ExpOptions {
+        scale,
+        ..ExpOptions::default()
+    };
+    let workloads = ["bfs", "mst"];
+    let mut cells: Vec<CellCtx> = workloads
+        .iter()
+        .flat_map(|name| ProtocolKind::ALL.map(|p| opts.plain_cell(name, p)))
+        .collect();
+    // The baseline also tracks Fig. 3's redundancy: counters only, so
+    // its cycles stay the speedup baseline.
+    for c in cells
+        .iter_mut()
+        .filter(|c| c.protocol == ProtocolKind::NoPeerCaching)
+    {
+        c.tweak = "peer-redundancy".into();
+    }
+    let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
+        .and_then(|rs| rs.into_iter().collect())
+        .expect("fault-free cells run clean");
 
-    for name in ["bfs", "mst"] {
+    for (name, runs) in workloads.iter().zip(runs.chunks(ProtocolKind::ALL.len())) {
         let spec = by_abbrev(name).expect("graph workload");
-        let trace = spec.generate(scale, 2020);
-        let factor = spec.capacity_factor(scale);
+        let trace = spec.generate(scale, opts.seed);
         println!(
             "== {} — {} iterations over {:.0} MB ==",
             spec.name,
@@ -30,11 +49,7 @@ fn main() {
             trace.footprint_bytes() as f64 / 1e6
         );
 
-        // Fig. 3-style redundancy on the baseline.
-        let m = runner.run_with(&trace, ProtocolKind::NoPeerCaching, |c| {
-            hmg::runner::scale_capacities(c, factor);
-            c.track_peer_redundancy = true;
-        });
+        let m = &runs[0]; // NoPeerCaching is first in ProtocolKind::ALL
         if let Some(r) = m.peer_redundancy() {
             println!(
                 "inter-GPU load redundancy within a GPU (Fig. 3): {}",
@@ -50,8 +65,7 @@ fn main() {
             "lines/store-inv".into(),
             "inv GB/s".into(),
         ]);
-        for p in ProtocolKind::ALL {
-            let m = runner.run_with(&trace, p, |c| hmg::runner::scale_capacities(c, factor));
+        for (p, m) in ProtocolKind::ALL.into_iter().zip(runs) {
             t.row(vec![
                 p.name().into(),
                 f2(base_cycles as f64 / m.total_cycles.as_u64() as f64),

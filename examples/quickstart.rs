@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart [workload] [tiny|small|full]
 //! ```
 
+use hmg::experiments::{run_cells, ExpOptions};
 use hmg::prelude::*;
 use hmg::report::{f2, Table};
 
@@ -24,8 +25,12 @@ fn main() {
         std::process::exit(1);
     });
 
+    let opts = ExpOptions {
+        scale,
+        ..ExpOptions::default()
+    };
     println!("workload: {} ({})", spec.name, spec.abbrev);
-    let trace = spec.generate(scale, 2020);
+    let trace = spec.generate(scale, opts.seed);
     println!(
         "trace: {} kernels, {} CTAs, {} accesses, {:.1} MB footprint\n",
         trace.num_kernels(),
@@ -34,9 +39,15 @@ fn main() {
         trace.footprint_bytes() as f64 / (1024.0 * 1024.0)
     );
 
-    let mut runner = Runner::new(scale);
     let factor = spec.capacity_factor(scale);
     println!("capacity scale factor: {factor:.1}x (see DESIGN.md)\n");
+    let cells: Vec<_> = ProtocolKind::ALL
+        .iter()
+        .map(|&p| opts.plain_cell(spec.abbrev, p))
+        .collect();
+    let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
+        .and_then(|rs| rs.into_iter().collect())
+        .expect("fault-free cells run clean");
     let mut t = Table::new(
         [
             "protocol", "cycles", "speedup", "l1-hit", "l2-hit", "gpuhome", "syshome", "dram",
@@ -46,36 +57,8 @@ fn main() {
         .map(|s| s.to_string())
         .collect(),
     );
-    // Diagnostic overrides: HMG_INTER_X / HMG_INTRA_X multiply link
-    // bandwidths; HMG_LAUNCH overrides kernel launch overhead cycles.
-    let inter_x: f64 = std::env::var("HMG_INTER_X")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let intra_x: f64 = std::env::var("HMG_INTRA_X")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let launch: Option<u64> = std::env::var("HMG_LAUNCH")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let interleaved = std::env::var_os("HMG_INTERLEAVED").is_some();
-    let scaled = |r: &mut Runner, p: ProtocolKind| {
-        r.run_with(&trace, p, |cfg| {
-            hmg::runner::scale_capacities(cfg, factor);
-            cfg.fabric.inter_gpu_gbps *= inter_x;
-            cfg.fabric.intra_gpu_gbps *= intra_x;
-            if interleaved {
-                cfg.placement = hmg::mem::PagePlacement::Interleaved;
-            }
-            if let Some(l) = launch {
-                cfg.kernel_launch_overhead = hmg::sim::Cycle(l);
-            }
-        })
-    };
-    let base = scaled(&mut runner, ProtocolKind::NoPeerCaching);
-    for p in ProtocolKind::ALL {
-        let m = scaled(&mut runner, p);
+    let base = &runs[0]; // NoPeerCaching is first in ProtocolKind::ALL
+    for (p, m) in ProtocolKind::ALL.into_iter().zip(&runs) {
         let inter_gb: u64 = hmg::interconnect::MsgClass::ALL
             .iter()
             .map(|&c| m.fabric.inter_bytes(c))

@@ -13,6 +13,7 @@
 //! cargo run --release --example rnn_training [tiny|small|full]
 //! ```
 
+use hmg::experiments::{run_cells, ExpOptions};
 use hmg::prelude::*;
 use hmg::report::{f2, Table};
 use hmg::workloads::suite::by_abbrev;
@@ -28,25 +29,30 @@ fn main() {
         passes.join(" -> ")
     );
 
-    let mut runner = Runner::new(scale);
+    let opts = ExpOptions {
+        scale,
+        ..ExpOptions::default()
+    };
+    let cells: Vec<_> = passes
+        .iter()
+        .flat_map(|pass| ProtocolKind::ALL.map(|p| opts.plain_cell(pass, p)))
+        .collect();
+    let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
+        .and_then(|rs| rs.into_iter().collect())
+        .expect("fault-free cells run clean");
     let mut total: Vec<(ProtocolKind, u64)> = ProtocolKind::ALL.iter().map(|&p| (p, 0)).collect();
 
-    for pass in passes {
+    for (pass, pass_runs) in passes.iter().zip(runs.chunks(ProtocolKind::ALL.len())) {
         let spec = by_abbrev(pass).expect("RNN pass in suite");
-        let trace = spec.generate(scale, 2020);
-        let factor = spec.capacity_factor(scale);
         let mut t = Table::new(vec![
             "protocol".into(),
             "cycles".into(),
             "speedup".into(),
             "inter-GPU MB".into(),
         ]);
-        let base = runner.run_with(&trace, ProtocolKind::NoPeerCaching, |c| {
-            hmg::runner::scale_capacities(c, factor)
-        });
-        for slot in total.iter_mut() {
+        let base = &pass_runs[0]; // NoPeerCaching is first in ProtocolKind::ALL
+        for (slot, m) in total.iter_mut().zip(pass_runs) {
             let p = slot.0;
-            let m = runner.run_with(&trace, p, |c| hmg::runner::scale_capacities(c, factor));
             slot.1 += m.total_cycles.as_u64();
             let inter_mb = hmg::interconnect::MsgClass::ALL
                 .iter()

@@ -2,31 +2,35 @@
 //! simulations bit-for-bit, across every protocol — the property that
 //! makes every figure in EXPERIMENTS.md reproducible.
 
+use hmg::experiments::{fig8, run_cell, CellCtx, ExpOptions};
 use hmg::prelude::*;
 use hmg::workloads::suite::by_abbrev;
 
-fn fingerprint(m: &RunMetrics) -> (u64, u64, u64, u64, u64, u64) {
-    (
-        m.total_cycles.as_u64(),
-        m.events,
-        m.loads,
-        m.stores,
-        m.invs_from_stores + m.invs_from_evictions,
-        m.fabric.inter_bytes(hmg::interconnect::MsgClass::Data),
-    )
+/// The untweaked, fault-free tiny-scale experiment cell for `workload`
+/// under `p` at `seed`.
+fn cell(workload: &str, p: ProtocolKind, seed: u64) -> CellCtx {
+    let opts = ExpOptions {
+        scale: Scale::Tiny,
+        seed,
+        ..ExpOptions::default()
+    };
+    opts.plain_cell(workload, p)
+}
+
+fn run(workload: &str, p: ProtocolKind, seed: u64) -> RunMetrics {
+    run_cell(&cell(workload, p, seed)).expect("clean cell")
 }
 
 #[test]
 fn identical_seeds_reproduce_identical_runs() {
     let spec = by_abbrev("bfs").expect("bfs in suite");
+    let t1 = spec.generate(Scale::Tiny, 99);
+    let t2 = spec.generate(Scale::Tiny, 99);
+    assert_eq!(t1, t2, "trace generation must be deterministic");
     for p in ProtocolKind::ALL {
-        let t1 = spec.generate(Scale::Tiny, 99);
-        let t2 = spec.generate(Scale::Tiny, 99);
-        assert_eq!(t1, t2, "trace generation must be deterministic");
-        let mut r = Runner::new(Scale::Tiny);
-        let a = r.run(&t1, p);
-        let b = r.run(&t2, p);
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{p}");
+        let a = run("bfs", p, 99);
+        let b = run("bfs", p, 99);
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{p}");
     }
 }
 
@@ -37,12 +41,9 @@ fn state_digest_is_seed_stable_across_protocols() {
     // same-seed re-run must reproduce the committed-memory digest and
     // the per-row directory-transition coverage bit for bit, and no
     // executed transition may contradict the static Table I.
-    let spec = by_abbrev("CoMD").expect("CoMD in suite");
-    let trace = spec.generate(Scale::Tiny, 23);
-    let mut r = Runner::new(Scale::Tiny);
     for p in ProtocolKind::ALL {
-        let a = r.run(&trace, p);
-        let b = r.run(&trace, p);
+        let a = run("CoMD", p, 23);
+        let b = run("CoMD", p, 23);
         assert_eq!(a.state_digest, b.state_digest, "{p}: memory state");
         assert_eq!(a.table, b.table, "{p}: transition coverage");
         assert_eq!(a.table.mismatches, 0, "{p}: table conformance");
@@ -59,14 +60,12 @@ fn different_seeds_differ() {
 
 #[test]
 fn every_workload_is_deterministic_under_hmg() {
-    let mut r = Runner::new(Scale::Tiny);
     for spec in hmg::workloads::suite::table3() {
-        let trace = spec.generate(Scale::Tiny, 5);
-        let a = r.run(&trace, ProtocolKind::Hmg);
-        let b = r.run(&trace, ProtocolKind::Hmg);
+        let a = run(spec.abbrev, ProtocolKind::Hmg, 5);
+        let b = run(spec.abbrev, ProtocolKind::Hmg, 5);
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            a.fingerprint(),
+            b.fingerprint(),
             "{} must be deterministic",
             spec.abbrev
         );
@@ -78,25 +77,20 @@ fn identical_fault_plans_reproduce_identical_runs() {
     // The probabilistic faults (delay, duplication) draw from a fault
     // RNG seeded by the plan, in deterministic event order: the same
     // seed and plan must reproduce the run bit-for-bit.
-    let spec = by_abbrev("bfs").expect("bfs in suite");
-    let trace = spec.generate(Scale::Tiny, 17);
     let plan =
         FaultPlan::parse("delay=0.35/140,dup=0.35,flag-delay=60,degrade=500..40000/2.5,seed=77")
             .expect("valid plan");
     for p in [ProtocolKind::Hmg, ProtocolKind::Nhcc] {
-        let run = || {
-            let mut cfg = EngineConfig::small_test(p);
-            cfg.faults = plan.clone();
-            Engine::try_new(cfg)
-                .expect("valid config")
-                .try_run(&trace)
-                .expect("faulty-but-tolerated run completes")
+        let faulty = CellCtx {
+            faults: Some(plan.clone()),
+            ..cell("bfs", p, 17)
         };
+        let run = || run_cell(&faulty).expect("faulty-but-tolerated run completes");
         let a = run();
         let b = run();
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            a.fingerprint(),
+            b.fingerprint(),
             "{p}: same seed + same plan"
         );
     }
@@ -106,12 +100,12 @@ fn identical_fault_plans_reproduce_identical_runs() {
 fn fault_seed_changes_faulty_timings() {
     // CoMD's tiny trace forwards plenty of stores across GPMs, so the
     // delay fault has messages to pick from.
-    let spec = by_abbrev("CoMD").expect("CoMD in suite");
-    let trace = spec.generate(Scale::Tiny, 17);
     let run = |seed: u64| {
-        let mut cfg = EngineConfig::small_test(ProtocolKind::Hmg);
-        cfg.faults = FaultPlan::parse(&format!("delay=0.5/400,seed={seed}")).unwrap();
-        Engine::try_new(cfg).unwrap().try_run(&trace).unwrap()
+        let faulty = CellCtx {
+            faults: Some(FaultPlan::parse(&format!("delay=0.5/400,seed={seed}")).unwrap()),
+            ..cell("CoMD", ProtocolKind::Hmg, 17)
+        };
+        run_cell(&faulty).unwrap()
     };
     // Different fault seeds pick different messages to delay; at 50%
     // probability with a large penalty the total time must move.
@@ -131,23 +125,20 @@ fn soft_error_sweeps_are_seed_stable() {
     // bit for bit. And with double-bit faults disabled every flip is
     // correctable in place, so the digest must also equal the
     // fault-free run's: recovery leaves no trace in memory state.
-    let spec = by_abbrev("CoMD").expect("CoMD in suite");
-    let trace = spec.generate(Scale::Tiny, 17);
     let plan = FaultPlan::parse("flip-msg=0.05,flip-line=0.6,flip-dir=0.6,seed=21").expect("plan");
     for p in [ProtocolKind::Hmg, ProtocolKind::Nhcc] {
-        let run = |faults: FaultPlan| {
-            let mut cfg = EngineConfig::small_test(p);
-            cfg.ecc_double_bit_fraction = 0.0;
-            cfg.faults = faults;
-            Engine::try_new(cfg)
-                .expect("valid config")
-                .try_run(&trace)
-                .expect("corruption is recovered, not fatal")
+        let run = |faults: Option<FaultPlan>| {
+            let c = CellCtx {
+                faults,
+                tweak: "double-bit=0".into(),
+                ..cell("CoMD", p, 17)
+            };
+            run_cell(&c).expect("corruption is recovered, not fatal")
         };
-        let clean = run(FaultPlan::default());
-        let a = run(plan.clone());
-        let b = run(plan.clone());
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{p}: same seed + plan");
+        let clean = run(None);
+        let a = run(Some(plan.clone()));
+        let b = run(Some(plan.clone()));
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{p}: same seed + plan");
         assert_eq!(a.integrity, b.integrity, "{p}: integrity counters");
         assert_eq!(a.state_digest, b.state_digest, "{p}: memory state");
         assert!(a.integrity.flips() > 0, "{p}: the plan must inject");
@@ -161,7 +152,6 @@ fn soft_error_sweeps_are_seed_stable() {
 
 #[test]
 fn keep_going_sweeps_are_deterministic() {
-    use hmg::experiments::{fig8, ExpOptions};
     let opts = ExpOptions {
         scale: Scale::Tiny,
         seed: 4,
@@ -179,7 +169,6 @@ fn keep_going_sweeps_are_deterministic() {
 
 #[test]
 fn experiment_drivers_are_deterministic() {
-    use hmg::experiments::{fig8, ExpOptions};
     let opts = ExpOptions {
         scale: Scale::Tiny,
         seed: 3,
@@ -199,20 +188,15 @@ fn gpm_offline_reconfiguration_is_deterministic() {
     // scrub. All of it must be a pure function of (trace, plan): two
     // runs agree on the final memory digest and on every ReconfigStats
     // counter, bit for bit.
-    let spec = by_abbrev("CoMD").expect("CoMD in suite");
-    let trace = spec.generate(Scale::Tiny, 17);
     for p in [ProtocolKind::Hmg, ProtocolKind::Nhcc] {
-        let run = || {
-            let mut cfg = EngineConfig::small_test(p);
-            cfg.faults = FaultPlan::parse("gpm-offline=1.1@1000").expect("valid plan");
-            Engine::try_new(cfg)
-                .expect("valid config")
-                .try_run(&trace)
-                .expect("the survivors complete the run")
+        let faulty = CellCtx {
+            faults: Some(FaultPlan::parse("gpm-offline=1.1@1000").expect("valid plan")),
+            ..cell("CoMD", p, 17)
         };
+        let run = || run_cell(&faulty).expect("the survivors complete the run");
         let a = run();
         let b = run();
-        assert_eq!(fingerprint(&a), fingerprint(&b), "{p}");
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{p}");
         assert_eq!(a.state_digest, b.state_digest, "{p}: memory state");
         assert_eq!(a.reconfig, b.reconfig, "{p}: reconfiguration counters");
         assert_eq!(a.reconfig.epochs, 1, "{p}: the fault must activate");
@@ -224,7 +208,6 @@ fn faulty_sweeps_resume_deterministically_from_a_checkpoint() {
     // `--faults gpm-offline=... --checkpoint F` then `--resume`: the
     // resumed sweep reuses completed cells and must reproduce the fresh
     // sweep's numbers exactly.
-    use hmg::experiments::{fig8, ExpOptions};
     let ckpt = std::env::temp_dir().join(format!("hmg-fip-ckpt-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&ckpt);
     let mk = |checkpoint: Option<std::path::PathBuf>, resume: bool| ExpOptions {

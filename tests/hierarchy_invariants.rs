@@ -1,13 +1,21 @@
 //! Structural invariants each protocol must respect, observed through
 //! run metrics on real workload traces.
 
+use hmg::experiments::{run_cell, CellCtx, ExpOptions};
 use hmg::prelude::*;
-use hmg::workloads::suite::by_abbrev;
+
+/// The untweaked tiny-scale experiment cell for `workload` under `p`.
+fn cell(p: ProtocolKind, workload: &str) -> CellCtx {
+    let opts = ExpOptions {
+        scale: Scale::Tiny,
+        seed: 11,
+        ..ExpOptions::default()
+    };
+    opts.plain_cell(workload, p)
+}
 
 fn run(p: ProtocolKind, workload: &str) -> RunMetrics {
-    let spec = by_abbrev(workload).expect("known workload");
-    let trace = spec.generate(Scale::Tiny, 11);
-    Runner::new(Scale::Tiny).run(&trace, p)
+    run_cell(&cell(p, workload)).expect("clean cell")
 }
 
 #[test]
@@ -126,11 +134,11 @@ fn inter_gpu_traffic_ordering_matches_the_hierarchy_story() {
 
 #[test]
 fn fig3_tracking_is_well_formed() {
-    let spec = by_abbrev("RNN_FW").unwrap();
-    let trace = spec.generate(Scale::Tiny, 11);
-    let mut cfg = EngineConfig::small_test(ProtocolKind::NoPeerCaching);
-    cfg.track_peer_redundancy = true;
-    let m = Engine::new(cfg).run(&trace);
+    let tracked = CellCtx {
+        tweak: "peer-redundancy".into(),
+        ..cell(ProtocolKind::NoPeerCaching, "RNN_FW")
+    };
+    let m = run_cell(&tracked).expect("clean cell");
     assert!(
         m.inter_gpu_loads_peer_redundant <= m.inter_gpu_loads,
         "numerator bounded by denominator"

@@ -1,7 +1,7 @@
 //! End-to-end performance-relation sanity across the suite at test
 //! scale: the qualitative orderings the paper's figures rest on.
 
-use hmg::experiments::{fig2, fig8, ExpOptions};
+use hmg::experiments::{fig2, fig8, run_cell, CellCtx, ExpOptions};
 use hmg::prelude::*;
 
 fn opts(workloads: &[&str]) -> ExpOptions {
@@ -118,11 +118,14 @@ fn fig2_is_the_motivating_subset() {
 #[test]
 fn whole_suite_runs_at_tiny_scale() {
     // Smoke: every Table III workload executes under every protocol.
-    let mut runner = Runner::new(Scale::Tiny);
+    let opts = ExpOptions {
+        scale: Scale::Tiny,
+        seed: 4,
+        ..ExpOptions::default()
+    };
     for spec in hmg::workloads::suite::table3() {
-        let trace = spec.generate(Scale::Tiny, 4);
         for p in ProtocolKind::ALL {
-            let m = runner.run(&trace, p);
+            let m = run_cell(&opts.plain_cell(spec.abbrev, p)).expect("clean cell");
             assert!(
                 m.total_cycles.as_u64() > 0,
                 "{}/{p} produced an empty run",
@@ -134,7 +137,7 @@ fn whole_suite_runs_at_tiny_scale() {
 
 /// The untweaked, fault-free Fig. 8 cell for `workload` under `p` at
 /// tiny scale, seed 17 — the cell both golden tests pin.
-fn tiny_cell(workload: &str, p: ProtocolKind) -> hmg::experiments::CellCtx {
+fn tiny_cell(workload: &str, p: ProtocolKind) -> CellCtx {
     let opts = ExpOptions {
         scale: Scale::Tiny,
         seed: 17,
@@ -152,7 +155,6 @@ fn tiny_cell(workload: &str, p: ProtocolKind) -> hmg::experiments::CellCtx {
 /// same memory state fails loudly here.
 #[test]
 fn fig8_cells_match_pre_refactor_goldens() {
-    use hmg::experiments::run_cell;
     // Cycle counts in `ProtocolKind::ALL` order: no-peer-caching,
     // sw-nonhier, nhcc, sw-hier, hmg, carve-like, ideal.
     const GOLDEN: [(&str, u64, [u64; 7]); 4] = [
@@ -202,7 +204,6 @@ fn fig8_cells_match_pre_refactor_goldens() {
 /// claims "same behaviour" must leave these untouched.
 #[test]
 fn fig8_cells_match_fingerprint_goldens() {
-    use hmg::experiments::run_cell;
     // Fingerprints in `ProtocolKind::ALL` order, as above.
     const GOLDEN: [(&str, [u64; 7]); 4] = [
         (
@@ -285,14 +286,8 @@ fn fig8_cells_match_fingerprint_goldens() {
 #[test]
 fn state_digest_is_golden_and_protocol_independent() {
     const GOLDEN: u64 = 0xe1d7f3f0ef5b3e4e;
-    let spec = hmg::workloads::suite::table3()
-        .into_iter()
-        .find(|s| s.abbrev == "bfs")
-        .expect("bfs is in Table III");
-    let trace = spec.generate(Scale::Tiny, 17);
-    let mut runner = Runner::new(Scale::Tiny);
     for p in ProtocolKind::ALL {
-        let m = runner.run(&trace, p);
+        let m = run_cell(&tiny_cell("bfs", p)).expect("clean cell");
         assert_eq!(
             m.state_digest, GOLDEN,
             "{p}: committed memory state diverged from the golden digest"

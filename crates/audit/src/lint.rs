@@ -58,6 +58,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/sim/src/collect.rs",
     "crates/gpu/src/engine.rs",
+    "crates/gpu/src/engine/recovery.rs",
+    "crates/gpu/src/engine/snapshot.rs",
     "crates/interconnect/src/fabric.rs",
     "crates/mem/src/cache.rs",
     "crates/mem/src/page.rs",

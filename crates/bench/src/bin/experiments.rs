@@ -33,8 +33,8 @@ fn save_svg(dir: &Option<String>, name: &str, svg: &str) {
 }
 
 /// Runs one command; `false` means the command itself failed (a sweep
-/// stopped on a hard failure, reported to stderr; `check` found a
-/// memory-model violation; or `audit` found a static one).
+/// stopped on a hard failure, reported to stderr, or `check` found a
+/// memory-model violation).
 fn run(cmd: Command, p: &ParsedArgs) -> bool {
     run_command(cmd, p).unwrap_or_else(|e| {
         eprintln!("[sweep failed] {e}");
@@ -163,9 +163,26 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
             // audit:allow(entropy): wall-clock benchmarking only; never
             // feeds simulated state.
             let t0 = std::time::Instant::now();
+            // Each command is one sweep, so each gets its own checkpoint
+            // file `F.<command>` and `--resume` applies to every one.
             let mut ok = true;
-            for c in Command::PAPER_ORDER {
-                ok &= run(c, p);
+            for name in Command::PAPER_ORDER {
+                let Some(c) = Command::from_name(name) else {
+                    continue;
+                };
+                let checkpoint = opts.checkpoint.as_ref().map(|f| {
+                    let mut path = f.clone().into_os_string();
+                    path.push(format!(".{name}"));
+                    std::path::PathBuf::from(path)
+                });
+                let sub = ParsedArgs {
+                    options: exp::ExpOptions {
+                        checkpoint,
+                        ..opts.clone()
+                    },
+                    ..p.clone()
+                };
+                ok &= run(c, &sub);
             }
             let tally = hmg::supervisor::take_tally();
             let jobs = opts.supervisor_config().resolved_jobs(usize::MAX);
@@ -221,23 +238,6 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
             };
             let report = hmg_check::run_check(&cfg);
             print!("{report}");
-            return Ok(report.passed());
-        }
-        Command::Audit => {
-            let report = hmg_audit::run_audit(&hmg_audit::AuditOptions {
-                inject: p.inject,
-                model: p.model,
-                model_depth: p.model_depth,
-                protocol: p.protocol,
-                ..hmg_audit::AuditOptions::new(std::path::PathBuf::from(&p.audit_root))
-            });
-            for run in &report.model_runs {
-                println!("{}", run.report());
-            }
-            for f in &report.findings {
-                println!("{f}");
-            }
-            println!("{}", report.summary());
             return Ok(report.passed());
         }
         Command::Bench => {

@@ -53,9 +53,6 @@ pub enum Command {
     /// Bounded litmus enumeration vs the axiomatic memory-model oracle
     /// (crates/check; see docs/CHECKING.md).
     Check,
-    /// Static protocol verifier + source-hygiene lints (crates/audit;
-    /// see docs/STATIC_ANALYSIS.md).
-    Audit,
     /// Hot-path benchmark harness writing `BENCH_hotpath.json`
     /// (DESIGN.md §13).
     Bench,
@@ -86,29 +83,29 @@ impl Command {
             "ablate-downgrade" => Command::AblateDowngrade,
             "all" => Command::All,
             "check" => Command::Check,
-            "audit" => Command::Audit,
             "bench" => Command::Bench,
             _ => return None,
         })
     }
 
-    /// Every individual experiment, in paper order (used by `all`).
-    pub const PAPER_ORDER: [Command; 15] = [
-        Command::Table3,
-        Command::Fig2,
-        Command::Fig3,
-        Command::Fig7,
-        Command::Fig8,
-        Command::Fig9To11,
-        Command::Fig12,
-        Command::Fig13,
-        Command::Fig14,
-        Command::Grain,
-        Command::Cost,
-        Command::AblateFence,
-        Command::AblatePlacement,
-        Command::AblateWriteback,
-        Command::AblateDowngrade,
+    /// Every individual experiment's command name, in paper order
+    /// (used by `all`).
+    pub const PAPER_ORDER: [&'static str; 15] = [
+        "table3",
+        "fig2",
+        "fig3",
+        "fig7",
+        "fig8",
+        "fig9-11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "grain",
+        "cost",
+        "ablate-fence",
+        "ablate-placement",
+        "ablate-writeback",
+        "ablate-downgrade",
     ];
 }
 
@@ -123,16 +120,8 @@ pub struct ParsedArgs {
     pub svg_dir: Option<String>,
     /// Engine-run budget for the `check` sweep.
     pub budget: u64,
-    /// Seeded violation class for the `audit` self-test mode.
-    pub inject: Option<hmg_audit::Inject>,
-    /// Workspace root for the `audit` command (defaults to `.`).
-    pub audit_root: String,
-    /// Run the explicit-state model checker as part of `audit`.
-    pub model: bool,
-    /// BFS depth bound for `--model` (`None` = exhaustive).
-    pub model_depth: Option<u32>,
-    /// Spec variant selector: restricts `audit --model` to one variant
-    /// and picks the arbitration discipline for `check`.
+    /// Spec variant selector: picks the protocol and arbitration
+    /// discipline for `check`.
     pub protocol: Option<SpecVariant>,
     /// Run the reduced `bench` matrix (CI smoke mode).
     pub bench_quick: bool,
@@ -143,13 +132,13 @@ pub struct ParsedArgs {
 }
 
 /// Usage text.
-pub const USAGE: &str = "usage: experiments <command> [--scale tiny|small|full] [--seed N] [--workloads a,b,c] [--svg DIR] [--faults SPEC] [--keep-going] [--checkpoint FILE] [--resume] [--livelock-budget N] [--jobs N] [--cell-timeout SECS] [--retries N] [--isolation process|thread] [--snapshot-dir DIR] [--snapshot-interval N] [--budget N] [--inject CLASS] [--root DIR] [--model] [--depth N] [--protocol VARIANT] [--quick] [--out FILE] [--baseline FILE]
+pub const USAGE: &str = "usage: experiments <command> [--scale tiny|small|full] [--seed N] [--workloads a,b,c] [--svg DIR] [--faults SPEC] [--keep-going] [--checkpoint FILE] [--resume] [--livelock-budget N] [--jobs N] [--cell-timeout SECS] [--retries N] [--isolation process|thread] [--snapshot-dir DIR] [--snapshot-interval N] [--budget N] [--protocol VARIANT] [--quick] [--out FILE] [--baseline FILE]
 
 commands:
   table3 fig2 fig3 fig7 fig8 fig9-11 fig12 fig13 fig14
   grain cost single-gpu carve scale-study characterize all
   ablate-fence ablate-placement ablate-writeback ablate-downgrade
-  check audit bench
+  check bench
 
 benchmarking (DESIGN.md \u{a7}13 `Performance`):
   bench           time the Fig. 8 cells single-threaded, in-process,
@@ -160,29 +149,6 @@ benchmarking (DESIGN.md \u{a7}13 `Performance`):
   --out FILE      where to write BENCH_hotpath.json (default: CWD)
   --baseline FILE compare total events/sec against a prior
                   BENCH_hotpath.json; exit nonzero on a >20% regression
-
-static analysis (docs/STATIC_ANALYSIS.md):
-  audit           static protocol verifier (table completeness,
-                  conservation, waits-for deadlock freedom) plus the
-                  determinism/panic-hygiene lints; nonzero exit on any
-                  finding
-  --inject CLASS  seed one known violation class to prove the audit
-                  detects it: incomplete-row | waitsfor-cycle |
-                  entropy | unordered-map | hot-path-struct |
-                  dir-match | spec-drop-forward
-  --root DIR      workspace root to audit (default: current directory)
-  --model         also run the explicit-state model checker: walk every
-                  reachable configuration of a small abstract system
-                  under the guarded-action spec rows and prove SWMR,
-                  sharer conservation, no stuck states, and waits-for
-                  acyclicity per variant (prints `[model] ...` lines
-                  with reachable-state counts and, on violation, the
-                  shortest counterexample trace)
-  --depth N       bound the model checker's BFS at depth N (the run is
-                  then a sample, reported as `truncated`; default is
-                  the full reachable space)
-  --protocol VARIANT  restrict --model to one spec variant:
-                  nhcc | hmg | nhcc-phase | hmg-phase
 
 coherence checking (docs/CHECKING.md):
   check           sweep the bounded litmus space against the axiomatic
@@ -285,10 +251,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
     };
     let mut svg_dir = None;
     let mut budget = 2000u64;
-    let mut inject = None;
-    let mut audit_root = String::from(".");
-    let mut model = false;
-    let mut model_depth = None;
     let mut protocol = None;
     let mut bench_quick = false;
     let mut bench_out = String::from("BENCH_hotpath.json");
@@ -357,21 +319,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
                 let v = it.next().ok_or("--budget needs an engine-run count")?;
                 budget = v.parse().map_err(|e| format!("bad budget: {e}"))?;
             }
-            "--inject" => {
-                let v = it.next().ok_or("--inject needs a violation class")?;
-                inject = Some(hmg_audit::Inject::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown violation class `{v}` (expected one of: {})",
-                        hmg_audit::Inject::NAMES.join(", ")
-                    )
-                })?);
-            }
-            "--root" => audit_root = it.next().ok_or("--root needs a directory")?.clone(),
-            "--model" => model = true,
-            "--depth" => {
-                let v = it.next().ok_or("--depth needs a BFS depth bound")?;
-                model_depth = Some(v.parse().map_err(|e| format!("bad depth: {e}"))?);
-            }
             "--protocol" => {
                 let v = it.next().ok_or("--protocol needs a spec variant")?;
                 protocol = Some(SpecVariant::from_name(v).ok_or_else(|| {
@@ -401,10 +348,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
         options,
         svg_dir,
         budget,
-        inject,
-        audit_root,
-        model,
-        model_depth,
         protocol,
         bench_quick,
         bench_out,
@@ -581,9 +524,11 @@ mod tests {
             "ablate-downgrade",
             "all",
             "check",
-            "audit",
             "bench",
-        ] {
+        ]
+        .into_iter()
+        .chain(Command::PAPER_ORDER)
+        {
             assert!(Command::from_name(name).is_some(), "{name}");
         }
     }
@@ -623,50 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_audit_inject_and_root() {
-        let p = parse_args(&s(&["audit", "--inject", "waitsfor-cycle", "--root", "/x"])).unwrap();
-        assert_eq!(p.command, Command::Audit);
-        assert_eq!(p.inject, Some(hmg_audit::Inject::WaitsForCycle));
-        assert_eq!(p.audit_root, "/x");
-        let q = parse_args(&s(&["audit"])).unwrap();
-        assert!(q.inject.is_none());
-        assert_eq!(q.audit_root, ".");
-        assert!(parse_args(&s(&["audit", "--inject", "nope"])).is_err());
-        assert!(parse_args(&s(&["audit", "--inject"])).is_err());
-    }
-
-    #[test]
-    fn parses_audit_model_flags() {
-        let p = parse_args(&s(&[
-            "audit",
-            "--model",
-            "--depth",
-            "6",
-            "--protocol",
-            "hmg-phase",
-        ]))
-        .unwrap();
-        assert!(p.model);
-        assert_eq!(p.model_depth, Some(6));
-        assert_eq!(p.protocol, Some(SpecVariant::HmgPhase));
-        let q = parse_args(&s(&["audit"])).unwrap();
-        assert!(!q.model, "the model checker is opt-in");
-        assert_eq!(q.model_depth, None, "default is exhaustive");
-        assert!(q.protocol.is_none(), "default checks every variant");
-        assert!(parse_args(&s(&["audit", "--depth", "deep"])).is_err());
-        assert!(parse_args(&s(&["audit", "--depth"])).is_err());
-    }
-
-    #[test]
     fn every_spec_variant_name_round_trips_through_the_flag() {
         for v in SpecVariant::ALL {
-            let p = parse_args(&s(&["audit", "--model", "--protocol", v.name()])).unwrap();
+            let p = parse_args(&s(&["check", "--protocol", v.name()])).unwrap();
             assert_eq!(p.protocol, Some(v), "{}", v.name());
         }
-        let err = parse_args(&s(&["audit", "--protocol", "mesi"])).unwrap_err();
+        let err = parse_args(&s(&["check", "--protocol", "mesi"])).unwrap_err();
         assert!(err.contains("unknown spec variant"), "{err}");
         assert!(err.contains("nhcc-phase"), "the error lists names: {err}");
-        assert!(parse_args(&s(&["audit", "--protocol"])).is_err());
+        assert!(parse_args(&s(&["check", "--protocol"])).is_err());
     }
 
     #[test]

@@ -1499,58 +1499,79 @@ impl AblationResult {
     }
 }
 
+/// Runs a two-variant HMG ablation as one sweep: each variant's tweak
+/// applies to its HMG cells and to the no-peer-caching baseline they
+/// are normalized to, and each variant reports the geomean speedup
+/// over the workloads whose cells both completed.
+fn ablation(
+    opts: &ExpOptions,
+    name: &'static str,
+    variants: [(&str, &str); 2],
+) -> Result<AblationResult, SimError> {
+    let points = variants
+        .iter()
+        .map(|&(label, tweak)| (label.to_string(), tweak.to_string()))
+        .collect();
+    let r = point_sweep(opts, name, points, &[ProtocolKind::Hmg], true)?;
+    Ok(AblationResult {
+        name,
+        variants: r
+            .points
+            .into_iter()
+            .zip(r.geomeans)
+            .map(|(l, g)| (l, g[0]))
+            .collect(),
+    })
+}
+
 /// Ablation: HMG with real (acked, drained) release fences vs
 /// zero-cost fences.
 pub fn ablate_fences(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    let real = speedup_suite(opts, &[ProtocolKind::Hmg], "")?;
-    let free = speedup_suite(opts, &[ProtocolKind::Hmg], "zero-cost-fences")?;
-    Ok(AblationResult {
-        name: "release fence cost (HMG)",
-        variants: vec![
-            ("acked fences (paper)".into(), real.geomeans[0]),
-            ("zero-cost fences".into(), free.geomeans[0]),
+    ablation(
+        opts,
+        "release fence cost (HMG)",
+        [
+            ("acked fences (paper)", ""),
+            ("zero-cost fences", "zero-cost-fences"),
         ],
-    })
+    )
 }
 
 /// Ablation: §IV-B's write-back option vs the evaluated write-through
 /// configuration, under HMG.
 pub fn ablate_writeback(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    let wt = speedup_suite(opts, &[ProtocolKind::Hmg], "write-policy=wt")?;
-    let wb = speedup_suite(opts, &[ProtocolKind::Hmg], "write-policy=wb")?;
-    Ok(AblationResult {
-        name: "L2 write policy (HMG)",
-        variants: vec![
-            ("write-through (paper)".into(), wt.geomeans[0]),
-            ("write-back (§IV-B option)".into(), wb.geomeans[0]),
+    ablation(
+        opts,
+        "L2 write policy (HMG)",
+        [
+            ("write-through (paper)", "write-policy=wt"),
+            ("write-back (§IV-B option)", "write-policy=wb"),
         ],
-    })
+    )
 }
 
 /// Ablation: §IV-B's optional sharer-downgrade messages, under HMG.
 pub fn ablate_downgrades(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    let without = speedup_suite(opts, &[ProtocolKind::Hmg], "downgrades=off")?;
-    let with = speedup_suite(opts, &[ProtocolKind::Hmg], "downgrades=on")?;
-    Ok(AblationResult {
-        name: "sharer downgrades (HMG)",
-        variants: vec![
-            ("silent clean evictions (paper)".into(), without.geomeans[0]),
-            ("downgrade messages".into(), with.geomeans[0]),
+    ablation(
+        opts,
+        "sharer downgrades (HMG)",
+        [
+            ("silent clean evictions (paper)", "downgrades=off"),
+            ("downgrade messages", "downgrades=on"),
         ],
-    })
+    )
 }
 
 /// Ablation: first-touch vs interleaved page placement under HMG.
 pub fn ablate_placement(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    let ft = speedup_suite(opts, &[ProtocolKind::Hmg], "placement=ft")?;
-    let il = speedup_suite(opts, &[ProtocolKind::Hmg], "placement=il")?;
-    Ok(AblationResult {
-        name: "page placement (HMG)",
-        variants: vec![
-            ("first-touch (paper)".into(), ft.geomeans[0]),
-            ("interleaved".into(), il.geomeans[0]),
+    ablation(
+        opts,
+        "page placement (HMG)",
+        [
+            ("first-touch (paper)", "placement=ft"),
+            ("interleaved", "placement=il"),
         ],
-    })
+    )
 }
 
 /// Prints Table III (the workload inventory) with generated-trace sizes.
@@ -1940,6 +1961,30 @@ mod tests {
         .expect("second resume");
         assert_eq!(resumed_again.rows, full.rows);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ablation_resumes_from_its_checkpoint() {
+        // Both variants of an ablation run as one sweep, so one
+        // checkpoint file covers all 8 cells and `resume` reuses them.
+        let path = std::env::temp_dir().join(format!("hmg-ablate-{}.ckpt", std::process::id()));
+        let opts = ExpOptions {
+            filter: Some(vec!["bfs".into(), "CoMD".into()]),
+            checkpoint: Some(path.clone()),
+            ..tiny()
+        };
+        let first = ablate_fences(&opts).expect("checkpointed ablation");
+        let resumed = ablate_fences(&ExpOptions {
+            resume: true,
+            ..opts.clone()
+        })
+        .expect("resumed ablation");
+        // The resume compacts the 8 reused rows into the file; a cell
+        // that re-ran would append a ninth.
+        let rows = std::fs::read_to_string(&path).unwrap().lines().count() - 1;
+        std::fs::remove_file(&path).ok();
+        assert_eq!(rows, 8, "every cell must be reused");
+        assert_eq!(resumed.variants, first.variants);
     }
 
     #[test]

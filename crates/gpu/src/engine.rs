@@ -21,6 +21,11 @@
 //!   invalidation messages that are still in flight".
 //! * Kernel boundaries carry the implicit `.sys` acquire (bulk cache
 //!   invalidation under software coherence) and release (fence per GPM).
+//!
+//! This file holds the coherence paths. Fault recovery (fail-in-place
+//! reconfiguration and soft-error repair) lives in `engine/recovery.rs`
+//! and snapshot capture and restore in `engine/snapshot.rs`; the hot
+//! loop reaches both only through the one-branch guards kept here.
 
 use std::collections::VecDeque;
 
@@ -31,13 +36,16 @@ use hmg_protocol::{
     Observed, Ops, ProtocolKind, ProtocolSpec, Scope, TraceOp, WorkloadTrace,
 };
 use hmg_sim::collect::{FlatMap, VecPool};
-use hmg_sim::{
-    Cycle, EventQueue, ProgressWatchdog, Rng, SimError, SnapError, SnapReader, SnapWriter,
-    Snapshot, SnapshotRead, SnapshotStore, SnapshotWrite,
-};
+use hmg_sim::{Cycle, EventQueue, ProgressWatchdog, Rng, SimError};
 
-use crate::config::{EccMode, EngineConfig};
+use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
+
+mod recovery;
+mod snapshot;
+
+use snapshot::SnapCtl;
+pub use snapshot::{SnapshotPolicy, SnapshotReport};
 
 /// Salt for the engine's dedicated soft-error stream, so line/directory
 /// flip draws never perturb the message-fault stream (`faults.seed`)
@@ -521,6 +529,16 @@ impl<'t> Sim<'t> {
         self.reconfigured && self.pages.is_rehomed(self.cfg.geometry.page_of_line(line))
     }
 
+    /// Consumes the latent fault planted on `(node, line)`, if any. The
+    /// fast path keeps the per-access overhead at one branch when no
+    /// flip faults are armed.
+    fn take_line_fault(&mut self, node: GpmId, line: LineAddr) -> Option<FlipSeverity> {
+        if self.line_faults.is_empty() {
+            return None;
+        }
+        self.line_faults.remove(&(node.0, line))
+    }
+
     /// The cache level `node` represents for a line homed at `sys_home`
     /// (system home) and `gpu_home` (the requester's GPU home).
     fn level_of(&self, node: GpmId, sys_home: GpmId, gpu_home: GpmId) -> CacheLevel {
@@ -667,17 +685,13 @@ impl<'t> Sim<'t> {
     /// (retransmission, NACK/retry, broadcast fallback) must converge to
     /// the fault-free digest for the same seed and trace.
     fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut lines: Vec<(u64, u64)> = self.committed.iter().map(|(l, v)| (l.0, *v)).collect();
         lines.sort_unstable();
-        let mut h = FNV_OFFSET;
-        for (l, v) in lines {
-            for b in l.to_le_bytes().into_iter().chain(v.to_le_bytes()) {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        }
-        h
+        let bytes: Vec<u8> = lines
+            .into_iter()
+            .flat_map(|(l, v)| l.to_le_bytes().into_iter().chain(v.to_le_bytes()))
+            .collect();
+        hmg_sim::snap::fnv1a64(&bytes)
     }
 
     // ---------- watchdog diagnostics ----------
@@ -807,7 +821,6 @@ impl<'t> Sim<'t> {
     /// Builds the structural-deadlock error: the event queue drained
     /// with CTAs unfinished, loads in flight, or fences un-drained.
     fn deadlock_error(&mut self) -> SimError {
-        let now = self.q.now();
         let message = format!(
             "kernel {}/{} unfinished_ctas={} loads_inflight={} mshr_entries={} \
              (a WaitFlag count was never reached, or an in-flight message was lost)",
@@ -817,17 +830,7 @@ impl<'t> Sim<'t> {
             self.loads_inflight,
             self.mshr.len()
         );
-        let (dump, stuck_sm, stuck_line) = self.machine_dump();
-        let mut e = SimError::new(hmg_sim::SimErrorKind::Deadlock, message)
-            .at_cycle(now.0)
-            .with_dump(dump);
-        if let Some(r) = stuck_sm {
-            e = e.with_agent(self.agent_name(r));
-        }
-        if let Some(line) = stuck_line {
-            e = e.with_addr(line.0 * self.cfg.geometry.line_bytes() as u64);
-        }
-        e
+        self.stuck_error(hmg_sim::SimErrorKind::Deadlock, self.q.now(), message)
     }
 
     /// Builds the livelock error: `gap` cycles elapsed with events
@@ -842,10 +845,19 @@ impl<'t> Sim<'t> {
             self.ctas_unfinished,
             self.loads_inflight,
         );
+        self.stuck_error(hmg_sim::SimErrorKind::Livelock, now, message)
+    }
+
+    /// A watchdog error at `now`: `message` plus the machine dump, and
+    /// the first stuck SM and address it names.
+    fn stuck_error(
+        &mut self,
+        kind: hmg_sim::SimErrorKind,
+        now: Cycle,
+        message: String,
+    ) -> SimError {
         let (dump, stuck_sm, stuck_line) = self.machine_dump();
-        let mut e = SimError::new(hmg_sim::SimErrorKind::Livelock, message)
-            .at_cycle(now.0)
-            .with_dump(dump);
+        let mut e = SimError::new(kind, message).at_cycle(now.0).with_dump(dump);
         if let Some(r) = stuck_sm {
             e = e.with_agent(self.agent_name(r));
         }
@@ -1065,22 +1077,11 @@ impl<'t> Sim<'t> {
                 }
                 TraceOp::SetFlag(f) => {
                     self.sms[idx].pc += 1;
-                    *self.flags.or_insert(f, 0) += 1;
-                    if let Some(mut waiters) = self.flag_waiters.remove(&f) {
-                        // Fault: delayed flag propagation. Waiters wake
-                        // later but the ordering guarantees are intact,
-                        // so outcomes are unchanged (tolerated).
-                        let extra = Cycle(self.cfg.faults.flag_delay.unwrap_or(0));
-                        let wake = t + self.cfg.flag_latency + extra;
-                        for w in waiters.drain(..) {
-                            let wi = self.sm_index(w);
-                            if self.sms[wi].state == SmState::FlagWait(f) {
-                                self.sms[wi].state = SmState::Runnable;
-                                self.q.push(wake, Ev::SmResume(w));
-                            }
-                        }
-                        self.waiter_pool.give(waiters);
-                    }
+                    // Fault: delayed flag propagation. Waiters wake
+                    // later but the ordering guarantees are intact, so
+                    // outcomes are unchanged (tolerated).
+                    let extra = Cycle(self.cfg.faults.flag_delay.unwrap_or(0));
+                    self.set_flag(t, f, extra);
                     t += Cycle(self.cfg.issue_cycles as u64);
                 }
                 TraceOp::WaitFlag { flag, count } => {
@@ -1100,6 +1101,23 @@ impl<'t> Sim<'t> {
         }
         // Yield after a long batch so other events interleave.
         self.q.push(t, Ev::SmResume(r));
+    }
+
+    /// Publishes one increment of flag `f` at `t` and wakes its waiters
+    /// `flag_latency + extra` later.
+    fn set_flag(&mut self, t: Cycle, f: u32, extra: Cycle) {
+        *self.flags.or_insert(f, 0) += 1;
+        if let Some(mut waiters) = self.flag_waiters.remove(&f) {
+            let wake = t + self.cfg.flag_latency + extra;
+            for w in waiters.drain(..) {
+                let wi = self.sm_index(w);
+                if self.sms[wi].state == SmState::FlagWait(f) {
+                    self.sms[wi].state = SmState::Runnable;
+                    self.q.push(wake, Ev::SmResume(w));
+                }
+            }
+            self.waiter_pool.give(waiters);
+        }
     }
 
     /// Issues a load. Returns `false` if the SM is out of miss capacity.
@@ -1326,17 +1344,7 @@ impl<'t> Sim<'t> {
                     .send(now, node, req_gpm, self.cfg.msg.nack, MsgClass::Ctrl);
                 let shift = u32::from(msg.attempts.min(6));
                 let backoff = Cycle(self.cfg.nack_backoff.0 << shift);
-                let retry = MemMsg {
-                    attempts: msg.attempts.saturating_add(1),
-                    ..msg
-                };
-                self.q.push(
-                    back + backoff,
-                    Ev::Req {
-                        msg: retry,
-                        node: req_gpm,
-                    },
-                );
+                self.reissue_req(back + backoff, msg);
                 return;
             }
         }
@@ -1504,6 +1512,23 @@ impl<'t> Sim<'t> {
         self.forward_req(t, msg, node, req_gpm, sys_home, gpu_home);
     }
 
+    /// Re-issues `msg` from its requester's GPM at `at`. The attempt
+    /// count grows, so the retry backs off further if NACKed again and
+    /// never merges behind an MSHR entry (the one it rode may be gone).
+    fn reissue_req(&mut self, at: Cycle, msg: MemMsg) {
+        let retry = MemMsg {
+            attempts: msg.attempts.saturating_add(1),
+            ..msg
+        };
+        self.q.push(
+            at,
+            Ev::Req {
+                msg: retry,
+                node: retry.sm.gpm,
+            },
+        );
+    }
+
     /// Completes any loads merged behind a fill of `line` at `node`.
     /// Waiters from this GPM complete in place (recursively draining
     /// their own merge chains); waiters forwarded from other GPMs (merged
@@ -1608,18 +1633,7 @@ impl<'t> Sim<'t> {
     /// invalidation): flush it if dirty, else maybe downgrade.
     fn evicted_l2_line(&mut self, t: Cycle, node: GpmId, line: LineAddr, meta: L2Line) {
         if meta.dirty {
-            self.m.writebacks += 1;
-            let g = &mut self.gpms[node.index()];
-            g.st_pending_gpu += 1;
-            g.st_pending_sys += 1;
-            let msg = StoreMsg {
-                origin: node,
-                line,
-                version: meta.version,
-                gpu_ordered: false,
-                duplicate: false,
-            };
-            self.q.push(t + Cycle(1), Ev::Store { msg, node });
+            self.write_back(t, node, line, meta.version);
             return;
         }
         if !self.cfg.sharer_downgrades || !self.cfg.protocol.has_hw_directory() {
@@ -1684,19 +1698,25 @@ impl<'t> Sim<'t> {
             if let Some(meta) = self.gpms[node.index()].l2.get_mut(line) {
                 meta.dirty = false;
             }
-            self.m.writebacks += 1;
-            let g = &mut self.gpms[node.index()];
-            g.st_pending_gpu += 1;
-            g.st_pending_sys += 1;
-            let msg = StoreMsg {
-                origin: node,
-                line,
-                version,
-                gpu_ordered: false,
-                duplicate: false,
-            };
-            self.q.push(t + Cycle(1), Ev::Store { msg, node });
+            self.write_back(t, node, line, version);
         }
+    }
+
+    /// Sends `node`'s dirty copy of `line` toward its home as a
+    /// write-through the node's release fences wait for.
+    fn write_back(&mut self, t: Cycle, node: GpmId, line: LineAddr, version: u64) {
+        self.m.writebacks += 1;
+        let g = &mut self.gpms[node.index()];
+        g.st_pending_gpu += 1;
+        g.st_pending_sys += 1;
+        let msg = StoreMsg {
+            origin: node,
+            line,
+            version,
+            gpu_ordered: false,
+            duplicate: false,
+        };
+        self.q.push(t + Cycle(1), Ev::Store { msg, node });
     }
 
     /// Bulk-invalidates a GPM's L2 (software acquire), flushing dirty
@@ -2089,16 +2109,12 @@ impl<'t> Sim<'t> {
                 return;
             }
         }
-        let mut arrive = self
+        // Counters are decremented at delivery, so fences wait out a
+        // fault-injected delay (tolerated).
+        let arrive = self
             .fabric
-            .send(t, node, next, self.cfg.msg.store, MsgClass::StoreData);
-        // Fault: random extra delivery delay. Counters are decremented
-        // at delivery, so fences wait it out (tolerated).
-        if let Some(d) = self.cfg.faults.delay {
-            if self.rng.gen_bool(d.prob) {
-                arrive += Cycle(d.extra);
-            }
-        }
+            .send(t, node, next, self.cfg.msg.store, MsgClass::StoreData)
+            + self.draw_delay();
         // Fault: duplicated delivery, flagged so the copy skips
         // counter bookkeeping (tolerated: state updates are idempotent).
         if let Some(dup) = self.cfg.faults.duplicate {
@@ -2117,6 +2133,15 @@ impl<'t> Sim<'t> {
             }
         }
         self.q.push(arrive, Ev::Store { msg, node: next });
+    }
+
+    /// Fault: the random extra delivery delay of the `delay` clause,
+    /// drawn from the message-fault stream (zero when unarmed).
+    fn draw_delay(&mut self) -> Cycle {
+        match self.cfg.faults.delay {
+            Some(d) if self.rng.gen_bool(d.prob) => Cycle(d.extra),
+            _ => Cycle::ZERO,
+        }
     }
 
     // ---------- directory ----------
@@ -2477,17 +2502,13 @@ impl<'t> Sim<'t> {
                 InvCause::Store => self.m.invs_from_stores += 1,
                 InvCause::Eviction => self.m.invs_from_evictions += 1,
             }
-            let mut arrive = self
+            // Counted invalidations keep their counter until delivery,
+            // so fences wait out a fault-injected delay (tolerated).
+            let arrive = self
                 .fabric
                 .send(t, node, target, self.cfg.msg.inv, MsgClass::Inv)
-                + reorder_extra;
-            // Fault: random delivery delay — counted invalidations keep
-            // their counter until delivery, so fences wait (tolerated).
-            if let Some(d) = self.cfg.faults.delay {
-                if self.rng.gen_bool(d.prob) {
-                    arrive += Cycle(d.extra);
-                }
-            }
+                + reorder_extra
+                + self.draw_delay();
             let inv = InvMsg {
                 block,
                 cause,
@@ -2515,21 +2536,12 @@ impl<'t> Sim<'t> {
     }
 
     fn handle_inv(&mut self, now: Cycle, inv: InvMsg) {
-        let topo = self.cfg.topo;
         if self.gpm_is_dead(inv.target) {
             // The target died with the invalidation in flight: nothing
             // to invalidate, but a counted message must still release
             // its (surviving) causer's pending counters or the
             // causer's release fence wedges.
-            if inv.counted && !self.gpm_is_dead(inv.causer) {
-                let same_gpu = topo.gpu_of(inv.target) == topo.gpu_of(inv.causer);
-                let gc = &mut self.gpms[inv.causer.index()];
-                gc.inv_pending_sys -= 1;
-                if same_gpu {
-                    gc.inv_pending_gpu -= 1;
-                }
-                self.check_fences(now);
-            }
+            self.retire_inv(now, &inv);
             return;
         }
         // Raise the fill floor first: any fill still in flight that was
@@ -2611,7 +2623,15 @@ impl<'t> Sim<'t> {
                 }
             }
         }
+        self.retire_inv(now, &inv);
+    }
+
+    /// Releases a delivered invalidation's hold on its causer's pending
+    /// counters, if it was counted and the causer is alive, and lets
+    /// any fence waiting on them complete.
+    fn retire_inv(&mut self, now: Cycle, inv: &InvMsg) {
         if inv.counted && !self.gpm_is_dead(inv.causer) {
+            let topo = self.cfg.topo;
             let same_gpu = topo.gpu_of(inv.target) == topo.gpu_of(inv.causer);
             let gc = &mut self.gpms[inv.causer.index()];
             gc.inv_pending_sys -= 1;
@@ -2743,1111 +2763,6 @@ impl<'t> Sim<'t> {
             }
         }
     }
-
-    // ---------- fail-in-place reconfiguration ----------
-
-    /// Enters a reconfiguration epoch for one permanent fault. Failure
-    /// detection is modeled as the reliable transport's full escalated
-    /// retry window ([`hmg_interconnect::TransportConfig::escalation_cycles`]):
-    /// the epoch charges it as downtime and grants the livelock
-    /// watchdog the same grace so the detection window is never
-    /// misread as a stall.
-    fn reconfigure(&mut self, now: Cycle, fault: PermFault) {
-        self.m.reconfig.epochs += 1;
-        let detect = self.fabric.transport_config().escalation_cycles();
-        self.m.reconfig.downtime_cycles += detect;
-        self.watchdog.suspend(now.0, detect);
-        match fault {
-            // The fabric reroutes around the dead link at send time
-            // (second-tier path); nothing to drain engine-side.
-            PermFault::LinkDown => {}
-            PermFault::Offline(dead) => self.take_offline(now, &dead),
-        }
-    }
-
-    /// Takes a set of GPMs permanently offline: aborts their CTAs
-    /// (salvaging flag publications so surviving waiters don't wedge),
-    /// drains transactions parked at the dead nodes, re-homes pages
-    /// whose DRAM partition died, and conservatively rebuilds the
-    /// directory state the dead modules were tracking.
-    fn take_offline(&mut self, now: Cycle, dead: &[GpmId]) {
-        let topo = self.cfg.topo;
-        for &d in dead {
-            self.dead_gpms |= 1u64 << d.index();
-            self.fabric.mark_gpm_down(d);
-        }
-        self.reconfigured = true;
-        if (0..topo.num_gpms()).all(|i| self.dead_gpms & (1u64 << i) != 0) {
-            self.fatal = Some(
-                SimError::config("every GPM is offline; no survivors to reconfigure onto")
-                    .at_cycle(now.0),
-            );
-            return;
-        }
-
-        // Quiesce: abort the dead modules' CTAs. Queued CTAs never
-        // started (salvage from op 0); running CTAs salvage from their
-        // current pc.
-        let in_kernel = !self.finished && !self.trace.kernels.is_empty();
-        for &d in dead {
-            let queued: Vec<usize> = self.gpms[d.index()].cta_queue.drain(..).collect();
-            for cta in queued {
-                if in_kernel {
-                    self.abort_cta(now, cta, 0);
-                }
-            }
-            for sm in 0..self.cfg.sms_per_gpm {
-                let idx = self.sm_index(SmRef { gpm: d, sm });
-                let s = &mut self.sms[idx];
-                let cta = s.cta.take();
-                let pc = s.pc;
-                s.pc = 0;
-                s.outstanding = 0;
-                s.state = SmState::Idle;
-                s.l1.invalidate_all();
-                if let Some(c) = cta {
-                    if in_kernel {
-                        self.abort_cta(now, c, pc);
-                    }
-                }
-            }
-            let g = &mut self.gpms[d.index()];
-            // No survivor fences on the dead module's stores: its
-            // pending counters are voided, and in-flight deliveries
-            // that would decrement them are skipped (see the
-            // `gpm_is_dead(origin)` guards in the store/inv paths).
-            g.st_pending_gpu = 0;
-            g.st_pending_sys = 0;
-            g.inv_pending_gpu = 0;
-            g.inv_pending_sys = 0;
-            g.carve.clear();
-            g.inv_floor.clear();
-            // Dirty lines on a dead module are lost, not flushed.
-            g.l2.invalidate_all();
-        }
-
-        // Drain transactions merged behind fills at the dead nodes:
-        // dead requesters abort, surviving requesters re-issue against
-        // the reconfigured homes. The attempt bump keeps the re-issue
-        // out of MSHR merges (the entry it would ride is gone).
-        let mut keys: Vec<(u16, LineAddr)> = self
-            .mshr
-            .keys()
-            .filter(|&&(n, _)| self.dead_gpms & (1u64 << n) != 0)
-            .copied()
-            .collect();
-        keys.sort_unstable_by_key(|&(n, l)| (n, l.0));
-        for key in keys {
-            for w in self.mshr.remove(&key).into_iter().flatten() {
-                if self.gpm_is_dead(w.sm.gpm) {
-                    self.loads_inflight -= 1;
-                } else {
-                    self.m.reconfig.drained_txns += 1;
-                    let retry = MemMsg {
-                        attempts: w.attempts.saturating_add(1),
-                        ..w
-                    };
-                    self.q.push(
-                        now + Cycle(1),
-                        Ev::Req {
-                            msg: retry,
-                            node: retry.sm.gpm,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Re-home pages whose DRAM partition died; they drop into the
-        // degraded no-peer-caching mode from here on. (Interleaved
-        // placement re-homes lazily inside the page map, so the counts
-        // stay zero there while `is_rehomed` still answers correctly.)
-        let rehomed = self.pages.take_offline(dead);
-        self.m.reconfig.rehomed_pages += rehomed.len() as u64;
-        self.m.reconfig.degraded_pages += rehomed.len() as u64;
-
-        // Rebuild directory state. The dead directories' sharer lists
-        // are unrecoverable, so every block they tracked is
-        // conservatively scrubbed from all surviving caches; blocks
-        // that stay directory-tracked are re-created at their surviving
-        // tracker as sticky-broadcast entries (the conservative mode
-        // the sharer-cap overflow path already exercises).
-        for &d in dead {
-            let resident = self.gpms[d.index()].dir.resident_blocks();
-            for (block, _sharers) in resident {
-                self.m.reconfig.rehomed_blocks += 1;
-                self.gpms[d.index()].dir.remove(block);
-                for g in topo.all_gpms() {
-                    if self.gpm_is_dead(g) {
-                        continue;
-                    }
-                    let mut removed = 0u64;
-                    let mut dirty: Vec<(LineAddr, L2Line)> = Vec::new();
-                    for line in self.cfg.geometry.lines_of_block(block) {
-                        if let Some(meta) = self.gpms[g.index()].l2.invalidate(line) {
-                            removed += 1;
-                            if meta.dirty {
-                                dirty.push((line, meta));
-                            }
-                        }
-                    }
-                    self.m.reconfig.scrubbed_lines += removed;
-                    for (line, meta) in dirty {
-                        self.evicted_l2_line(now, g, line, meta);
-                    }
-                }
-                let line = self.cfg.geometry.first_line_of_block(block);
-                let page = self.cfg.geometry.page_of_line(line);
-                if self.line_degraded(line) {
-                    // Degraded lines leave directory coherence entirely.
-                    continue;
-                }
-                let Some(sys) = self.pages.peek_home(page) else {
-                    continue;
-                };
-                let tracker = if topo.gpu_of(d) == topo.gpu_of(sys) {
-                    sys
-                } else {
-                    self.pages.gpu_home(topo.gpu_of(d), block, sys)
-                };
-                if self.gpm_is_dead(tracker) {
-                    continue;
-                }
-                let (newly, evicted) = {
-                    let (set, evicted) = self.gpms[tracker.index()].dir.allocate(block);
-                    let newly = !set.is_broadcast();
-                    set.force_broadcast();
-                    (newly, evicted)
-                };
-                if newly {
-                    self.note_broadcast_fallback(tracker);
-                }
-                if let Some((vb, vs)) = evicted {
-                    self.send_evict_invs(now, tracker, vb, vs);
-                }
-            }
-        }
-
-        // Purge dead sharers from every surviving directory.
-        let dead_gpus: Vec<GpuId> = topo
-            .all_gpus()
-            .filter(|&gpu| topo.gpms_of(gpu).all(|g| self.gpm_is_dead(g)))
-            .collect();
-        for g in topo.all_gpms() {
-            if self.gpm_is_dead(g) {
-                continue;
-            }
-            for &d in dead {
-                self.gpms[g.index()].dir.purge_sharer(Sharer::Gpm(d));
-            }
-            for &gpu in &dead_gpus {
-                self.gpms[g.index()].dir.purge_sharer(Sharer::Gpu(gpu));
-            }
-        }
-
-        // Fences ordered against the dead modules can complete now, and
-        // the kernel may have lost its last unfinished CTA.
-        self.check_fences(now);
-        self.maybe_kernel_end(now);
-    }
-
-    /// Aborts one CTA of a dead GPM. Its remaining `SetFlag` ops are
-    /// salvaged — published immediately — so surviving `WaitFlag`
-    /// consumers do not deadlock on a producer that no longer exists.
-    fn abort_cta(&mut self, now: Cycle, cta: usize, pc: usize) {
-        self.m.reconfig.aborted_ctas += 1;
-        self.ctas_unfinished -= 1;
-        let flags: Vec<u32> = self.trace.kernels[self.kernel].ctas[cta]
-            .ops
-            .iter()
-            .skip(pc)
-            .filter_map(|op| match op {
-                TraceOp::SetFlag(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        for f in flags {
-            self.salvage_set_flag(now, f);
-        }
-    }
-
-    /// Publishes a salvaged flag increment, waking waiters exactly like
-    /// the normal `SetFlag` path.
-    fn salvage_set_flag(&mut self, now: Cycle, f: u32) {
-        *self.flags.or_insert(f, 0) += 1;
-        if let Some(mut waiters) = self.flag_waiters.remove(&f) {
-            let wake = now + self.cfg.flag_latency;
-            for w in waiters.drain(..) {
-                let wi = self.sm_index(w);
-                if self.sms[wi].state == SmState::FlagWait(f) {
-                    self.sms[wi].state = SmState::Runnable;
-                    self.q.push(wake, Ev::SmResume(w));
-                }
-            }
-            self.waiter_pool.give(waiters);
-        }
-    }
-
-    /// Re-issues (or aborts) a request that was delivered to a dead
-    /// node. Surviving requesters retry from their own GPM, where the
-    /// home lookups recompute against the reconfigured page map.
-    fn reroute_req(&mut self, now: Cycle, msg: MemMsg) {
-        self.m.reconfig.drained_txns += 1;
-        if self.gpm_is_dead(msg.sm.gpm) {
-            // Requester and server both died: the transaction aborts.
-            self.loads_inflight -= 1;
-            self.maybe_kernel_end(now);
-            return;
-        }
-        let retry = MemMsg {
-            attempts: msg.attempts.saturating_add(1),
-            ..msg
-        };
-        self.q.push(
-            now + Cycle(1),
-            Ev::Req {
-                msg: retry,
-                node: retry.sm.gpm,
-            },
-        );
-    }
-
-    // ---------- soft errors: injection, scrubbing, poison ----------
-
-    /// Consumes the latent fault planted on `(node, line)`, if any. The
-    /// fast path keeps the per-access overhead at one branch when no
-    /// flip faults are armed.
-    fn take_line_fault(&mut self, node: GpmId, line: LineAddr) -> Option<FlipSeverity> {
-        if self.line_faults.is_empty() {
-            return None;
-        }
-        self.line_faults.remove(&(node.0, line))
-    }
-
-    /// One scrubber period: resolve last period's latent faults, then
-    /// draw this period's flips.
-    fn handle_scrub(&mut self, now: Cycle) {
-        self.scrub_sweep();
-        self.plant_flips(now);
-        // Reschedule only while the run is still making progress: an
-        // otherwise-drained queue must stay drained so the queue-empty
-        // deadlock check keeps firing.
-        if !self.finished && !self.q.is_empty() {
-            self.q.push(now + self.cfg.scrub_interval, Ev::Scrub);
-        }
-    }
-
-    /// The background scrubber pass: resolves every outstanding latent
-    /// fault against the line's current residency. Correctable faults
-    /// are repaired in place; uncorrectable faults invalidate the copy —
-    /// clean (or departed) lines refetch on their next miss, while a
-    /// dirty copy was the only one and is unrecoverable poison.
-    fn scrub_sweep(&mut self) {
-        if self.line_faults.is_empty() {
-            return;
-        }
-        let mut entries: Vec<((u16, LineAddr), FlipSeverity)> =
-            self.line_faults.iter().map(|(&k, &v)| (k, v)).collect();
-        // The flat map iterates in storage order; restore the ordered
-        // map's key order so the sweep's observable side effects
-        // (invalidations, poison, counters) land identically.
-        entries.sort_unstable_by_key(|&((g, l), _)| (g, l.0));
-        self.line_faults.clear();
-        for ((gpm, line), sev) in entries {
-            self.m.integrity.scrubbed += 1;
-            let node = GpmId(gpm);
-            match sev {
-                FlipSeverity::Correctable => {
-                    if self.gpms[node.index()].l2.get(line).is_some() {
-                        self.m.integrity.corrected += 1;
-                    } else {
-                        // The line left the cache before the scrubber
-                        // reached it; the flip died with the stale copy.
-                        self.m.integrity.refetched_lines += 1;
-                    }
-                }
-                FlipSeverity::Uncorrectable => {
-                    match self.gpms[node.index()].l2.invalidate(line) {
-                        Some(meta) if meta.dirty => {
-                            // The only copy of committed-but-unflushed
-                            // data was corrupt: contained, not consumed.
-                            self.m.integrity.poisoned += 1;
-                        }
-                        _ => self.m.integrity.refetched_lines += 1,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Draws this scrub period's soft errors from the dedicated flip
-    /// stream. Line flips plant latent faults resolved at the next
-    /// access, overwrite, or sweep; directory flips resolve immediately
-    /// (the entry is probed in place at detection).
-    fn plant_flips(&mut self, now: Cycle) {
-        let line_prob = self.cfg.faults.flip_line.map(|f| f.prob);
-        let dir_prob = self.cfg.faults.flip_dir.map(|f| f.prob);
-        let frac = self.cfg.ecc_double_bit_fraction;
-        for node in self.cfg.topo.all_gpms() {
-            if self.gpm_is_dead(node) {
-                continue;
-            }
-            if let Some(p) = line_prob {
-                let hit = match self.flip_rng.as_mut() {
-                    Some(r) => r.gen_bool(p),
-                    None => false,
-                };
-                let len = self.gpms[node.index()].l2.len();
-                if hit && len > 0 {
-                    let n = match self.flip_rng.as_mut() {
-                        Some(r) => r.gen_range(0, len as u64) as usize,
-                        None => 0,
-                    };
-                    let picked = self.gpms[node.index()].l2.nth_resident(n).map(|(l, _)| l);
-                    if let Some(line) = picked {
-                        self.m.integrity.flips_line += 1;
-                        match self.cfg.ecc {
-                            EccMode::None => {
-                                // No detection: the resident copy is
-                                // silently wrong from here on.
-                                if let Some(meta) = self.gpms[node.index()].l2.get_mut(line) {
-                                    meta.version ^= 1 << 40;
-                                }
-                                self.m.integrity.silent_corruptions += 1;
-                            }
-                            EccMode::Parity => {
-                                self.line_faults
-                                    .insert((node.0, line), FlipSeverity::Uncorrectable);
-                            }
-                            EccMode::SecDed => {
-                                let double = match self.flip_rng.as_mut() {
-                                    Some(r) => r.gen_bool(frac),
-                                    None => false,
-                                };
-                                let sev = if double {
-                                    FlipSeverity::Uncorrectable
-                                } else {
-                                    FlipSeverity::Correctable
-                                };
-                                self.line_faults.insert((node.0, line), sev);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(p) = dir_prob {
-                let hit = match self.flip_rng.as_mut() {
-                    Some(r) => r.gen_bool(p),
-                    None => false,
-                };
-                let len = self.gpms[node.index()].dir.len();
-                if hit && len > 0 {
-                    let n = match self.flip_rng.as_mut() {
-                        Some(r) => r.gen_range(0, len as u64) as usize,
-                        None => 0,
-                    };
-                    if let Some(block) = self.gpms[node.index()].dir.nth_resident_block(n) {
-                        self.m.integrity.flips_dir += 1;
-                        match self.cfg.ecc {
-                            EccMode::None => {
-                                // An undetected sharer-bit flip: the
-                                // directory silently forgets sharers and
-                                // later invalidation rounds under-send.
-                                if let Some(set) = self.gpms[node.index()].dir.lookup_mut(block) {
-                                    set.clear();
-                                }
-                                self.m.integrity.silent_corruptions += 1;
-                            }
-                            EccMode::Parity => self.rebuild_dir_entry(now, node, block),
-                            EccMode::SecDed => {
-                                let double = match self.flip_rng.as_mut() {
-                                    Some(r) => r.gen_bool(frac),
-                                    None => false,
-                                };
-                                if double {
-                                    self.rebuild_dir_entry(now, node, block);
-                                } else {
-                                    self.m.integrity.corrected += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recovers an uncorrectably corrupt directory entry. The sharer
-    /// list is unrecoverable, so every survivor's copies of the block's
-    /// lines are scrubbed (dirty ones flush first) and the entry is
-    /// re-created in conservative sticky-broadcast mode — the same
-    /// degraded state the sharer-cap overflow path already exercises.
-    fn rebuild_dir_entry(&mut self, now: Cycle, home: GpmId, block: BlockAddr) {
-        self.m.integrity.rebuilt_dir_entries += 1;
-        for g in self.cfg.topo.all_gpms() {
-            if g == home || self.gpm_is_dead(g) {
-                continue;
-            }
-            let mut dirty: Vec<(LineAddr, L2Line)> = Vec::new();
-            for line in self.cfg.geometry.lines_of_block(block) {
-                if let Some(meta) = self.gpms[g.index()].l2.invalidate(line) {
-                    self.m.integrity.scrubbed += 1;
-                    if meta.dirty {
-                        dirty.push((line, meta));
-                    }
-                }
-            }
-            for (line, meta) in dirty {
-                self.evicted_l2_line(now, g, line, meta);
-            }
-        }
-        let newly = {
-            let Some(set) = self.gpms[home.index()].dir.lookup_mut(block) else {
-                return;
-            };
-            let newly = !set.is_broadcast();
-            set.force_broadcast();
-            newly
-        };
-        if newly {
-            self.note_broadcast_fallback(home);
-        }
-    }
-
-    /// Aborts the CTA running on `r` after it consumed a poisoned
-    /// response. Mirrors the fail-in-place `abort_cta`: remaining
-    /// `SetFlag` ops are salvaged so surviving waiters don't deadlock,
-    /// and the SM picks up the next queued CTA. A no-op if the CTA
-    /// already aborted through another poisoned response merged behind
-    /// the same fill.
-    fn abort_poisoned_cta(&mut self, now: Cycle, r: SmRef) {
-        let idx = self.sm_index(r);
-        let Some(cta) = self.sms[idx].cta.take() else {
-            return;
-        };
-        let pc = self.sms[idx].pc;
-        self.m.integrity.aborted_ctas += 1;
-        self.ctas_unfinished -= 1;
-        let flags: Vec<u32> = self.trace.kernels[self.kernel].ctas[cta]
-            .ops
-            .iter()
-            .skip(pc)
-            .filter_map(|op| match op {
-                TraceOp::SetFlag(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        for f in flags {
-            self.salvage_set_flag(now, f);
-        }
-        let next = self.gpms[r.gpm.index()].cta_queue.pop_front();
-        let s = &mut self.sms[idx];
-        s.cta = next;
-        s.pc = 0;
-        if next.is_some() {
-            s.state = SmState::Runnable;
-            self.q.push(now, Ev::SmResume(r));
-        } else {
-            s.state = SmState::Idle;
-        }
-        self.maybe_kernel_end(now);
-    }
-}
-
-// ---------- snapshot / restore ----------
-//
-// A snapshot captures the complete deterministic state of a `Sim` at an
-// event boundary: the event queue (with its far list), the fabric (link
-// clocks, sequence numbers, fault RNG streams, liveness epochs), all
-// memory-system state (caches, directories, DRAM ports, page homes,
-// committed versions, latent soft errors), scheduler state (fences,
-// flags, MSHRs, CTA queues), every RNG stream, the fault-plan cursor,
-// and the accumulated `RunMetrics`. The borrowed `cfg`/`trace` and the
-// allocation pools are rebuilt, not serialized; `fatal` and `finished`
-// are structurally `None`/`false` at every snapshot point because the
-// run-loop hook sits after both checks.
-//
-// Restore is refusal-based: any shape that disagrees with the live
-// configuration (wrong cache geometry, out-of-range GPM/SM/CTA/fence
-// index, mis-armed RNG stream) yields a typed `SnapError` and leaves
-// the caller free to fall back to an older snapshot or a cold start.
-//
-// The engine's own types are plain field lists and tagged enums, so
-// `snapshot_codec!` generates both codec directions from one list
-// each; the validating checks live in the hand-written section reader
-// below and in the `Cache`/`Directory`/`Fabric` impls it calls. A
-// layout change must bump `SNAP_VERSION` and re-pin the golden test
-// `snapshot_bytes_match_golden_format`.
-
-hmg_sim::snapshot_codec!(enum FlipSeverity {
-    0 => Correctable,
-    1 => Uncorrectable,
-});
-hmg_sim::snapshot_codec!(L2Line { version, dirty });
-hmg_sim::snapshot_codec!(SmRef { gpm, sm });
-hmg_sim::snapshot_codec!(enum SmState {
-    0 => Runnable,
-    1 => StalledMem,
-    2 => FenceWait,
-    3 => FlagWait(flag),
-    4 => Idle,
-});
-hmg_sim::snapshot_codec!(Sm {
-    l1,
-    cta,
-    pc,
-    outstanding,
-    state
-});
-hmg_sim::snapshot_codec!(enum CarveClass {
-    0 => Private(owner),
-    1 => ReadOnly,
-    2 => ReadWrite,
-});
-hmg_sim::snapshot_codec!(Gpm {
-    l2,
-    dir,
-    dram,
-    st_pending_gpu,
-    st_pending_sys,
-    inv_pending_gpu,
-    inv_pending_sys,
-    cta_queue,
-    carve,
-    inv_floor,
-});
-hmg_sim::snapshot_codec!(MemMsg {
-    sm,
-    line,
-    kind,
-    scope,
-    version,
-    issued_at,
-    attempts,
-    poisoned,
-});
-hmg_sim::snapshot_codec!(StoreMsg {
-    origin,
-    line,
-    version,
-    gpu_ordered,
-    duplicate,
-});
-hmg_sim::snapshot_codec!(enum InvCause {
-    0 => Store,
-    1 => Eviction,
-});
-hmg_sim::snapshot_codec!(InvMsg {
-    block,
-    cause,
-    causer,
-    counted,
-    from_sys,
-    target,
-    version,
-});
-hmg_sim::snapshot_codec!(Fence {
-    gpm,
-    scope,
-    sm,
-    acks_done,
-    completed,
-});
-hmg_sim::snapshot_codec!(enum Ev {
-    0 => SmResume(sm),
-    1 => Req { msg, node },
-    2 => Store { msg, node },
-    3 => RespGpuHome { msg, node },
-    4 => Resp { msg },
-    5 => Inv(inv),
-    6 => Downgrade { block, target, evictor },
-    7 => FenceAcks(id),
-    8 => KernelStart(k),
-    9 => Scrub,
-});
-
-/// How a preemptible run captures and resumes snapshots.
-///
-/// Passed to [`Engine::try_run_preemptible`]. The store at `path` keeps
-/// the last two snapshots double-buffered (`<path>.a` / `<path>.b`);
-/// `identity` must be a stable hash of everything that defines the
-/// cell (workload, protocol, scale, seed, fault plan) so a snapshot
-/// from a different cell is refused rather than silently resumed.
-#[derive(Debug, Clone)]
-pub struct SnapshotPolicy {
-    /// Base path of the double-buffered snapshot store.
-    pub path: std::path::PathBuf,
-    /// Identity hash of the producing cell; snapshots whose header
-    /// carries a different identity are refused as stale.
-    pub identity: u64,
-    /// Cycles between periodic snapshots (0 disables periodic capture).
-    pub interval: u64,
-    /// Extra one-shot capture points: a snapshot is taken at the first
-    /// event boundary at or past each cycle. Used by the kill-matrix
-    /// tests to pin captures at arbitrary mid-run points.
-    pub snap_at: Vec<u64>,
-    /// Test hook: abort the process (no unwinding, no cleanup) at the
-    /// first event boundary at or past this cycle, after any snapshot
-    /// due at that boundary has been written. Simulates preemption.
-    pub kill_at: Option<u64>,
-}
-
-impl SnapshotPolicy {
-    /// Periodic capture every `interval` cycles into `path`.
-    pub fn periodic(path: impl Into<std::path::PathBuf>, identity: u64, interval: u64) -> Self {
-        SnapshotPolicy {
-            path: path.into(),
-            identity,
-            interval,
-            snap_at: Vec::new(),
-            kill_at: None,
-        }
-    }
-}
-
-/// What the snapshot machinery did during one preemptible run.
-#[derive(Debug, Default)]
-pub struct SnapshotReport {
-    /// Cycle of the snapshot the run resumed from, or `None` for a
-    /// cold start.
-    pub resumed_from: Option<u64>,
-    /// Snapshots written during this run.
-    pub written: u64,
-    /// Snapshot writes that failed (the run continues regardless; a
-    /// snapshot is an optimization, never a correctness dependency).
-    pub write_errors: u64,
-    /// Candidate snapshots refused during resume, newest first, with
-    /// the typed reason for each refusal.
-    pub rejected: Vec<(std::path::PathBuf, SnapError)>,
-}
-
-/// Cold-path snapshot state, boxed off the `Sim` hot path.
-struct SnapCtl {
-    store: SnapshotStore,
-    identity: u64,
-    interval: u64,
-    /// Next periodic capture cycle (`u64::MAX` when periodic capture
-    /// is off).
-    periodic_next: u64,
-    /// One-shot capture cycles, ascending.
-    snap_at: Vec<u64>,
-    at_idx: usize,
-    kill_at: Option<u64>,
-    written: u64,
-    write_errors: u64,
-}
-
-impl SnapCtl {
-    /// Earliest cycle at which the tick has any work.
-    fn next_trigger(&self) -> u64 {
-        let mut n = self.periodic_next;
-        if let Some(&a) = self.snap_at.get(self.at_idx) {
-            n = n.min(a);
-        }
-        if let Some(k) = self.kill_at {
-            n = n.min(k);
-        }
-        n
-    }
-}
-
-impl Engine {
-    /// Like [`Engine::try_run`], but resumes from the most recent valid
-    /// snapshot in `policy.path` (if any) and captures new snapshots as
-    /// the policy directs.
-    ///
-    /// Resume walks a fallback ladder: candidate snapshots are tried
-    /// newest-first, and any refusal — truncation, checksum mismatch,
-    /// version or identity mismatch, or a shape that disagrees with
-    /// this engine's configuration — drops to the next rung, ending at
-    /// a cold start from cycle zero. Refusals are reported, never
-    /// panicked on. A resumed run is bit-identical to an uninterrupted
-    /// one: same `state_digest`, same `RunMetrics`.
-    pub fn try_run_preemptible(
-        &self,
-        trace: &WorkloadTrace,
-        policy: &SnapshotPolicy,
-    ) -> Result<(RunMetrics, SnapshotReport), SimError> {
-        let store = SnapshotStore::new(&policy.path);
-        let mut report = SnapshotReport::default();
-        // Every existing slot is a candidate; files whose header does
-        // not even probe (bad magic, wrong version, truncated header)
-        // sort last and surface their typed refusal through the load
-        // below rather than vanishing silently.
-        let mut cands: Vec<(u64, std::path::PathBuf)> = store
-            .slots()
-            .into_iter()
-            .filter(|p| p.exists())
-            .map(|p| (Snapshot::probe(&p).map_or(0, |(_, cycle)| cycle), p))
-            .collect();
-        cands.sort_by_key(|c| std::cmp::Reverse(c.0));
-        let mut sim = Sim::new(&self.cfg, trace);
-        for (cycle, path) in cands {
-            let attempt = Snapshot::load(&path, Some(policy.identity)).and_then(|s| {
-                let mut cand = Sim::new(&self.cfg, trace);
-                cand.restore_snapshot(&s)?;
-                Ok(cand)
-            });
-            match attempt {
-                Ok(restored) => {
-                    report.resumed_from = Some(cycle);
-                    sim = restored;
-                    break;
-                }
-                Err(e) => report.rejected.push((path, e)),
-            }
-        }
-        sim.arm_snapshots(store, policy);
-        let run = sim.run();
-        if let Some(ctl) = sim.snap.take() {
-            report.written = ctl.written;
-            report.write_errors = ctl.write_errors;
-        }
-        run.map(|m| (m, report))
-    }
-}
-
-impl<'t> Sim<'t> {
-    /// Installs the snapshot policy on a (possibly restored) sim.
-    fn arm_snapshots(&mut self, store: SnapshotStore, policy: &SnapshotPolicy) {
-        let mut snap_at = policy.snap_at.clone();
-        snap_at.sort_unstable();
-        snap_at.dedup();
-        let base = self.q.now().0;
-        // Capture points at or before the resume cycle were already
-        // taken by the interrupted attempt.
-        let at_idx = snap_at.partition_point(|&c| c <= base);
-        let ctl = SnapCtl {
-            store,
-            identity: policy.identity,
-            interval: policy.interval,
-            periodic_next: if policy.interval == 0 {
-                u64::MAX
-            } else {
-                base.saturating_add(policy.interval)
-            },
-            snap_at,
-            at_idx,
-            kill_at: policy.kill_at,
-            written: 0,
-            write_errors: 0,
-        };
-        self.snap_next = ctl.next_trigger();
-        self.snap = Some(Box::new(ctl));
-    }
-
-    /// Cold half of the snapshot hook: takes due captures, honors the
-    /// test-only kill hook, and re-arms `snap_next`.
-    #[inline(never)]
-    fn snapshot_tick(&mut self, now: Cycle) {
-        let Some(mut ctl) = self.snap.take() else {
-            self.snap_next = u64::MAX;
-            return;
-        };
-        let mut due = false;
-        if now.0 >= ctl.periodic_next {
-            due = true;
-            ctl.periodic_next = now.0.saturating_add(ctl.interval.max(1));
-        }
-        while ctl.at_idx < ctl.snap_at.len() && ctl.snap_at[ctl.at_idx] <= now.0 {
-            due = true;
-            ctl.at_idx += 1;
-        }
-        if due {
-            let snap = self.write_snapshot(ctl.identity);
-            match ctl.store.save(&snap) {
-                Ok(_) => ctl.written += 1,
-                // A failed write never aborts the run: the store still
-                // holds the previous snapshot, and losing a capture
-                // only costs resume granularity.
-                Err(_) => ctl.write_errors += 1,
-            }
-        }
-        if ctl.kill_at.is_some_and(|k| now.0 >= k) {
-            // Simulated preemption: no unwinding, no destructors, no
-            // flushing — exactly what SIGKILL leaves behind.
-            std::process::abort();
-        }
-        self.snap_next = ctl.next_trigger();
-        self.snap = Some(ctl);
-    }
-
-    /// Serializes the complete simulation state at the current event
-    /// boundary. Read-only: taking a snapshot must not perturb the run,
-    /// or resumed and uninterrupted runs would diverge.
-    fn write_snapshot(&self, identity: u64) -> Snapshot {
-        let now = self.q.now();
-        let mut snap = Snapshot::new(identity, now.0);
-
-        let mut w = SnapWriter::new();
-        self.q.write_snap(&mut w);
-        snap.add_section("queue", w);
-
-        let mut w = SnapWriter::new();
-        self.fabric.write_snap(&mut w);
-        snap.add_section("fabric", w);
-
-        let mut w = SnapWriter::new();
-        self.pages.write_snap(&mut w);
-        self.versions.write_snap(&mut w);
-        self.committed.write_snap(&mut w);
-        self.touch_map.write_snap(&mut w);
-        self.line_faults.write_snap(&mut w);
-        snap.add_section("memory", w);
-
-        let mut w = SnapWriter::new();
-        self.gpms.write_snap(&mut w);
-        snap.add_section("gpms", w);
-
-        let mut w = SnapWriter::new();
-        self.sms.write_snap(&mut w);
-        snap.add_section("sms", w);
-
-        let mut w = SnapWriter::new();
-        self.fences.write_snap(&mut w);
-        self.active_fences.write_snap(&mut w);
-        self.flags.write_snap(&mut w);
-        self.flag_waiters.write_snap(&mut w);
-        self.mshr.write_snap(&mut w);
-        self.kernel.write_snap(&mut w);
-        w.put_u64(self.ctas_unfinished);
-        w.put_u64(self.loads_inflight);
-        w.put_u32(self.kernel_fences_left);
-        self.draining.write_snap(&mut w);
-        self.rng.write_snap(&mut w);
-        self.flip_rng.write_snap(&mut w);
-        w.put_u64(self.store_seq);
-        w.put_u64(self.inv_seq);
-        self.perm_next.write_snap(&mut w);
-        w.put_u64(self.dead_gpms);
-        self.reconfigured.write_snap(&mut w);
-        self.watchdog.write_snap(&mut w);
-        snap.add_section("sched", w);
-
-        let mut w = SnapWriter::new();
-        self.m.write_snap(&mut w);
-        snap.add_section("metrics", w);
-
-        snap
-    }
-
-    /// Refuses a section with trailing bytes (a length-smuggling or
-    /// layout-drift symptom the per-field reads cannot see).
-    fn check_exhausted(r: &SnapReader<'_>, name: &str) -> Result<(), SnapError> {
-        if r.is_exhausted() {
-            Ok(())
-        } else {
-            Err(SnapError::Malformed(format!(
-                "section '{name}' has {} trailing bytes",
-                r.remaining()
-            )))
-        }
-    }
-
-    /// Overwrites this freshly constructed sim's state from `snap`.
-    ///
-    /// On any refusal the sim is in an unspecified partial state and
-    /// must be discarded; [`Engine::try_run_preemptible`] constructs a
-    /// fresh `Sim` per ladder rung for exactly that reason.
-    fn restore_snapshot(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        let mut r = snap.section("queue")?;
-        let q: EventQueue<Ev> = EventQueue::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "queue")?;
-        if q.now().0 != snap.cycle {
-            return Err(SnapError::Malformed(format!(
-                "header cycle {} disagrees with queue position {}",
-                snap.cycle,
-                q.now()
-            )));
-        }
-        self.q = q;
-
-        let mut r = snap.section("fabric")?;
-        self.fabric.restore_snap_state(&mut r)?;
-        Self::check_exhausted(&r, "fabric")?;
-
-        let mut r = snap.section("memory")?;
-        self.pages = PageMap::read_snap(&mut r)?;
-        self.versions = VersionStore::read_snap(&mut r)?;
-        self.committed = FlatMap::read_snap(&mut r)?;
-        self.touch_map = FlatMap::read_snap(&mut r)?;
-        self.line_faults = FlatMap::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "memory")?;
-
-        let mut r = snap.section("gpms")?;
-        self.gpms = Vec::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "gpms")?;
-
-        let mut r = snap.section("sms")?;
-        self.sms = Vec::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "sms")?;
-
-        let mut r = snap.section("sched")?;
-        self.fences = Vec::read_snap(&mut r)?;
-        self.active_fences = Vec::read_snap(&mut r)?;
-        self.flags = FlatMap::read_snap(&mut r)?;
-        self.flag_waiters = FlatMap::read_snap(&mut r)?;
-        self.mshr = FlatMap::read_snap(&mut r)?;
-        self.kernel = usize::read_snap(&mut r)?;
-        self.ctas_unfinished = r.get_u64()?;
-        self.loads_inflight = r.get_u64()?;
-        self.kernel_fences_left = r.get_u32()?;
-        self.draining = bool::read_snap(&mut r)?;
-        self.rng = Rng::read_snap(&mut r)?;
-        self.flip_rng = Option::read_snap(&mut r)?;
-        self.store_seq = r.get_u64()?;
-        self.inv_seq = r.get_u64()?;
-        self.perm_next = usize::read_snap(&mut r)?;
-        self.dead_gpms = r.get_u64()?;
-        self.reconfigured = bool::read_snap(&mut r)?;
-        self.watchdog = ProgressWatchdog::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "sched")?;
-
-        let mut r = snap.section("metrics")?;
-        self.m = RunMetrics::read_snap(&mut r)?;
-        Self::check_exhausted(&r, "metrics")?;
-
-        self.validate_restored()?;
-        self.resumed = true;
-        Ok(())
-    }
-
-    /// Cross-field validation of restored state against the live
-    /// configuration and trace: everything the engine later uses as an
-    /// unchecked index must be proven in range here, so a refused
-    /// snapshot can never become a panic mid-run.
-    fn validate_restored(&self) -> Result<(), SnapError> {
-        let bad = |what: String| Err(SnapError::Malformed(what));
-        let topo = self.cfg.topo;
-        let n_gpms = topo.num_gpms() as usize;
-        let sms_per_gpm = self.cfg.sms_per_gpm;
-        if self.gpms.len() != n_gpms {
-            return bad(format!(
-                "{} GPMs in snapshot, topology has {n_gpms}",
-                self.gpms.len()
-            ));
-        }
-        if self.sms.len() != self.cfg.total_sms() as usize {
-            return bad(format!(
-                "{} SMs in snapshot, configuration has {}",
-                self.sms.len(),
-                self.cfg.total_sms()
-            ));
-        }
-        for (i, g) in self.gpms.iter().enumerate() {
-            if g.l2.config() != self.cfg.l2 {
-                return bad(format!("gpm{i} L2 geometry differs from configuration"));
-            }
-            if g.dir.config() != self.cfg.dir {
-                return bad(format!(
-                    "gpm{i} directory geometry differs from configuration"
-                ));
-            }
-        }
-        for (i, s) in self.sms.iter().enumerate() {
-            if s.l1.config() != self.cfg.l1 {
-                return bad(format!("sm{i} L1 geometry differs from configuration"));
-            }
-        }
-        if self.kernel >= self.trace.num_kernels() {
-            return bad(format!(
-                "kernel index {} out of range ({} kernels)",
-                self.kernel,
-                self.trace.num_kernels()
-            ));
-        }
-        let n_ctas = self.trace.kernels[self.kernel].num_ctas();
-        for (i, s) in self.sms.iter().enumerate() {
-            if let Some(c) = s.cta {
-                if c >= n_ctas {
-                    return bad(format!("sm{i} runs CTA {c}, kernel has {n_ctas}"));
-                }
-            }
-        }
-        let sm_ok = |r: SmRef| r.gpm.index() < n_gpms && r.sm < sms_per_gpm;
-        for (i, g) in self.gpms.iter().enumerate() {
-            for &c in &g.cta_queue {
-                if c >= n_ctas {
-                    return bad(format!("gpm{i} queues CTA {c}, kernel has {n_ctas}"));
-                }
-            }
-        }
-        for f in &self.fences {
-            if f.gpm.index() >= n_gpms || f.sm.is_some_and(|r| !sm_ok(r)) {
-                return bad("fence names an out-of-range GPM or SM".into());
-            }
-        }
-        for &i in &self.active_fences {
-            if i >= self.fences.len() {
-                return bad(format!(
-                    "active fence {i} out of range ({} fences)",
-                    self.fences.len()
-                ));
-            }
-        }
-        for (&(node, _), waiters) in self.mshr.iter() {
-            if node as usize >= n_gpms || waiters.iter().any(|m| !sm_ok(m.sm)) {
-                return bad("MSHR entry names an out-of-range GPM or SM".into());
-            }
-        }
-        for (_, waiters) in self.flag_waiters.iter() {
-            if waiters.iter().any(|&r| !sm_ok(r)) {
-                return bad("flag waiter names an out-of-range SM".into());
-            }
-        }
-        for (&(node, _), _) in self.line_faults.iter() {
-            if node as usize >= n_gpms {
-                return bad(format!("latent fault on out-of-range gpm{node}"));
-            }
-        }
-        if self.perm_next > self.perm_faults.len() {
-            return bad(format!(
-                "fault cursor {} past plan length {}",
-                self.perm_next,
-                self.perm_faults.len()
-            ));
-        }
-        if n_gpms < 64 && self.dead_gpms >> n_gpms != 0 {
-            return bad(format!(
-                "dead-GPM mask {:#x} exceeds topology of {n_gpms}",
-                self.dead_gpms
-            ));
-        }
-        let flips_armed = self.cfg.faults.flip_line.is_some() || self.cfg.faults.flip_dir.is_some();
-        if self.flip_rng.is_some() != flips_armed {
-            return bad("soft-error stream arming disagrees with the fault plan".into());
-        }
-        let fences_len = self.fences.len();
-        let num_kernels = self.trace.num_kernels();
-        let mut ev_err: Option<String> = None;
-        self.q.for_each_pending(|_, e| {
-            if ev_err.is_some() {
-                return;
-            }
-            let ok = match e {
-                Ev::SmResume(r) => sm_ok(*r),
-                Ev::Req { msg, node } | Ev::RespGpuHome { msg, node } => {
-                    sm_ok(msg.sm) && node.index() < n_gpms
-                }
-                Ev::Resp { msg } => sm_ok(msg.sm),
-                Ev::Store { msg, node } => msg.origin.index() < n_gpms && node.index() < n_gpms,
-                Ev::Inv(inv) => inv.causer.index() < n_gpms && inv.target.index() < n_gpms,
-                Ev::Downgrade {
-                    target, evictor, ..
-                } => target.index() < n_gpms && evictor.index() < n_gpms,
-                Ev::FenceAcks(id) => *id < fences_len,
-                Ev::KernelStart(k) => *k < num_kernels,
-                Ev::Scrub => true,
-            };
-            if !ok {
-                ev_err = Some("pending event references out-of-range state".to_string());
-            }
-        });
-        if let Some(e) = ev_err {
-            return bad(e);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -3855,6 +2770,7 @@ mod tests {
     use super::*;
     use hmg_mem::Addr;
     use hmg_protocol::{Access, Cta, Kernel, WorkloadTrace};
+    use hmg_sim::{SnapError, Snapshot, SnapshotStore};
 
     /// Builds a kernel with one CTA per GPM of the small_test topology
     /// (2 GPUs x 2 GPMs = 4 GPMs), so CTA `i` lands on GPM `i` under

@@ -180,7 +180,8 @@ impl SpecVariant {
         SpecVariant::HmgPhase,
     ];
 
-    /// Stable name used by `experiments audit --protocol` and reports.
+    /// Stable name used by `hmg-audit --protocol`, `experiments check
+    /// --protocol` and reports.
     pub fn name(self) -> &'static str {
         match self {
             SpecVariant::Nhcc => "nhcc",

@@ -227,3 +227,68 @@ fn faulty_sweeps_resume_deterministically_from_a_checkpoint() {
     assert_eq!(first.rows, resumed.rows, "resume must not change results");
     assert_eq!(first.geomeans, resumed.geomeans);
 }
+
+/// Golden [`RunMetrics::fingerprint`] for one tiny cell per recovery
+/// path: fail-in-place reconfiguration, soft-error repair (line and
+/// directory flips under each ECC mode) and message-fault recovery.
+/// `fig8_cells_match_fingerprint_goldens` pins only fault-free cells,
+/// so without these a change that moved a fault run's timing would go
+/// unnoticed. Each cell also names the `[fail-in-place]` or
+/// `[integrity]` counters that must read nonzero, which shows it
+/// reaches its recovery branch.
+#[test]
+fn recovery_cells_match_fingerprint_goldens() {
+    // workload protocol fault-plan tweak(- for none) golden counters...
+    // The second cell's loads merged behind fills at the dead GPM
+    // re-issue from the MSHR drain.
+    const CELLS: &str = "
+        overfeat nhcc gpu-offline=0@300 - 5d6bf62efb83a91e reconfig.drained_txns
+        CoMD hmg gpm-offline=1.1@1000 - ad953acc9f268d50 reconfig.drained_txns
+        overfeat hmg gpu-offline=0@2500 - a63604c7dde856df reconfig.rehomed_blocks reconfig.scrubbed_lines
+        cuSolver hmg gpm-offline=0.1@1000 - 314afbb8e0d7c76f reconfig.aborted_ctas
+        cuSolver hmg link-down=0-1@500 - 411abef850c462df reconfig.reconfig_epochs
+        cuSolver nhcc flip-line=0.5,flip-dir=0.5,seed=3 - fba34567cac302e6 integrity.corrected integrity.rebuilt_dir_entries
+        cuSolver hmg flip-line=0.5,flip-dir=0.5,seed=3 ecc=parity da537df9114389e8 integrity.refetched_lines
+        cuSolver hmg flip-line=0.9,seed=3 write-policy=wb+double-bit=1 0a00c52b3144246e integrity.poisoned integrity.aborted_ctas
+        bfs hmg drop=0.05,flip-msg=0.02,seed=5 - c884941a77ddcbed integrity.checksum_retransmits
+        cuSolver hmg delay=0.3/120,dup=0.3,reorder-inv=3/500,flag-delay=200,seed=13 - ace84e015902d82e
+        cuSolver nhcc flip-line=0.5,flip-dir=0.5,seed=3 ecc=off d20b9b204daaf380 integrity.silent_corruptions";
+    let mut drifted = Vec::new();
+    for row in CELLS.lines().filter(|l| !l.trim().is_empty()) {
+        let f: Vec<&str> = row.split_whitespace().collect();
+        let p = ProtocolKind::from_name(f[1]).expect("protocol name");
+        let tweak = if f[3] == "-" { "" } else { f[3] };
+        let c = CellCtx {
+            faults: Some(FaultPlan::parse(f[2]).expect("valid plan")),
+            tweak: tweak.into(),
+            ..cell(f[0], p, 4)
+        };
+        let what = format!("{}/{p} [{}] [{tweak}]", f[0], f[2]);
+        let m = run_cell(&c).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let (reconfig, integrity) = (m.reconfig.to_string(), m.integrity.to_string());
+        for counter in &f[5..] {
+            let (stats, name) = match counter.split_once('.') {
+                Some(("reconfig", name)) => (&reconfig, name),
+                Some(("integrity", name)) => (&integrity, name),
+                _ => panic!("bad counter {counter}"),
+            };
+            let value = stats
+                .split(' ')
+                .find_map(|kv| kv.strip_prefix(&format!("{name}=")));
+            assert!(
+                value.is_some_and(|v| v != "0"),
+                "{what}: {counter} is {value:?}"
+            );
+        }
+        let got = m.fingerprint();
+        let golden = u64::from_str_radix(f[4], 16).expect("hex golden");
+        if got != golden {
+            drifted.push(format!("{what}: {got:#018x} != golden {golden:#018x}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "behaviour fingerprint drifted:\n{}",
+        drifted.join("\n")
+    );
+}

@@ -28,11 +28,12 @@
 //!   files; the retained reference oracle carries an explicit
 //!   `audit:allow(hot-path-struct)` justification.
 //! * `dir-match` — no `match` arms on `DirState::` / `DirEvent::`
-//!   patterns outside the guarded-action spec, its compiled table view,
-//!   and the model checker. Since PR 10 the spec rows are the single
-//!   source of truth for protocol decisions; a hand-rolled match in the
-//!   engine or oracle is a shadow transition table that can silently
-//!   drift from the proved one.
+//!   patterns outside the guarded-action spec and the model checker,
+//!   and no `.has(Action::` row tests outside those, the conformance
+//!   replay and the engine's directory interpreter. The spec rows are
+//!   the single source of truth for protocol decisions; a hand-rolled
+//!   match or action test elsewhere is a shadow transition table that
+//!   can silently drift from the proved one.
 //!
 //! Suppression grammar: `// audit:allow(<rule-id>): <justification>` on
 //! the same line as the flagged token or in the contiguous comment block
@@ -58,6 +59,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/event.rs",
     "crates/sim/src/collect.rs",
     "crates/gpu/src/engine.rs",
+    "crates/gpu/src/engine/directory.rs",
     "crates/gpu/src/engine/recovery.rs",
     "crates/gpu/src/engine/snapshot.rs",
     "crates/interconnect/src/fabric.rs",
@@ -76,6 +78,15 @@ const HOT_PATH_TOKENS: &[&str] = &["BinaryHeap", "BTreeMap", "BTreeSet"];
 /// that walks its rows. Anywhere else, such a match is a shadow
 /// transition table.
 const DIR_MATCH_ALLOWLIST: &[&str] = &["crates/protocol/src/spec.rs", "crates/audit/src/model.rs"];
+
+/// Beyond [`DIR_MATCH_ALLOWLIST`], the only files allowed to test a row
+/// for an action (`.has(Action::`): the conformance replay and the
+/// engine's one directory interpreter. Anywhere else, an action test is
+/// a second execution semantics for the rows.
+const ACTION_TEST_ALLOWLIST: &[&str] = &[
+    "crates/protocol/src/conformance.rs",
+    "crates/gpu/src/engine/directory.rs",
+];
 
 /// Tokens that read wall-clock time or OS entropy.
 const ENTROPY_TOKENS: &[&str] = &[
@@ -145,6 +156,7 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
     let entropy_ok = ENTROPY_WHITELIST.contains(&rel);
     let hot_path = HOT_PATH_FILES.contains(&rel);
     let dir_match_ok = DIR_MATCH_ALLOWLIST.contains(&rel);
+    let action_test_ok = ACTION_TEST_ALLOWLIST.contains(&rel);
 
     let raw: Vec<&str> = text.lines().collect();
     let stripped_text = strip_comments_and_strings(text);
@@ -207,19 +219,22 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
         if !dir_match_ok {
             // A `DirState::X =>` / `DirEvent::X =>` arm is protocol
             // decision logic living outside the spec. (Expression uses
-            // — passing a variant to the spec API — carry no `=>`.)
+            // — passing a variant to the spec API — carry no `=>`.) A
+            // `.has(Action::` test runs a row outside the interpreter.
             let is_arm = ["DirState::", "DirEvent::"]
                 .iter()
                 .any(|tok| line.find(tok).is_some_and(|pos| line[pos..].contains("=>")));
-            if is_arm && !allowed(&raw, i, "dir-match", rel, lineno, out) {
+            let is_action_test = !action_test_ok && line.contains(".has(Action::");
+            if (is_arm || is_action_test) && !allowed(&raw, i, "dir-match", rel, lineno, out) {
                 out.push(Finding::new(
                     "dir-match",
                     rel,
                     lineno,
-                    "`match` arm on DirState/DirEvent outside the guarded-action spec — \
-                     protocol decisions must come from hmg_protocol::spec rows (the table \
-                     the audit proves), not a hand-rolled shadow table. Call \
-                     `ProtocolSpec::row`, or justify with \
+                    "`match` arm on DirState/DirEvent or `.has(Action::` outside the \
+                     guarded-action spec — protocol decisions must come from \
+                     hmg_protocol::spec rows (the table the audit proves), run by the \
+                     interpreter in engine/directory.rs, not a hand-rolled shadow table. \
+                     Call `ProtocolSpec::row`, or justify with \
                      `// audit:allow(dir-match): <why this is not transition logic>`"
                         .to_string(),
                 ));
@@ -651,7 +666,8 @@ pub fn synthetic_unordered_map_file() -> SyntheticFile {
 }
 
 /// Synthetic file for the `dir-match` seeded-violation self-test: a
-/// hand-rolled shadow of the transition table in engine territory.
+/// hand-rolled shadow of the transition table in engine territory, and
+/// a row executed by testing its actions outside the interpreter.
 pub fn synthetic_dir_match_file() -> SyntheticFile {
     SyntheticFile {
         path: "crates/gpu/src/__audit_selftest_dirmatch.rs",
@@ -659,7 +675,9 @@ pub fn synthetic_dir_match_file() -> SyntheticFile {
                pub fn shadow_transition(s: DirState, e: DirEvent) -> DirState {\n    \
                match (s, e) {\n        \
                (DirState::Invalid, DirEvent::RemoteLoad) => DirState::Valid,\n        \
-               _ => s,\n    }\n}\n"
+               _ => s,\n    }\n}\n\n\
+               pub fn shadow_action(row: &SpecRow) -> bool {\n    \
+               row.has(Action::AddSharer)\n}\n"
             .to_string(),
     }
 }
@@ -739,8 +757,9 @@ mod tests {
     fn injected_dir_match_is_reported_with_location() {
         let (findings, _) = run(&root(), &[synthetic_dir_match_file()]);
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == "dir-match").collect();
-        assert_eq!(hits.len(), 1, "{findings:?}");
+        assert_eq!(hits.len(), 2, "{findings:?}");
         assert_eq!(hits[0].line, 5, "the shadow arm is on line 5");
+        assert_eq!(hits[1].line, 11, "the shadow action test is on line 11");
         assert!(hits[0]
             .file
             .to_string_lossy()
@@ -750,7 +769,8 @@ mod tests {
     #[test]
     fn dir_match_rule_spares_the_spec_and_expression_uses() {
         // The same arm inside the spec itself is the source of truth,
-        // not a shadow; and expression-position variants never fire.
+        // not a shadow; the interpreter is the one place that executes
+        // row actions; and expression-position variants never fire.
         let in_spec = SyntheticFile {
             path: "crates/protocol/src/spec.rs",
             text: "fn f(s: DirState) -> &'static str {\n    \
@@ -762,7 +782,11 @@ mod tests {
             path: "crates/gpu/src/__audit_selftest_dirmatch_expr.rs",
             text: "pub fn g() {\n    let _ = hmg_protocol::DirEvent::RemoteLoad;\n}\n".to_string(),
         };
-        let (findings, _) = run(&root(), &[in_spec, expr_use]);
+        let interpreter = SyntheticFile {
+            path: "crates/gpu/src/engine/directory.rs",
+            text: "fn f(row: &SpecRow) -> bool {\n    row.has(Action::Defer)\n}\n".to_string(),
+        };
+        let (findings, _) = run(&root(), &[in_spec, expr_use, interpreter]);
         assert!(
             findings.iter().all(|f| f.rule != "dir-match"),
             "{findings:?}"

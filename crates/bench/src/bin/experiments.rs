@@ -186,9 +186,15 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
             }
             let tally = hmg::supervisor::take_tally();
             let jobs = opts.supervisor_config().resolved_jobs(usize::MAX);
-            let json = tally.to_json(jobs, t0.elapsed().as_secs_f64());
-            match std::fs::write("BENCH_sweep.json", &json) {
-                Ok(()) => eprintln!("[wrote BENCH_sweep.json] {json}"),
+            let wall = t0.elapsed().as_secs_f64();
+            let path = std::path::Path::new("BENCH_sweep.json");
+            match tally.write_unless_resumed(path, jobs, wall) {
+                Ok(Some(json)) => eprintln!("[wrote BENCH_sweep.json] {json}"),
+                Ok(None) => eprintln!(
+                    "[kept BENCH_sweep.json] {} cells were reused from checkpoints, so this \
+                     run's tally is partial",
+                    tally.reused
+                ),
                 Err(e) => eprintln!("cannot write BENCH_sweep.json: {e}"),
             }
             return Ok(ok);

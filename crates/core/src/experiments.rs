@@ -565,6 +565,7 @@ pub fn run_cells(
         .map(|c| ckpt.and_then(|k| k.lookup(&c.key)).map(Ok))
         .collect();
     let reused = merged.iter().filter(|m| m.is_some()).count();
+    supervisor::tally_reused(reused as u64);
     let pending: Vec<&CellCtx> = cells
         .iter()
         .zip(&merged)

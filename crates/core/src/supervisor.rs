@@ -45,7 +45,7 @@
 //! perf trajectory (`BENCH_sweep.json` via [`take_tally`]).
 
 use std::io::Read;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -188,7 +188,7 @@ pub struct CellReport<R> {
     pub key: String,
     /// Final disposition.
     pub status: CellStatus,
-    /// Attempts consumed (0 for cells reused from a checkpoint).
+    /// Attempts consumed (0 for cells skipped after a hard failure).
     pub attempts: u32,
     /// The attempt cap was exhausted on crash/timeout outcomes; the
     /// cell is excluded from further retries.
@@ -681,6 +681,8 @@ pub struct BenchTally {
     pub events: u64,
     /// Supervised sweeps run.
     pub sweeps: u64,
+    /// Cells reused from a checkpoint instead of executed.
+    pub reused: u64,
 }
 
 impl BenchTally {
@@ -709,6 +711,28 @@ impl BenchTally {
             self.events_per_sec(),
         )
     }
+
+    /// Writes the tally to `path` as a `BENCH_sweep.json` document and
+    /// returns it — unless a cell was reused from a checkpoint: the
+    /// tally then counts only the cells this process ran and would
+    /// replace the full run's record, so the file is left as it is.
+    ///
+    /// # Errors
+    ///
+    /// When the file cannot be written.
+    pub fn write_unless_resumed(
+        &self,
+        path: &Path,
+        jobs: usize,
+        total_wall_secs: f64,
+    ) -> std::io::Result<Option<String>> {
+        if self.reused > 0 {
+            return Ok(None);
+        }
+        let json = self.to_json(jobs, total_wall_secs);
+        std::fs::write(path, &json)?;
+        Ok(Some(json))
+    }
 }
 
 static TALLY: Mutex<BenchTally> = Mutex::new(BenchTally {
@@ -716,6 +740,7 @@ static TALLY: Mutex<BenchTally> = Mutex::new(BenchTally {
     sweep_wall_secs: 0.0,
     events: 0,
     sweeps: 0,
+    reused: 0,
 });
 
 fn tally_sweep<R>(report: &SweepReport<R>) {
@@ -729,6 +754,11 @@ fn tally_sweep<R>(report: &SweepReport<R>) {
 /// their outcome type; the supervisor does not).
 pub fn tally_events(events: u64) {
     TALLY.lock().unwrap_or_else(|p| p.into_inner()).events += events;
+}
+
+/// Adds cells a sweep reused from its checkpoint instead of running.
+pub fn tally_reused(cells: u64) {
+    TALLY.lock().unwrap_or_else(|p| p.into_inner()).reused += cells;
 }
 
 /// Returns the accumulated tally and resets it.
@@ -925,6 +955,27 @@ mod tests {
         assert_eq!(t.sweeps, 1);
         assert!(t.cells_per_sec() > 0.0);
         assert_eq!(take_tally(), BenchTally::default(), "reset after take");
+    }
+
+    #[test]
+    fn a_resumed_tally_leaves_the_sweep_record_alone() {
+        let path = std::env::temp_dir().join(format!("hmg-bench-sweep-{}", std::process::id()));
+        std::fs::write(&path, "full run").unwrap();
+        let resumed = BenchTally {
+            cells: 1,
+            reused: 88,
+            ..BenchTally::default()
+        };
+        assert_eq!(resumed.write_unless_resumed(&path, 2, 1.0).unwrap(), None);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "full run");
+        let fresh = BenchTally {
+            cells: 89,
+            ..BenchTally::default()
+        };
+        let json = fresh.write_unless_resumed(&path, 2, 1.0).unwrap();
+        assert_eq!(json, Some(std::fs::read_to_string(&path).unwrap()));
+        assert!(json.is_some_and(|j| j.contains("\"cells\": 89")));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -22,18 +22,20 @@
 //! * Kernel boundaries carry the implicit `.sys` acquire (bulk cache
 //!   invalidation under software coherence) and release (fence per GPM).
 //!
-//! This file holds the coherence paths. Fault recovery (fail-in-place
-//! reconfiguration and soft-error repair) lives in `engine/recovery.rs`
-//! and snapshot capture and restore in `engine/snapshot.rs`; the hot
-//! loop reaches both only through the one-branch guards kept here.
+//! This file holds the coherence paths. Every directory transition runs
+//! through the Table I interpreter in `engine/directory.rs`. Fault
+//! recovery (fail-in-place reconfiguration and soft-error repair) lives
+//! in `engine/recovery.rs` and snapshot capture and restore in
+//! `engine/snapshot.rs`; the hot loop reaches both only through the
+//! one-branch guards kept here.
 
 use std::collections::VecDeque;
 
 use hmg_interconnect::{Fabric, GpmId, GpuId, MsgClass};
 use hmg_mem::{BlockAddr, Cache, Directory, Dram, LineAddr, PageMap, Sharer, VersionStore};
 use hmg_protocol::{
-    AccessKind, AcquireAction, Action, CacheLevel, DirEvent, DirState, FenceDomain, GuardCtx,
-    Observed, Ops, ProtocolKind, ProtocolSpec, Scope, TraceOp, WorkloadTrace,
+    AccessKind, AcquireAction, CacheLevel, FenceDomain, Ops, ProtocolKind, Scope, TraceOp,
+    WorkloadTrace,
 };
 use hmg_sim::collect::{FlatMap, VecPool};
 use hmg_sim::{Cycle, EventQueue, ProgressWatchdog, Rng, SimError};
@@ -41,6 +43,7 @@ use hmg_sim::{Cycle, EventQueue, ProgressWatchdog, Rng, SimError};
 use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
 
+mod directory;
 mod recovery;
 mod snapshot;
 
@@ -1301,20 +1304,7 @@ impl<'t> Sim<'t> {
                 && self.node_is_dir_home(node, sys_home, gpu_home)
                 && self.fabric.intra_backlog(node, now).1 > thr
             {
-                let state = self.gpms[node.index()].dir.state_of(block);
-                let event = if msg.kind == AccessKind::Load {
-                    DirEvent::RemoteLoad
-                } else {
-                    DirEvent::RemoteStore
-                };
-                // Every remote-request cell carries a busy-home row; if
-                // a spec edit ever dropped one, falling through to the
-                // NACK discipline keeps the engine total.
-                let defer = self
-                    .spec()
-                    .row(state, event, GuardCtx::BUSY)
-                    .is_some_and(|row| row.has(Action::Defer));
-                if defer {
+                if self.home_defers(node, block, msg.kind) {
                     self.m.deferred_reqs += 1;
                     self.q
                         .push(now + self.cfg.nack_backoff, Ev::Req { msg, node });
@@ -1373,8 +1363,9 @@ impl<'t> Sim<'t> {
 
         // Atomics are performed at the home node of their scope; on the
         // way there they act like stores on every directory they pass.
-        if msg.kind == AccessKind::Atomic {
-            let perform_here = match msg.scope {
+        let atomic = msg.kind == AccessKind::Atomic;
+        let perform_here = atomic
+            && match msg.scope {
                 Scope::Cta => node == req_gpm,
                 Scope::Gpu => {
                     // Degraded lines perform at the (re-homed) system
@@ -1387,35 +1378,15 @@ impl<'t> Sim<'t> {
                 }
                 Scope::Sys => node == sys_home,
             };
-            if perform_here {
-                self.perform_atomic(t_data, msg, node, sys_home, gpu_home);
-            } else {
-                if proto.has_hw_directory()
-                    && !degraded
-                    && self.node_is_dir_home(node, sys_home, gpu_home)
-                {
-                    let sharer = self.dir_sharer_for(node, req_gpm, sys_home);
-                    let local = req_gpm == node;
-                    self.dir_store(t, node, block, sharer, local, req_gpm, msg.version);
-                }
-                self.forward_req(t, msg, node, req_gpm, sys_home, gpu_home);
-            }
+        if perform_here {
+            self.perform_atomic(t_data, msg, node, sys_home, gpu_home);
             return;
         }
-
-        // Hardware directory participation for loads (Table I).
-        // Degraded lines never enter a directory: no copy to protect.
-        if proto.has_hw_directory() && !degraded && self.node_is_dir_home(node, sys_home, gpu_home)
-        {
-            if req_gpm != node {
-                let sharer = self.dir_sharer_for(node, req_gpm, sys_home);
-                self.dir_remote_load(t, node, block, sharer);
-            } else {
-                // Table I: a local load leaves the entry untouched in
-                // either state.
-                let state = self.gpms[node.index()].dir.state_of(block);
-                self.conform(state, DirEvent::LocalLoad, Observed::quiet(state));
-            }
+        let (line, kind, version) = (msg.line, msg.kind, msg.version);
+        self.dir_access(t, node, line, kind, req_gpm, version, sys_home, gpu_home);
+        if atomic {
+            self.forward_req(t, msg, node, req_gpm, sys_home, gpu_home);
+            return;
         }
 
         // CARVE-like classifier: loads widen Private -> ReadOnly.
@@ -1740,12 +1711,8 @@ impl<'t> Sim<'t> {
         let block = self.cfg.geometry.block_of(msg.line);
         let degraded = self.line_degraded(msg.line);
         // Directory: atomics are stores (Table I).
-        if proto.has_hw_directory() && !degraded && self.node_is_dir_home(node, sys_home, gpu_home)
-        {
-            let sharer = self.dir_sharer_for(node, msg.sm.gpm, sys_home);
-            let local = msg.sm.gpm == node;
-            self.dir_store(t, node, block, sharer, local, msg.sm.gpm, msg.version);
-        }
+        let (line, kind, origin, version) = (msg.line, msg.kind, msg.sm.gpm, msg.version);
+        self.dir_access(t, node, line, kind, origin, version, sys_home, gpu_home);
         // CARVE-like classifier treats atomics as stores too.
         if proto.has_broadcast_classifier() && !degraded && node == sys_home {
             self.carve_store(t, node, block, msg.sm.gpm, msg.version);
@@ -1978,14 +1945,9 @@ impl<'t> Sim<'t> {
             }
         }
 
-        // Directory transitions at home nodes (degraded lines have no
-        // cached peers to invalidate).
-        if proto.has_hw_directory() && !degraded && self.node_is_dir_home(node, sys_home, gpu_home)
-        {
-            let sharer = self.dir_sharer_for(node, req_gpm, sys_home);
-            let local = req_gpm == node;
-            self.dir_store(t, node, block, sharer, local, req_gpm, msg.version);
-        }
+        // Directory transitions at home nodes.
+        let (line, kind, version) = (msg.line, AccessKind::Store, msg.version);
+        self.dir_access(t, node, line, kind, req_gpm, version, sys_home, gpu_home);
 
         // CARVE-like classifier: a store to data any other GPM has
         // touched makes the block read-write shared and broadcasts
@@ -2144,307 +2106,7 @@ impl<'t> Sim<'t> {
         }
     }
 
-    // ---------- directory ----------
-
-    /// The guarded-action spec variant this run executes: the base
-    /// protocol (HMG's hierarchical `Invalidation` column or flat NHCC)
-    /// crossed with the configured arbitration discipline. Every
-    /// directory decision below is read from this spec's rows — the
-    /// same rows the audit model checker proves safe.
-    fn spec(&self) -> ProtocolSpec {
-        ProtocolSpec::of(self.cfg.protocol == ProtocolKind::Hmg, self.cfg.arbitration)
-    }
-
-    /// The unconditional spec row for `(state, event)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec leaves the cell undefined — the engine
-    /// reached a transition the protocol does not have, which is a
-    /// simulator bug.
-    fn dir_row(&self, state: DirState, event: DirEvent) -> &'static hmg_protocol::SpecRow {
-        self.spec()
-            .row(state, event, GuardCtx::FREE)
-            .unwrap_or_else(|| {
-                // audit:allow(panic-path): reaching an undefined cell is a simulator bug.
-                panic!("spec leaves ({state:?}, {event:?}) undefined")
-            })
-    }
-
-    fn node_is_dir_home(&self, node: GpmId, sys_home: GpmId, gpu_home: GpmId) -> bool {
-        match self.cfg.protocol {
-            ProtocolKind::Nhcc => node == sys_home,
-            ProtocolKind::Hmg => node == sys_home || node == gpu_home,
-            _ => false,
-        }
-    }
-
-    /// How the sender is identified in `node`'s directory.
-    fn dir_sharer_for(&self, node: GpmId, req_gpm: GpmId, sys_home: GpmId) -> Sharer {
-        let topo = self.cfg.topo;
-        if self.cfg.protocol == ProtocolKind::Hmg
-            && node == sys_home
-            && topo.gpu_of(req_gpm) != topo.gpu_of(node)
-        {
-            Sharer::Gpu(topo.gpu_of(req_gpm))
-        } else {
-            Sharer::Gpm(req_gpm)
-        }
-    }
-
-    fn dir_remote_load(&mut self, t: Cycle, node: GpmId, block: BlockAddr, sharer: Sharer) {
-        let topo = self.cfg.topo;
-        let cap = self.cfg.dir.max_sharers;
-        let prev = self.gpms[node.index()].dir.state_of(block);
-        // Spec: (I|V, RemoteLoad) -> [AddSharer] -> V. Allocation is the
-        // I-row's implicit V entry creation; no invalidation action.
-        let row = self.dir_row(prev, DirEvent::RemoteLoad);
-        let (obs, newly_broadcast, evicted) = {
-            let (set, evicted) = self.gpms[node.index()].dir.allocate(block);
-            let prior = (!set.is_broadcast()).then(|| set.len());
-            let sender_was = set.contains(&topo, sharer);
-            let newly_broadcast = if row.has(Action::AddSharer) {
-                set.insert_capped(&topo, sharer, cap).1
-            } else {
-                false
-            };
-            let obs = Observed {
-                next: row.next,
-                added_sharer: row.has(Action::AddSharer),
-                prior_sharers: prior,
-                sender_was_sharer: sender_was,
-                invalidated: Some(0),
-            };
-            (obs, newly_broadcast, evicted)
-        };
-        self.conform(prev, DirEvent::RemoteLoad, obs);
-        if newly_broadcast {
-            self.note_broadcast_fallback(node);
-        }
-        if let Some((vblock, sharers)) = evicted {
-            self.send_evict_invs(t, node, vblock, sharers);
-        }
-    }
-
-    /// Records one directory entry degrading from precise sharer
-    /// tracking to conservative broadcast mode.
-    fn note_broadcast_fallback(&mut self, node: GpmId) {
-        self.gpms[node.index()].dir.note_broadcast_fallback();
-        self.m.dir_broadcast_fallbacks += 1;
-    }
-
-    /// The conservative target list a broadcast-mode directory entry
-    /// stands for: every sharer `node`'s directory could possibly be
-    /// tracking for `block`. Mirrors [`Engine::dir_sharer_for`]: a
-    /// hierarchical system home tracks its own GPU's modules plus whole
-    /// remote GPUs; a GPU home tracks only its own modules; a flat
-    /// directory tracks every GPM directly.
-    fn broadcast_targets(&self, node: GpmId, block: BlockAddr) -> Vec<Sharer> {
-        let topo = self.cfg.topo;
-        let node_gpu = topo.gpu_of(node);
-        if !self.cfg.protocol.hierarchical_routing() {
-            return topo
-                .all_gpms()
-                .filter(|g| *g != node)
-                .map(Sharer::Gpm)
-                .collect();
-        }
-        let mut targets: Vec<Sharer> = topo
-            .gpms_of(node_gpu)
-            .filter(|g| *g != node)
-            .map(Sharer::Gpm)
-            .collect();
-        // Only the block's system home tracks remote GPUs; a page with a
-        // directory entry has necessarily been homed already.
-        let line = self.cfg.geometry.first_line_of_block(block);
-        let at_sys_home = self.pages.peek_home(self.cfg.geometry.page_of_line(line)) == Some(node);
-        if at_sys_home {
-            targets.extend(topo.all_gpus().filter(|g| *g != node_gpu).map(Sharer::Gpu));
-        }
-        targets
-    }
-
-    /// Expands a sharer set into invalidation targets, substituting the
-    /// conservative broadcast list when the entry has degraded.
-    fn inv_targets(
-        &mut self,
-        node: GpmId,
-        block: BlockAddr,
-        sharers: &hmg_mem::SharerSet,
-    ) -> Vec<Sharer> {
-        if sharers.is_broadcast() {
-            self.m.broadcast_invs += 1;
-            self.broadcast_targets(node, block)
-        } else {
-            sharers.iter(&self.cfg.topo)
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // a directory transition, not a config
-    fn dir_store(
-        &mut self,
-        t: Cycle,
-        node: GpmId,
-        block: BlockAddr,
-        sharer: Sharer,
-        local: bool,
-        origin: GpmId,
-        version: u64,
-    ) {
-        let topo = self.cfg.topo;
-        if local {
-            // Spec: (V, LocalStore) -> [InvAllSharers, RemoveAllSharers]
-            // -> I; (I, LocalStore) -> [] -> I. The `remove` call is the
-            // RemoveAllSharers action and doubles as the state probe.
-            match self.gpms[node.index()].dir.remove(block) {
-                Some(sharers) => {
-                    let row = self.dir_row(DirState::Valid, DirEvent::LocalStore);
-                    debug_assert!(row.has(Action::RemoveAllSharers));
-                    let prior = (!sharers.is_broadcast()).then(|| sharers.len());
-                    let targets = if row.has(Action::InvAllSharers) {
-                        self.inv_targets(node, block, &sharers)
-                    } else {
-                        Vec::new()
-                    };
-                    let invalidated = prior.map(|_| targets.len() as u32);
-                    self.conform(
-                        DirState::Valid,
-                        DirEvent::LocalStore,
-                        Observed {
-                            next: row.next,
-                            added_sharer: row.has(Action::AddSharer),
-                            prior_sharers: prior,
-                            sender_was_sharer: false,
-                            invalidated,
-                        },
-                    );
-                    if !targets.is_empty() {
-                        self.m.stores_triggering_invs += 1;
-                        self.send_invs(t, node, block, &targets, InvCause::Store, origin, version);
-                    }
-                }
-                None => {
-                    let row = self.dir_row(DirState::Invalid, DirEvent::LocalStore);
-                    self.conform(
-                        DirState::Invalid,
-                        DirEvent::LocalStore,
-                        Observed::quiet(row.next),
-                    );
-                }
-            }
-            return;
-        }
-        // Spec: (I|V, RemoteStore) -> [AddSharer, InvOtherSharers] -> V.
-        // A precise entry names the others exactly — even when this very
-        // insert overflows the cap, because the pre-insert set was still
-        // precise. An already-degraded entry falls back to the
-        // conservative broadcast list.
-        let cap = self.cfg.dir.max_sharers;
-        let prev = self.gpms[node.index()].dir.state_of(block);
-        let row = self.dir_row(prev, DirEvent::RemoteStore);
-        let (others, prior, sender_was, newly_broadcast, evicted) = {
-            let (set, evicted) = self.gpms[node.index()].dir.allocate(block);
-            let prior = (!set.is_broadcast()).then(|| set.len());
-            let sender_was = set.contains(&topo, sharer);
-            let others: Option<Vec<Sharer>> = if !row.has(Action::InvOtherSharers) {
-                Some(Vec::new())
-            } else if set.is_broadcast() {
-                None
-            } else {
-                Some(
-                    set.iter(&topo)
-                        .into_iter()
-                        .filter(|s| *s != sharer)
-                        .collect(),
-                )
-            };
-            let newly_broadcast = if row.has(Action::AddSharer) {
-                set.insert_capped(&topo, sharer, cap).1
-            } else {
-                false
-            };
-            (others, prior, sender_was, newly_broadcast, evicted)
-        };
-        self.conform(
-            prev,
-            DirEvent::RemoteStore,
-            Observed {
-                next: row.next,
-                added_sharer: row.has(Action::AddSharer),
-                prior_sharers: prior,
-                sender_was_sharer: sender_was,
-                invalidated: others.as_ref().map(|o| o.len() as u32),
-            },
-        );
-        if newly_broadcast {
-            self.note_broadcast_fallback(node);
-        }
-        let targets: Vec<Sharer> = match others {
-            Some(t) => t,
-            None => {
-                self.m.broadcast_invs += 1;
-                self.broadcast_targets(node, block)
-                    .into_iter()
-                    .filter(|s| *s != sharer)
-                    .collect()
-            }
-        };
-        if !targets.is_empty() {
-            self.m.stores_triggering_invs += 1;
-            self.send_invs(t, node, block, &targets, InvCause::Store, origin, version);
-        }
-        if let Some((vblock, sharers)) = evicted {
-            self.send_evict_invs(t, node, vblock, sharers);
-        }
-    }
-
-    fn send_evict_invs(
-        &mut self,
-        t: Cycle,
-        node: GpmId,
-        block: BlockAddr,
-        sharers: hmg_mem::SharerSet,
-    ) {
-        // Spec: (V, Replace) -> [InvAllSharers, RemoveAllSharers,
-        // Writeback] -> I. The removal already happened at the caller
-        // (the directory's `allocate` evicted the victim entry); the
-        // Writeback action is a no-op under the evaluated write-through
-        // policy — dirty copies flush at the invalidated caches.
-        let row = self.dir_row(DirState::Valid, DirEvent::Replace);
-        let prior = (!sharers.is_broadcast()).then(|| sharers.len());
-        let targets = if row.has(Action::InvAllSharers) {
-            self.inv_targets(node, block, &sharers)
-        } else {
-            Vec::new()
-        };
-        self.conform(
-            DirState::Valid,
-            DirEvent::Replace,
-            Observed {
-                next: row.next,
-                added_sharer: row.has(Action::AddSharer),
-                prior_sharers: prior,
-                sender_was_sharer: false,
-                invalidated: prior.map(|_| targets.len() as u32),
-            },
-        );
-        if !targets.is_empty() {
-            self.m.evictions_triggering_invs += 1;
-            self.send_invs(t, node, block, &targets, InvCause::Eviction, node, 0);
-        }
-    }
-
-    /// Records one executed directory transition into the run's
-    /// conformance tracker ([`RunMetrics::table`]) and debug-asserts
-    /// that its observed effect matches the static Table I. Release
-    /// builds count the mismatch instead of aborting.
-    fn conform(&mut self, state: DirState, event: DirEvent, obs: Observed) {
-        let hmg = self.spec().variant.hmg();
-        if let Err(why) = self.m.table.observe(state, event, hmg, obs) {
-            debug_assert!(false, "directory conformance violation: {why}");
-            let _ = why;
-        }
-    }
+    // ---------- invalidations ----------
 
     #[allow(clippy::too_many_arguments)] // a directory transition, not a config
     fn send_invs(
@@ -2568,60 +2230,8 @@ impl<'t> Sim<'t> {
             InvCause::Store => self.m.lines_invalidated_by_stores += removed,
             InvCause::Eviction => self.m.lines_invalidated_by_evictions += removed,
         }
-        // Hierarchical forward: a GPU home node receiving a system-home
-        // invalidation executes the spec's `Invalidation` column —
-        // (V, Invalidation) -> [ForwardInv, RemoveAllSharers] -> I.
-        // The column only exists in HMG variants, so its legality *is*
-        // the protocol test. The `skip-hier-fwd` fault plan deliberately
-        // omits the forward — the injected protocol bug the coherence
-        // checker must catch.
-        if inv.from_sys
-            && self.spec().legal(DirState::Valid, DirEvent::Invalidation)
-            && !self.cfg.faults.skip_hier_inv_forward
-        {
-            match self.gpms[inv.target.index()].dir.remove(inv.block) {
-                Some(sharers) => {
-                    let row = self.dir_row(DirState::Valid, DirEvent::Invalidation);
-                    debug_assert!(row.has(Action::RemoveAllSharers));
-                    let prior = (!sharers.is_broadcast()).then(|| sharers.len());
-                    let targets = if row.has(Action::ForwardInv) {
-                        self.inv_targets(inv.target, inv.block, &sharers)
-                    } else {
-                        Vec::new()
-                    };
-                    self.conform(
-                        DirState::Valid,
-                        DirEvent::Invalidation,
-                        Observed {
-                            next: row.next,
-                            added_sharer: row.has(Action::AddSharer),
-                            prior_sharers: prior,
-                            sender_was_sharer: false,
-                            invalidated: prior.map(|_| targets.len() as u32),
-                        },
-                    );
-                    if !targets.is_empty() {
-                        self.send_invs(
-                            now,
-                            inv.target,
-                            inv.block,
-                            &targets,
-                            inv.cause,
-                            inv.causer,
-                            inv.version,
-                        );
-                    }
-                }
-                None => {
-                    // (I, Invalidation): nothing tracked below, -> I.
-                    let row = self.dir_row(DirState::Invalid, DirEvent::Invalidation);
-                    self.conform(
-                        DirState::Invalid,
-                        DirEvent::Invalidation,
-                        Observed::quiet(row.next),
-                    );
-                }
-            }
+        if inv.from_sys {
+            self.forward_inv(now, &inv);
         }
         self.retire_inv(now, &inv);
     }

@@ -253,7 +253,7 @@ impl<'t> Sim<'t> {
             self.note_broadcast_fallback(tracker);
         }
         if let Some((vb, vs)) = evicted {
-            self.send_evict_invs(now, tracker, vb, vs);
+            self.replace_entry(now, tracker, vb, vs);
         }
         scrubbed
     }

@@ -8,7 +8,6 @@
 //! individually, while remote GPUs are tracked as whole GPUs (Section V-A).
 
 use hmg_interconnect::{GpmId, GpuId, Topology};
-use hmg_protocol::DirState;
 use hmg_sim::SimError;
 
 use crate::addr::BlockAddr;
@@ -400,21 +399,6 @@ impl Directory {
             &mut self.sets[idx][victim_i].sharers,
             Some((victim_block, victim.sharers)),
         )
-    }
-
-    /// The Table I state of `block`: Valid iff the entry is resident.
-    ///
-    /// This is the conformance bridge between the structure and the
-    /// static table — the engine samples `state_of` before mutating the
-    /// directory, applies the operation, and checks the observed effect
-    /// against the spec row for that state
-    /// ([`hmg_protocol::TableConformance::observe`]).
-    pub fn state_of(&self, block: BlockAddr) -> DirState {
-        if self.lookup(block).is_some() {
-            DirState::Valid
-        } else {
-            DirState::Invalid
-        }
     }
 
     /// Deallocates `block` (the V→I transition on a local store), returning

@@ -47,20 +47,6 @@ pub struct Observed {
     pub invalidated: Option<u32>,
 }
 
-impl Observed {
-    /// A transition that touched nothing: stayed in `state`, added no
-    /// sharer, invalidated nobody.
-    pub fn quiet(state: DirState) -> Self {
-        Observed {
-            next: state,
-            added_sharer: false,
-            prior_sharers: Some(0),
-            sender_was_sharer: false,
-            invalidated: Some(0),
-        }
-    }
-}
-
 /// Per-row coverage and conformance counters for directory transitions.
 ///
 /// Embedded in the engine's `RunMetrics`; merged across runs by the
@@ -194,11 +180,22 @@ mod tests {
     use DirEvent::*;
     use DirState::*;
 
+    /// A transition that touched nothing: stayed in `state`, added no
+    /// sharer, invalidated nobody.
+    fn quiet(state: DirState) -> Observed {
+        Observed {
+            next: state,
+            added_sharer: false,
+            prior_sharers: Some(0),
+            sender_was_sharer: false,
+            invalidated: Some(0),
+        }
+    }
+
     #[test]
     fn quiet_local_load_conforms() {
         let mut t = TableConformance::new();
-        t.observe(Valid, LocalLoad, false, Observed::quiet(Valid))
-            .unwrap();
+        t.observe(Valid, LocalLoad, false, quiet(Valid)).unwrap();
         assert_eq!(t.checked, 1);
         assert_eq!(t.mismatches, 0);
         assert_eq!(t.rows[row_index(Valid, LocalLoad)], 1);
@@ -208,7 +205,7 @@ mod tests {
     fn wrong_next_state_is_a_mismatch() {
         let mut t = TableConformance::new();
         let err = t
-            .observe(Valid, LocalStore, false, Observed::quiet(Valid))
+            .observe(Valid, LocalStore, false, quiet(Valid))
             .unwrap_err();
         assert!(err.contains("next=Invalid"), "{err}");
         assert_eq!(t.mismatches, 1);
@@ -276,7 +273,7 @@ mod tests {
     fn undefined_cell_is_a_mismatch() {
         let mut t = TableConformance::new();
         let err = t
-            .observe(Invalid, Invalidation, false, Observed::quiet(Invalid))
+            .observe(Invalid, Invalidation, false, quiet(Invalid))
             .unwrap_err();
         assert!(err.contains("undefined"), "{err}");
     }
@@ -285,9 +282,8 @@ mod tests {
     fn merge_and_uncovered_rows() {
         let mut a = TableConformance::new();
         let mut b = TableConformance::new();
-        a.observe(Valid, LocalLoad, false, Observed::quiet(Valid))
-            .unwrap();
-        b.observe(Invalid, LocalLoad, false, Observed::quiet(Invalid))
+        a.observe(Valid, LocalLoad, false, quiet(Valid)).unwrap();
+        b.observe(Invalid, LocalLoad, false, quiet(Invalid))
             .unwrap();
         a.merge(&b);
         assert_eq!(a.checked, 2);

@@ -17,8 +17,9 @@
 //! action vocabulary ([`ROWS`]). The rows are `static` data — no
 //! allocation, no I/O — and every other layer reads them:
 //!
-//! * the GPU engine's directory paths branch on [`SpecRow::actions`]
-//!   instead of hand-coded per-event match arms;
+//! * the GPU engine runs every directory transition through one
+//!   interpreter over [`SpecRow::actions`] (`engine/directory.rs`)
+//!   instead of hand-coded per-event paths;
 //! * [`crate::conformance`] replays every executed transition against
 //!   the unconditional row for its cell;
 //! * the check oracle accepts exactly the cells the spec defines;
@@ -243,7 +244,7 @@ pub struct GuardCtx {
 
 impl GuardCtx {
     /// The uncongested context: only `Always` rows fire. This is what
-    /// the engine's directory paths and the conformance replay use,
+    /// the engine's directory interpreter and the conformance replay use,
     /// since they execute directory *transitions* (arbitration rows
     /// never transition).
     pub const FREE: GuardCtx = GuardCtx { home_busy: false };

@@ -164,10 +164,10 @@ fn stats(args: &[String]) -> Result<(), String> {
     ]);
     t.row(vec!["mean touches per line".into(), format!("{reuse:.1}")]);
     t.row(vec!["hottest line touches".into(), max_touch.to_string()]);
-    // What the loaded trace keeps resident: one `u64` word per op, one
+    // What the loaded trace keeps resident: one `u32` word per op, one
     // `TraceOp` per escaped op, and each CTA's list header.
     let ctas = || trace.kernels.iter().flat_map(|k| &k.ctas);
-    let packed = ctas().map(|c| c.ops.len()).sum::<usize>() * size_of::<u64>();
+    let packed = ctas().map(|c| c.ops.len()).sum::<usize>() * size_of::<u32>();
     let escaped = ctas().map(|c| c.ops.num_escapes()).sum::<usize>() * size_of::<TraceOp>();
     let headers = trace.num_ctas() * size_of::<Cta>();
     t.row(vec![

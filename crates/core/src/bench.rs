@@ -39,6 +39,11 @@ pub const SCHEMA: &str = "hmg-bench-hotpath-v1";
 /// the gate fails (20%, per the CI `bench-smoke` contract).
 pub const REGRESSION_TOLERANCE: f64 = 0.20;
 
+/// Timed runs per measurement; each reports its best wall time. One run
+/// is hostage to whatever else the host does meanwhile, and the gate
+/// compares against a baseline recorded the same way.
+const TIMED_ROUNDS: usize = 3;
+
 /// The Fig. 8 workloads the full bench times, in figure order.
 const BENCH_WORKLOADS: [&str; 4] = ["RNN_FW", "bfs", "CoMD", "lstm"];
 
@@ -67,8 +72,9 @@ pub struct BenchCell {
     pub digest: u64,
     /// Behaviour fingerprint over every deterministic output of the run.
     pub fingerprint: u64,
-    /// Wall-clock seconds of the engine run (trace generation and
-    /// configuration are excluded: this times the DES, not the setup).
+    /// Wall-clock seconds of the fastest of the cell's timed engine runs
+    /// (trace generation and configuration are excluded: this times the
+    /// DES, not the setup).
     pub wall_s: f64,
     /// Peak resident set size in KB observed by the end of this cell
     /// (`VmHWM`; process-wide high-water mark, 0 where unsupported).
@@ -347,11 +353,25 @@ pub fn run_bench(opts: &ExpOptions, quick: bool) -> Result<BenchReport, SimError
         let trace = opts.plain_cell(workload, protocols[0]).trace()?;
         for &protocol in protocols {
             let cfg = opts.plain_cell(workload, protocol).config(&trace)?;
-            // audit:allow(entropy): wall-clock benchmarking only; never
-            // feeds simulated state.
-            let start = std::time::Instant::now();
-            let (m, _) = run_isolated(cfg, &trace, None)?;
-            let wall_s = start.elapsed().as_secs_f64();
+            let mut wall_s = f64::INFINITY;
+            let mut first = None;
+            for _ in 0..TIMED_ROUNDS {
+                // audit:allow(entropy): wall-clock benchmarking only; never
+                // feeds simulated state.
+                let start = std::time::Instant::now();
+                let (m, _) = run_isolated(cfg.clone(), &trace, None)?;
+                wall_s = wall_s.min(start.elapsed().as_secs_f64());
+                let fp = m.fingerprint();
+                let want = first.get_or_insert(m).fingerprint();
+                if fp != want {
+                    return Err(SimError::protocol(format!(
+                        "bench cell {workload}/{} is not deterministic: \
+                         fingerprint {fp:016x} vs {want:016x}",
+                        protocol.name()
+                    )));
+                }
+            }
+            let m = first.expect("every cell runs at least once");
             cells.push(BenchCell {
                 workload: workload.clone(),
                 protocol,
@@ -410,7 +430,7 @@ fn snapshot_overhead(
     let mut on_wall_s = f64::INFINITY;
     let mut off = None;
     let mut written = 0;
-    for _ in 0..3 {
+    for _ in 0..TIMED_ROUNDS {
         // audit:allow(entropy): wall-clock benchmarking only; never
         // feeds simulated state.
         let start = std::time::Instant::now();

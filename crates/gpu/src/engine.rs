@@ -68,20 +68,38 @@ enum FlipSeverity {
     Uncorrectable,
 }
 
-/// One L2 line's metadata: the data version it holds and, under the
-/// write-back policy, whether it is dirty (newer than its home).
+/// One L2 line's metadata in one word: the data version it holds in
+/// bits 0–62 and, under the write-back policy, whether it is dirty
+/// (newer than its home) in bit 63.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct L2Line {
-    version: u64,
-    dirty: bool,
-}
+struct L2Line(u64);
 
 impl L2Line {
+    const DIRTY: u64 = 1 << 63;
+
+    fn new(version: u64, dirty: bool) -> Self {
+        debug_assert!(version < Self::DIRTY, "version {version} overflows 63 bits");
+        L2Line(version | if dirty { Self::DIRTY } else { 0 })
+    }
+
     fn clean(version: u64) -> Self {
-        L2Line {
-            version,
-            dirty: false,
-        }
+        Self::new(version, false)
+    }
+
+    fn version(self) -> u64 {
+        self.0 & !Self::DIRTY
+    }
+
+    fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
+
+    fn set_version(&mut self, version: u64) {
+        *self = Self::new(version, self.dirty());
+    }
+
+    fn mark_clean(&mut self) {
+        self.0 &= !Self::DIRTY;
     }
 }
 
@@ -1191,15 +1209,7 @@ impl<'t> Sim<'t> {
         // stores always write through to their scope home.
         if self.cfg.l2_write_policy == crate::config::WritePolicy::WriteBack && scope == Scope::Cta
         {
-            self.fill_l2(
-                t + self.cfg.l1_latency,
-                r.gpm,
-                line,
-                L2Line {
-                    version: v,
-                    dirty: true,
-                },
-            );
+            self.fill_l2(t + self.cfg.l1_latency, r.gpm, line, L2Line::new(v, true));
             return;
         }
         let g = &mut self.gpms[r.gpm.index()];
@@ -1408,7 +1418,8 @@ impl<'t> Sim<'t> {
             proto.load_may_hit(level, msg.scope)
         };
         if may_hit {
-            if let Some(&L2Line { version: v, dirty }) = self.gpms[node.index()].l2.get(msg.line) {
+            if let Some(&meta) = self.gpms[node.index()].l2.get(msg.line) {
+                let (v, dirty) = (meta.version(), meta.dirty());
                 // ECC check: a latent flip on the resident copy is
                 // detected (and handled) before the data is served.
                 match self.take_line_fault(node, msg.line) {
@@ -1501,9 +1512,10 @@ impl<'t> Sim<'t> {
     }
 
     /// Completes any loads merged behind a fill of `line` at `node`.
-    /// Waiters from this GPM complete in place (recursively draining
-    /// their own merge chains); waiters forwarded from other GPMs (merged
-    /// at a GPU home) are sent their own responses.
+    /// Waiters from this GPM complete in place; waiters forwarded from
+    /// other GPMs (merged at a GPU home) are sent their own responses.
+    /// Completing a load only schedules events, so no waiter can merge
+    /// behind this fill again while it drains.
     fn drain_mshr(
         &mut self,
         now: Cycle,
@@ -1522,7 +1534,6 @@ impl<'t> Sim<'t> {
             w.poisoned = poisoned;
             if w.sm.gpm == node {
                 self.complete_load(now, w);
-                self.drain_mshr(now, node, line, version, poisoned);
             } else {
                 let arrive =
                     self.fabric
@@ -1530,6 +1541,7 @@ impl<'t> Sim<'t> {
                 self.q.push(arrive, Ev::Resp { msg: w });
             }
         }
+        debug_assert!(!self.mshr.contains_key(&(node.0, line)));
         self.msg_pool.give(waiters);
     }
 
@@ -1585,8 +1597,8 @@ impl<'t> Sim<'t> {
             .get(&block)
             .copied()
             .unwrap_or(0);
-        let resident = self.gpms[node.index()].l2.get(line).map(|m| m.version);
-        if meta.version < floor || resident.is_some_and(|v| v > meta.version) {
+        let resident = self.gpms[node.index()].l2.get(line).map(|m| m.version());
+        if meta.version() < floor || resident.is_some_and(|v| v > meta.version()) {
             self.m.stale_fills_dropped += 1;
             return;
         }
@@ -1603,8 +1615,8 @@ impl<'t> Sim<'t> {
     /// Handles an L2 line leaving a cache (capacity eviction or bulk
     /// invalidation): flush it if dirty, else maybe downgrade.
     fn evicted_l2_line(&mut self, t: Cycle, node: GpmId, line: LineAddr, meta: L2Line) {
-        if meta.dirty {
-            self.write_back(t, node, line, meta.version);
+        if meta.dirty() {
+            self.write_back(t, node, line, meta.version());
             return;
         }
         if !self.cfg.sharer_downgrades || !self.cfg.protocol.has_hw_directory() {
@@ -1661,13 +1673,13 @@ impl<'t> Sim<'t> {
     fn flush_dirty(&mut self, t: Cycle, node: GpmId) {
         let mut dirty: Vec<(LineAddr, u64)> = Vec::new();
         for (line, meta) in self.gpms[node.index()].l2.iter() {
-            if meta.dirty {
-                dirty.push((line, meta.version));
+            if meta.dirty() {
+                dirty.push((line, meta.version()));
             }
         }
         for &(line, version) in &dirty {
             if let Some(meta) = self.gpms[node.index()].l2.get_mut(line) {
-                meta.dirty = false;
+                meta.mark_clean();
             }
             self.write_back(t, node, line, version);
         }
@@ -1936,11 +1948,11 @@ impl<'t> Sim<'t> {
         } else if let Some(meta) = self.gpms[node.index()].l2.get_mut(msg.line) {
             // Version-max: a delayed or duplicated older write-through
             // must not roll a copy back.
-            if msg.version >= meta.version {
-                meta.version = msg.version;
+            if msg.version >= meta.version() {
+                meta.set_version(msg.version);
                 // An in-flight write-through supersedes local dirtiness.
                 if msg.origin == node {
-                    meta.dirty = false;
+                    meta.mark_clean();
                 }
             }
         }
@@ -2221,7 +2233,7 @@ impl<'t> Sim<'t> {
         for line in self.cfg.geometry.lines_of_block(inv.block) {
             if let Some(meta) = self.gpms[inv.target.index()].l2.invalidate(line) {
                 removed += 1;
-                if meta.dirty {
+                if meta.dirty() {
                     self.evicted_l2_line(now, inv.target, line, meta);
                 }
             }

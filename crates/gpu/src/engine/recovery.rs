@@ -234,8 +234,8 @@ impl<'t> Sim<'t> {
             for line in self.cfg.geometry.lines_of_block(block) {
                 if let Some(meta) = self.gpms[g.index()].l2.invalidate(line) {
                     scrubbed += 1;
-                    if meta.dirty {
-                        self.write_back(now, g, line, meta.version);
+                    if meta.dirty() {
+                        self.write_back(now, g, line, meta.version());
                     }
                 }
             }
@@ -304,7 +304,7 @@ impl<'t> Sim<'t> {
                 }
                 FlipSeverity::Uncorrectable => {
                     match self.gpms[node.index()].l2.invalidate(line) {
-                        Some(meta) if meta.dirty => {
+                        Some(meta) if meta.dirty() => {
                             // The only copy of committed-but-unflushed
                             // data was corrupt: contained, not consumed.
                             self.m.integrity.poisoned += 1;
@@ -341,7 +341,7 @@ impl<'t> Sim<'t> {
                                 // No detection: the resident copy is
                                 // silently wrong from here on.
                                 if let Some(meta) = self.gpms[node.index()].l2.get_mut(line) {
-                                    meta.version ^= 1 << 40;
+                                    meta.set_version(meta.version() ^ (1 << 40));
                                 }
                                 self.m.integrity.silent_corruptions += 1;
                             }

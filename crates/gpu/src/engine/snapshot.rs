@@ -41,7 +41,24 @@ hmg_sim::snapshot_codec!(enum FlipSeverity {
     0 => Correctable,
     1 => Uncorrectable,
 });
-hmg_sim::snapshot_codec!(L2Line { version, dirty });
+// The packed word is written as the `{ version, dirty }` pair it holds,
+// so the snapshot format does not depend on the in-memory packing.
+impl SnapshotWrite for L2Line {
+    fn write_snap(&self, w: &mut SnapWriter) {
+        self.version().write_snap(w);
+        self.dirty().write_snap(w);
+    }
+}
+impl SnapshotRead for L2Line {
+    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let version = u64::read_snap(r)?;
+        let dirty = bool::read_snap(r)?;
+        if version >= L2Line::DIRTY {
+            return Err(SnapError::Malformed(format!("L2 line version {version}")));
+        }
+        Ok(L2Line::new(version, dirty))
+    }
+}
 hmg_sim::snapshot_codec!(SmRef { gpm, sm });
 hmg_sim::snapshot_codec!(enum SmState {
     0 => Runnable,

@@ -48,6 +48,8 @@ impl VersionStore {
         self.stores_committed += 1;
         let v = self.versions.or_insert(line, 0);
         *v += 1;
+        // Caches pack a version with a dirty bit into one word.
+        debug_assert!(*v < 1 << 63, "version of {line:?} overflows 63 bits");
         *v
     }
 

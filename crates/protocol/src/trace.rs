@@ -64,36 +64,46 @@ impl Cta {
 }
 
 // The packed op word. The low `TAG_BITS` bits say which op the word
-// holds; the payload sits above them (see `Ops::encode`).
+// holds; the payload fills the 29 bits above them (see `Ops::encode`).
 const TAG_BITS: u32 = 3;
-const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
-const TAG_ACCESS: u64 = 0;
-const TAG_DELAY: u64 = 1;
-const TAG_ACQUIRE: u64 = 2;
-const TAG_RELEASE: u64 = 3;
-const TAG_SET_FLAG: u64 = 4;
-const TAG_WAIT_FLAG: u64 = 5;
-const TAG_ESCAPE: u64 = 6;
-/// An access word holds the kind in 2 bits and the scope in 2 bits
-/// above the tag, then the byte address in the remaining 57 bits.
-const ADDR_SHIFT: u32 = TAG_BITS + 4;
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+const TAG_ACCESS: u32 = 0;
+const TAG_DELAY: u32 = 1;
+const TAG_ACQUIRE: u32 = 2;
+const TAG_RELEASE: u32 = 3;
+const TAG_SET_FLAG: u32 = 4;
+const TAG_WAIT_FLAG: u32 = 5;
+const TAG_ESCAPE: u32 = 6;
+/// `Delay` and `SetFlag` values, and escape indices, at or above this do
+/// not fit the payload.
+const PAYLOAD_LIMIT: u32 = 1 << (32 - TAG_BITS);
+/// An access word holds the kind in 2 bits and the scope in 2 bits above
+/// the tag, then the byte address divided by `ADDR_ALIGN` in the top 25
+/// bits. Those bits are the address's own bits 7..32, so the address is
+/// stored in place with its (zero) low bits replaced by the tag, kind
+/// and scope; only accesses at a multiple of `ADDR_ALIGN` fit a word.
+const ADDR_ALIGN: u64 = 1 << (TAG_BITS + 4);
 /// Accesses at or above this address do not fit a word.
-const ADDR_LIMIT: u64 = 1 << (64 - ADDR_SHIFT);
-/// A `WaitFlag` word holds the flag in 32 bits above the tag and the
-/// count in the remaining 29 bits.
-const COUNT_SHIFT: u32 = TAG_BITS + 32;
+const ADDR_LIMIT: u64 = 1 << 32;
+/// A `WaitFlag` word holds the flag in 15 bits above the tag and the
+/// count in the top 14 bits.
+const COUNT_SHIFT: u32 = TAG_BITS + 15;
+/// `WaitFlag` flags at or above this do not fit a word.
+const FLAG_LIMIT: u32 = 1 << (COUNT_SHIFT - TAG_BITS);
 /// `WaitFlag` counts at or above this do not fit a word.
-const COUNT_LIMIT: u32 = 1 << (64 - COUNT_SHIFT);
+const COUNT_LIMIT: u32 = 1 << (32 - COUNT_SHIFT);
 
-/// A CTA's ops, packed one `u64` word per op.
+/// A CTA's ops, packed one `u32` word per op.
 ///
-/// Every op that fits is stored inline in its word; an access at an
-/// address of 2^57 or more and a `WaitFlag` with a count of 2^29 or more
-/// go to a per-CTA escape list, and their word holds the escape index.
-/// The encoding is canonical (an op is escaped exactly when it does not
-/// fit), so the derived `Eq` is equality of the decoded op lists. The
-/// list is immutable once built, and keeps its delay-cycle sum and access
-/// count so callers never re-walk it for them.
+/// Every op that fits is stored inline in its word. What does not fit
+/// goes to a per-CTA escape list, and its word holds the escape index:
+/// an access at an address that is not a multiple of 128 or is 2^32 or
+/// more, a `Delay` or `SetFlag` of 2^29 or more, and a `WaitFlag` whose
+/// flag is 2^15 or more or whose count is 2^14 or more. The encoding is
+/// canonical (an op is escaped exactly when it does not fit), so the
+/// derived `Eq` is equality of the decoded op lists. The list is
+/// immutable once built, and keeps its delay-cycle sum and access count
+/// so callers never re-walk it for them.
 ///
 /// # Example
 ///
@@ -101,7 +111,7 @@ const COUNT_LIMIT: u32 = 1 << (64 - COUNT_SHIFT);
 /// use hmg_protocol::{Access, Cta, TraceOp};
 /// use hmg_sim::Addr;
 ///
-/// let ops = vec![TraceOp::Access(Access::load(Addr(64))), TraceOp::Delay(7)];
+/// let ops = vec![TraceOp::Access(Access::load(Addr(128))), TraceOp::Delay(7)];
 /// let cta = Cta::new(ops.clone());
 /// assert_eq!(cta.ops.len(), 2);
 /// assert_eq!(cta.ops.get(1), Some(TraceOp::Delay(7)));
@@ -110,7 +120,7 @@ const COUNT_LIMIT: u32 = 1 << (64 - COUNT_SHIFT);
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Ops {
-    words: Box<[u64]>,
+    words: Box<[u32]>,
     escapes: Box<[TraceOp]>,
     delay_cycles: u64,
     accesses: usize,
@@ -178,8 +188,8 @@ impl Ops {
         }
     }
 
-    fn encode(op: TraceOp, escapes: &mut Vec<TraceOp>) -> u64 {
-        let scope_bits = |s: Scope| -> u64 {
+    fn encode(op: TraceOp, escapes: &mut Vec<TraceOp>) -> u32 {
+        let scope_bits = |s: Scope| -> u32 {
             match s {
                 Scope::Cta => 0,
                 Scope::Gpu => 1,
@@ -187,8 +197,8 @@ impl Ops {
             }
         };
         match op {
-            TraceOp::Access(a) if a.addr.0 < ADDR_LIMIT => {
-                let kind: u64 = match a.kind {
+            TraceOp::Access(a) if a.addr.0 < ADDR_LIMIT && a.addr.0 % ADDR_ALIGN == 0 => {
+                let kind: u32 = match a.kind {
                     AccessKind::Load => 0,
                     AccessKind::Store => 1,
                     AccessKind::Atomic => 2,
@@ -196,24 +206,32 @@ impl Ops {
                 TAG_ACCESS
                     | kind << TAG_BITS
                     | scope_bits(a.scope) << (TAG_BITS + 2)
-                    | a.addr.0 << ADDR_SHIFT
+                    | a.addr.0 as u32
             }
-            TraceOp::Delay(d) => TAG_DELAY | u64::from(d) << TAG_BITS,
+            TraceOp::Delay(d) if d < PAYLOAD_LIMIT => TAG_DELAY | d << TAG_BITS,
             TraceOp::Acquire(s) => TAG_ACQUIRE | scope_bits(s) << TAG_BITS,
             TraceOp::Release(s) => TAG_RELEASE | scope_bits(s) << TAG_BITS,
-            TraceOp::SetFlag(f) => TAG_SET_FLAG | u64::from(f) << TAG_BITS,
-            TraceOp::WaitFlag { flag, count } if count < COUNT_LIMIT => {
-                TAG_WAIT_FLAG | u64::from(flag) << TAG_BITS | u64::from(count) << COUNT_SHIFT
+            TraceOp::SetFlag(f) if f < PAYLOAD_LIMIT => TAG_SET_FLAG | f << TAG_BITS,
+            TraceOp::WaitFlag { flag, count } if flag < FLAG_LIMIT && count < COUNT_LIMIT => {
+                TAG_WAIT_FLAG | flag << TAG_BITS | count << COUNT_SHIFT
             }
-            TraceOp::Access(_) | TraceOp::WaitFlag { .. } => {
+            TraceOp::Access(_)
+            | TraceOp::Delay(_)
+            | TraceOp::SetFlag(_)
+            | TraceOp::WaitFlag { .. } => {
+                assert!(
+                    escapes.len() < PAYLOAD_LIMIT as usize,
+                    "a CTA holds at most 2^29 escaped ops"
+                );
+                let index = escapes.len() as u32;
                 escapes.push(op);
-                TAG_ESCAPE | ((escapes.len() - 1) as u64) << TAG_BITS
+                TAG_ESCAPE | index << TAG_BITS
             }
         }
     }
 
     #[inline]
-    fn decode(&self, w: u64) -> TraceOp {
+    fn decode(&self, w: u32) -> TraceOp {
         const KINDS: [AccessKind; 4] = [
             AccessKind::Load,
             AccessKind::Store,
@@ -221,21 +239,21 @@ impl Ops {
             AccessKind::Atomic,
         ];
         const SCOPES: [Scope; 4] = [Scope::Cta, Scope::Gpu, Scope::Sys, Scope::Sys];
-        let scope = |bits: u64| SCOPES[(bits & 3) as usize];
+        let scope = |bits: u32| SCOPES[(bits & 3) as usize];
         let body = w >> TAG_BITS;
         match w & TAG_MASK {
             TAG_ACCESS => TraceOp::Access(Access::new(
-                Addr(w >> ADDR_SHIFT),
+                Addr(u64::from(w) & !(ADDR_ALIGN - 1)),
                 KINDS[(body & 3) as usize],
                 scope(body >> 2),
             )),
-            TAG_DELAY => TraceOp::Delay(body as u32),
+            TAG_DELAY => TraceOp::Delay(body),
             TAG_ACQUIRE => TraceOp::Acquire(scope(body)),
             TAG_RELEASE => TraceOp::Release(scope(body)),
-            TAG_SET_FLAG => TraceOp::SetFlag(body as u32),
+            TAG_SET_FLAG => TraceOp::SetFlag(body),
             TAG_WAIT_FLAG => TraceOp::WaitFlag {
-                flag: body as u32,
-                count: (w >> COUNT_SHIFT) as u32,
+                flag: body & (FLAG_LIMIT - 1),
+                count: w >> COUNT_SHIFT,
             },
             _ => self.escapes[body as usize],
         }
@@ -260,7 +278,7 @@ impl<'a> IntoIterator for &'a Ops {
 /// Iterator over an [`Ops`] list, decoding each op by value.
 #[derive(Debug, Clone)]
 pub struct OpsIter<'a> {
-    words: std::slice::Iter<'a, u64>,
+    words: std::slice::Iter<'a, u32>,
     ops: &'a Ops,
 }
 
@@ -430,15 +448,33 @@ mod tests {
     /// One op of every variant and every field, biased toward the values
     /// on either side of the inline/escape boundaries.
     fn arb_op(rng: &mut Rng) -> TraceOp {
-        const ADDRS: [u64; 6] = [0, 128, ADDR_LIMIT - 1, ADDR_LIMIT, ADDR_LIMIT + 1, u64::MAX];
-        const U32S: [u32; 4] = [0, 1, u32::MAX - 1, u32::MAX];
+        const ADDRS: [u64; 9] = [
+            0,
+            64,
+            128,
+            ADDR_LIMIT - ADDR_ALIGN,
+            ADDR_LIMIT - 1,
+            ADDR_LIMIT,
+            ADDR_LIMIT + ADDR_ALIGN,
+            1 << 57,
+            u64::MAX,
+        ];
+        const PAYLOADS: [u32; 6] = [
+            0,
+            1,
+            PAYLOAD_LIMIT - 1,
+            PAYLOAD_LIMIT,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        const FLAGS: [u32; 5] = [0, FLAG_LIMIT - 1, FLAG_LIMIT, FLAG_LIMIT + 1, u32::MAX];
         const COUNTS: [u32; 5] = [0, COUNT_LIMIT - 1, COUNT_LIMIT, COUNT_LIMIT + 1, u32::MAX];
         let scope = *rng.choose(&Scope::ALL);
-        let u32_of = |rng: &mut Rng| {
+        let u32_of = |rng: &mut Rng, edges: &[u32]| {
             if rng.gen_bool(0.5) {
-                *rng.choose(&U32S)
+                *rng.choose(edges)
             } else {
-                rng.next_u64() as u32
+                rng.next_u64() as u32 >> rng.gen_range(0, 32)
             }
         };
         match rng.gen_range(0, 6) {
@@ -446,22 +482,23 @@ mod tests {
                 let addr = if rng.gen_bool(0.5) {
                     *rng.choose(&ADDRS)
                 } else {
-                    rng.next_u64() >> rng.gen_range(0, 64)
+                    let a = rng.next_u64() >> rng.gen_range(0, 64);
+                    if rng.gen_bool(0.5) {
+                        a & !(ADDR_ALIGN - 1)
+                    } else {
+                        a
+                    }
                 };
                 let kind = *rng.choose(&[AccessKind::Load, AccessKind::Store, AccessKind::Atomic]);
                 TraceOp::Access(Access::new(Addr(addr), kind, scope))
             }
-            1 => TraceOp::Delay(u32_of(rng)),
+            1 => TraceOp::Delay(u32_of(rng, &PAYLOADS)),
             2 => TraceOp::Acquire(scope),
             3 => TraceOp::Release(scope),
-            4 => TraceOp::SetFlag(u32_of(rng)),
+            4 => TraceOp::SetFlag(u32_of(rng, &PAYLOADS)),
             _ => TraceOp::WaitFlag {
-                flag: u32_of(rng),
-                count: if rng.gen_bool(0.5) {
-                    *rng.choose(&COUNTS)
-                } else {
-                    rng.next_u64() as u32
-                },
+                flag: u32_of(rng, &FLAGS),
+                count: u32_of(rng, &COUNTS),
             },
         }
     }
@@ -516,11 +553,12 @@ mod tests {
     #[test]
     fn escape_boundaries_are_exact() {
         let inline = [
-            TraceOp::Access(Access::atomic(Addr(ADDR_LIMIT - 1), Scope::Sys)),
-            TraceOp::Delay(u32::MAX),
-            TraceOp::SetFlag(u32::MAX),
+            TraceOp::Access(Access::atomic(Addr(ADDR_LIMIT - ADDR_ALIGN), Scope::Sys)),
+            TraceOp::Access(Access::new(Addr(0), AccessKind::Store, Scope::Gpu)),
+            TraceOp::Delay(PAYLOAD_LIMIT - 1),
+            TraceOp::SetFlag(PAYLOAD_LIMIT - 1),
             TraceOp::WaitFlag {
-                flag: u32::MAX,
+                flag: FLAG_LIMIT - 1,
                 count: COUNT_LIMIT - 1,
             },
             TraceOp::Acquire(Scope::Sys),
@@ -528,7 +566,17 @@ mod tests {
         ];
         let escaped = [
             TraceOp::Access(Access::load(Addr(ADDR_LIMIT))),
+            TraceOp::Access(Access::load(Addr(ADDR_LIMIT - 1))),
+            TraceOp::Access(Access::load(Addr(ADDR_ALIGN + 1))),
+            TraceOp::Access(Access::new(Addr(64), AccessKind::Store, Scope::Cta)),
             TraceOp::Access(Access::new(Addr(u64::MAX), AccessKind::Store, Scope::Gpu)),
+            TraceOp::Delay(PAYLOAD_LIMIT),
+            TraceOp::Delay(u32::MAX),
+            TraceOp::SetFlag(PAYLOAD_LIMIT),
+            TraceOp::WaitFlag {
+                flag: FLAG_LIMIT,
+                count: 0,
+            },
             TraceOp::WaitFlag {
                 flag: 0,
                 count: COUNT_LIMIT,
@@ -538,8 +586,11 @@ mod tests {
                 count: u32::MAX,
             },
         ];
-        assert_eq!(ADDR_LIMIT, 1 << 57);
-        assert_eq!(COUNT_LIMIT, 1 << 29);
+        assert_eq!(ADDR_ALIGN, 128);
+        assert_eq!(ADDR_LIMIT, 1 << 32);
+        assert_eq!(PAYLOAD_LIMIT, 1 << 29);
+        assert_eq!(FLAG_LIMIT, 1 << 15);
+        assert_eq!(COUNT_LIMIT, 1 << 14);
         let cta = Cta::new(inline.to_vec());
         assert_eq!(cta.ops.num_escapes(), 0);
         assert_eq!(cta.ops.iter().collect::<Vec<_>>(), inline);
@@ -549,12 +600,12 @@ mod tests {
     }
 
     #[test]
-    fn inline_ops_cost_eight_bytes_each() {
+    fn inline_ops_cost_four_bytes_each() {
         let v: Vec<TraceOp> = (0..1000u64)
             .map(|i| TraceOp::Access(Access::load(Addr(i * 128))))
             .collect();
         let cta = Cta::new(v);
-        assert_eq!(std::mem::size_of_val(&*cta.ops.words), 8 * 1000);
+        assert_eq!(std::mem::size_of_val(&*cta.ops.words), 4 * 1000);
         assert!(cta.ops.escapes.is_empty());
     }
 }

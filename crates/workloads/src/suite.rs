@@ -692,6 +692,14 @@ mod tests {
             assert!(t.num_accesses() > 0, "{} is empty", spec.abbrev);
             assert!(t.num_kernels() > 0);
             assert_eq!(t.name, spec.abbrev);
+            // Every op fits its 4-byte word: nothing is escaped.
+            let escapes: usize = t
+                .kernels
+                .iter()
+                .flat_map(|k| &k.ctas)
+                .map(|c| c.ops.num_escapes())
+                .sum();
+            assert_eq!(escapes, 0, "{} escaped ops", spec.abbrev);
         }
     }
 

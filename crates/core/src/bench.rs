@@ -39,6 +39,10 @@ pub const SCHEMA: &str = "hmg-bench-hotpath-v1";
 /// the gate fails (20%, per the CI `bench-smoke` contract).
 pub const REGRESSION_TOLERANCE: f64 = 0.20;
 
+/// Allowed peak-RSS growth against a same-shape baseline before the gate
+/// fails (10%, the `peak_rss_mb` bound of `BENCHMARK.json`).
+pub const RSS_TOLERANCE: f64 = 0.10;
+
 /// Timed runs per measurement; each reports its best wall time. One run
 /// is hostage to whatever else the host does meanwhile, and the gate
 /// compares against a baseline recorded the same way.
@@ -489,6 +493,12 @@ fn first_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
     json.lines().find_map(|l| json_field(l, name))
 }
 
+/// The last value of field `name`: the document-level aggregate of a
+/// field the cells also carry.
+fn last_field<'a>(json: &'a str, name: &str) -> Option<&'a str> {
+    json.lines().rev().find_map(|l| json_field(l, name))
+}
+
 /// Extracts `"total_events_per_sec"` from a `BENCH_hotpath.json`
 /// document (used to compare against a checked-in baseline).
 pub fn parse_total_events_per_sec(json: &str) -> Option<f64> {
@@ -515,15 +525,16 @@ fn cell_fingerprints(json: &str) -> Vec<(String, String)> {
 /// Compares `report` against the checked-in baseline at `path`: the
 /// throughput must stay within [`REGRESSION_TOLERANCE`] of the
 /// baseline's, and — when the baseline ran the same mode, scale and
-/// seed — every cell the two share must keep its behaviour
-/// fingerprint. Otherwise the fingerprint check is skipped, and the ok
+/// seed — every cell the two share must keep its behaviour fingerprint
+/// and the peak RSS must stay within [`RSS_TOLERANCE`] of the
+/// baseline's. Otherwise those two checks are skipped, and the ok
 /// message says so.
 ///
 /// # Errors
 ///
 /// Returns a description of every failure when the baseline is
-/// missing/unparseable, throughput regressed, or a cell's fingerprint
-/// drifted (each drifted cell is named).
+/// missing/unparseable, throughput regressed, a cell's fingerprint
+/// drifted (each drifted cell is named), or peak RSS grew.
 pub fn regression_gate(report: &BenchReport, path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
@@ -559,9 +570,23 @@ pub fn regression_gate(report: &BenchReport, path: &Path) -> Result<String, Stri
                 drifted.join("\n  ")
             ));
         }
-        format!("{shared} cell fingerprints match")
+        // A baseline recorded where RSS is unavailable reads 0 and gates nothing.
+        let base_kb = last_field(&text, "peak_rss_kb").map_or(Ok(0), str::parse::<u64>);
+        let base_kb = base_kb.map_err(|e| format!("bad peak_rss_kb in baseline: {e}"))?;
+        let kb = report.peak_rss_kb();
+        let ceiling = base_kb as f64 * (1.0 + RSS_TOLERANCE);
+        if base_kb > 0 && kb as f64 > ceiling {
+            errors.push(format!(
+                "peak RSS grew: {kb} KB > {ceiling:.0} KB \
+                 (baseline {base_kb} KB + {:.0}% tolerance)",
+                RSS_TOLERANCE * 100.0
+            ));
+        }
+        format!("{shared} cell fingerprints match; peak RSS {kb} KB vs baseline {base_kb} KB")
     } else {
-        "fingerprint check skipped: the baseline's mode, scale or seed differs".to_string()
+        "fingerprint check skipped and peak RSS unchecked: the baseline's mode, scale or seed \
+         differs"
+            .to_string()
     };
     if !errors.is_empty() {
         return Err(errors.join("\n"));
@@ -650,6 +675,21 @@ mod tests {
         std::fs::write(&path, r.to_json()).unwrap();
         regression_gate(&r, &path).expect("identical baseline passes");
 
+        // Same shape, but the run peaks over 10% above the baseline's RSS.
+        let with_rss = |kb: u64| {
+            let mut r = r.clone();
+            r.cells.iter_mut().for_each(|c| c.peak_rss_kb = kb);
+            r
+        };
+        std::fs::write(&path, with_rss(40_000).to_json()).unwrap();
+        let ok = regression_gate(&with_rss(44_000), &path).expect("+10% RSS passes");
+        assert!(
+            ok.contains("peak RSS 44000 KB vs baseline 40000 KB"),
+            "{ok}"
+        );
+        let err = regression_gate(&with_rss(44_001), &path).expect_err("RSS growth fails");
+        assert!(err.contains("peak RSS grew"), "{err}");
+
         // Baseline far above current: the gate fails.
         let inflated = format!(
             "{{\n  \"total_events_per_sec\": {:.0}\n}}\n",
@@ -686,7 +726,10 @@ mod tests {
         let seed = |s: u64| format!("\"seed\": {s},");
         std::fs::write(&path, drifted.replacen(&seed(r.seed), &seed(r.seed + 1), 1)).unwrap();
         let ok = regression_gate(&r, &path).expect("seed mismatch skips fingerprints");
-        assert!(ok.contains("fingerprint check skipped"), "{ok}");
+        assert!(
+            ok.contains("fingerprint check skipped") && ok.contains("peak RSS unchecked"),
+            "{ok}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -37,7 +37,7 @@ use hmg_protocol::{
     AccessKind, AcquireAction, CacheLevel, FenceDomain, Ops, ProtocolKind, Scope, TraceOp,
     WorkloadTrace,
 };
-use hmg_sim::collect::{FlatMap, VecPool};
+use hmg_sim::collect::FlatMap;
 use hmg_sim::{Cycle, EventQueue, ProgressWatchdog, Rng, SimError};
 
 use crate::config::EngineConfig;
@@ -371,11 +371,6 @@ struct Sim<'t> {
     touch_map: FlatMap<LineAddr, u64>,
     /// Line -> latest version committed at its system home.
     committed: FlatMap<LineAddr, u64>,
-    /// Freelists recycling MSHR-waiter and flag-waiter vectors, so the
-    /// merge/wake hot paths reuse allocations instead of hitting the
-    /// allocator once per transaction.
-    msg_pool: VecPool<MemMsg>,
-    waiter_pool: VecPool<SmRef>,
     kernel: usize,
     ctas_unfinished: u64,
     loads_inflight: u64,
@@ -485,8 +480,6 @@ impl<'t> Sim<'t> {
             mshr: FlatMap::new(),
             touch_map: FlatMap::new(),
             committed: FlatMap::new(),
-            msg_pool: VecPool::new(),
-            waiter_pool: VecPool::new(),
             kernel: 0,
             ctas_unfinished: 0,
             loads_inflight: 0,
@@ -1111,10 +1104,7 @@ impl<'t> Sim<'t> {
                         t += Cycle(self.cfg.issue_cycles as u64);
                     } else {
                         self.sms[idx].state = SmState::FlagWait(flag);
-                        let pool = &mut self.waiter_pool;
-                        self.flag_waiters
-                            .or_insert_with(flag, || pool.take())
-                            .push(r);
+                        self.flag_waiters.or_insert_with(flag, Vec::new).push(r);
                         return;
                     }
                 }
@@ -1128,16 +1118,15 @@ impl<'t> Sim<'t> {
     /// `flag_latency + extra` later.
     fn set_flag(&mut self, t: Cycle, f: u32, extra: Cycle) {
         *self.flags.or_insert(f, 0) += 1;
-        if let Some(mut waiters) = self.flag_waiters.remove(&f) {
+        if let Some(waiters) = self.flag_waiters.remove(&f) {
             let wake = t + self.cfg.flag_latency + extra;
-            for w in waiters.drain(..) {
+            for w in waiters {
                 let wi = self.sm_index(w);
                 if self.sms[wi].state == SmState::FlagWait(f) {
                     self.sms[wi].state = SmState::Runnable;
                     self.q.push(wake, Ev::SmResume(w));
                 }
             }
-            self.waiter_pool.give(waiters);
         }
     }
 
@@ -1488,8 +1477,7 @@ impl<'t> Sim<'t> {
                 waiters.push(msg);
                 return;
             }
-            let buf = self.msg_pool.take();
-            self.mshr.insert(key, buf);
+            self.mshr.insert(key, Vec::new());
         }
         self.forward_req(t, msg, node, req_gpm, sys_home, gpu_home);
     }
@@ -1524,10 +1512,10 @@ impl<'t> Sim<'t> {
         version: u64,
         poisoned: bool,
     ) {
-        let Some(mut waiters) = self.mshr.remove(&(node.0, line)) else {
+        let Some(waiters) = self.mshr.remove(&(node.0, line)) else {
             return;
         };
-        for mut w in waiters.drain(..) {
+        for mut w in waiters {
             w.version = version;
             // Poison propagates to every consumer merged behind the
             // fill: each aborts rather than using the corrupt value.
@@ -1542,7 +1530,6 @@ impl<'t> Sim<'t> {
             }
         }
         debug_assert!(!self.mshr.contains_key(&(node.0, line)));
-        self.msg_pool.give(waiters);
     }
 
     fn forward_req(

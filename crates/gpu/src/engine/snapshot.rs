@@ -6,10 +6,10 @@
 //! memory-system state (caches, directories, DRAM ports, page homes,
 //! committed versions, latent soft errors), scheduler state (fences,
 //! flags, MSHRs, CTA queues), every RNG stream, the fault-plan cursor,
-//! and the accumulated `RunMetrics`. The borrowed `cfg`/`trace` and the
-//! allocation pools are rebuilt, not serialized; `fatal` and `finished`
-//! are structurally `None`/`false` at every snapshot point because the
-//! run-loop hook sits after both checks.
+//! and the accumulated `RunMetrics`. The borrowed `cfg`/`trace` are
+//! rebuilt, not serialized; `fatal` and `finished` are structurally
+//! `None`/`false` at every snapshot point because the run-loop hook sits
+//! after both checks.
 //!
 //! Restore is refusal-based: any shape that disagrees with the live
 //! configuration (wrong cache geometry, out-of-range GPM/SM/CTA/fence

@@ -96,15 +96,17 @@ pub struct Cache<M> {
     /// Tag lane, indexed `set * ways + way`; only `lens[set]` slots of
     /// each set's span are live.
     tags: Box<[u64]>,
-    /// LRU recency tick per slot, parallel to `tags`.
-    last_use: Box<[u64]>,
+    /// LRU recency tick per slot, parallel to `tags`;
+    /// [`Cache::next_tick`] renumbers the live ticks before the counter
+    /// would wrap.
+    last_use: Box<[u32]>,
     /// Per-line metadata per slot, parallel to `tags`.
     metas: Box<[M]>,
     /// Occupied ways per set.
     lens: Box<[u32]>,
     /// Strength-reduced `(tag, set)` splitter for the set count.
     split: SetSplit,
-    tick: u64,
+    tick: u32,
     insertions: u64,
     evictions: u64,
 }
@@ -145,6 +147,37 @@ impl<M: Default> Cache<M> {
         self.tags[base..base + len].iter().position(|&t| t == tag)
     }
 
+    /// Hands out the next recency tick. Live ticks are unique, so the
+    /// LRU victim of a set is its slot with the smallest tick.
+    #[inline(always)]
+    fn next_tick(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.renumber_ticks();
+        }
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Rank-compresses the live slots' ticks to `1..=live` and restarts
+    /// the counter at `live`. Ticks stay unique and keep their order, so
+    /// every later LRU choice is the one a 64-bit counter would make.
+    /// Dead slots keep stale ticks; a fill overwrites them.
+    #[cold]
+    #[inline(never)]
+    fn renumber_ticks(&mut self) {
+        let ways = self.config.ways as usize;
+        let mut live: Vec<(u32, usize)> = Vec::with_capacity(self.len());
+        for (idx, &len) in self.lens.iter().enumerate() {
+            let base = idx * ways;
+            live.extend((base..base + len as usize).map(|slot| (self.last_use[slot], slot)));
+        }
+        live.sort_unstable();
+        for (rank, &(_, slot)) in live.iter().enumerate() {
+            self.last_use[slot] = rank as u32 + 1;
+        }
+        self.tick = live.len() as u32;
+    }
+
     /// Looks up `line` without updating recency. Returns the metadata if
     /// present.
     pub fn peek(&self, line: LineAddr) -> Option<&M> {
@@ -160,23 +193,23 @@ impl<M: Default> Cache<M> {
     // forced inline so the engine's callers see the probe loop directly.
     #[inline(always)]
     pub fn get(&mut self, line: LineAddr) -> Option<&M> {
-        self.tick += 1;
+        let tick = self.next_tick();
         let (tag, idx) = self.locate(line);
         let base = idx * self.config.ways as usize;
         let len = self.lens[idx] as usize;
         let pos = self.find(base, len, tag)?;
-        self.last_use[base + pos] = self.tick;
+        self.last_use[base + pos] = tick;
         Some(&self.metas[base + pos])
     }
 
     /// Mutable lookup, updating LRU recency on a hit.
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut M> {
-        self.tick += 1;
+        let tick = self.next_tick();
         let (tag, idx) = self.locate(line);
         let base = idx * self.config.ways as usize;
         let len = self.lens[idx] as usize;
         let pos = self.find(base, len, tag)?;
-        self.last_use[base + pos] = self.tick;
+        self.last_use[base + pos] = tick;
         Some(&mut self.metas[base + pos])
     }
 
@@ -184,8 +217,7 @@ impl<M: Default> Cache<M> {
     /// line and its metadata if an LRU victim had to be displaced.
     #[inline(always)]
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<(LineAddr, M)> {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let sets_count = self.config.sets() as u64;
         let ways = self.config.ways as usize;
         let (tag, idx) = self.locate(line);
@@ -195,7 +227,7 @@ impl<M: Default> Cache<M> {
         // Recency ticks are globally unique, so the first minimum is
         // unambiguous and matches the previous representation exactly.
         let mut victim_i = 0;
-        let mut victim_use = u64::MAX;
+        let mut victim_use = u32::MAX;
         for i in 0..len {
             if self.tags[base + i] == tag {
                 self.metas[base + i] = meta;
@@ -335,12 +367,14 @@ impl<M: Default> Cache<M> {
 
 // Snapshots serialize only the live slots (`lens[set]` per set): dead
 // slab slots hold stale metadata that is unobservable through the API,
-// so the restored cache fills them with `M::default()` instead.
+// so the restored cache fills them with `M::default()` instead. Ticks
+// are written as `u64`, the format's width, and a read tick of 2^32 or
+// more is refused.
 impl<M: Default + hmg_sim::SnapshotWrite> hmg_sim::SnapshotWrite for Cache<M> {
     fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
         w.put_u32(self.config.lines);
         w.put_u32(self.config.ways);
-        w.put_u64(self.tick);
+        w.put_u64(u64::from(self.tick));
         w.put_u64(self.insertions);
         w.put_u64(self.evictions);
         let ways = self.config.ways as usize;
@@ -349,7 +383,7 @@ impl<M: Default + hmg_sim::SnapshotWrite> hmg_sim::SnapshotWrite for Cache<M> {
             let base = idx * ways;
             for slot in base..base + len as usize {
                 w.put_u64(self.tags[slot]);
-                w.put_u64(self.last_use[slot]);
+                w.put_u64(u64::from(self.last_use[slot]));
                 self.metas[slot].write_snap(w);
             }
         }
@@ -363,7 +397,7 @@ impl<M: Default + hmg_sim::SnapshotRead> hmg_sim::SnapshotRead for Cache<M> {
         let config = CacheConfig::try_new(lines, ways)
             .map_err(|e| hmg_sim::SnapError::Malformed(e.to_string()))?;
         let mut c = Cache::new(config);
-        c.tick = r.get_u64()?;
+        c.tick = read_tick(r)?;
         c.insertions = r.get_u64()?;
         c.evictions = r.get_u64()?;
         let ways = config.ways as usize;
@@ -377,13 +411,21 @@ impl<M: Default + hmg_sim::SnapshotRead> hmg_sim::SnapshotRead for Cache<M> {
             let base = idx * ways;
             for slot in base..base + len as usize {
                 c.tags[slot] = r.get_u64()?;
-                c.last_use[slot] = r.get_u64()?;
+                c.last_use[slot] = read_tick(r)?;
                 c.metas[slot] = M::read_snap(r)?;
             }
             c.lens[idx] = len;
         }
         Ok(c)
     }
+}
+
+/// Reads one snapshot tick, refusing a value that does not fit the
+/// 32-bit lane.
+fn read_tick(r: &mut hmg_sim::SnapReader<'_>) -> Result<u32, hmg_sim::SnapError> {
+    let v = r.get_u64()?;
+    u32::try_from(v)
+        .map_err(|_| hmg_sim::SnapError::Malformed(format!("cache tick {v} exceeds 32 bits")))
 }
 
 #[cfg(test)]
@@ -567,19 +609,80 @@ mod tests {
         ));
 
         let mut w = SnapWriter::new();
-        c_overfull(&mut w);
+        c_header(&mut w);
+        w.put_u32(3); // set 0 claims 3 live ways of 2
+        assert!(matches!(
+            Cache::<u32>::read_snap(&mut SnapReader::new(&w.into_bytes())),
+            Err(hmg_sim::SnapError::Malformed(_))
+        ));
+
+        let mut w = SnapWriter::new();
+        c_header(&mut w);
+        w.put_u32(1); // set 0 holds one line ...
+        w.put_u64(0); // tag
+        w.put_u64(1 << 32); // ... whose tick does not fit the 32-bit lane
+        0u32.write_snap(&mut w);
         assert!(matches!(
             Cache::<u32>::read_snap(&mut SnapReader::new(&w.into_bytes())),
             Err(hmg_sim::SnapError::Malformed(_))
         ));
     }
 
-    fn c_overfull(w: &mut SnapWriter) {
+    fn c_header(w: &mut SnapWriter) {
         w.put_u32(4); // 2 sets x 2 ways
         w.put_u32(2);
         w.put_u64(0); // tick
         w.put_u64(0); // insertions
         w.put_u64(0); // evictions
-        w.put_u32(3); // set 0 claims 3 live ways of 2
+    }
+
+    /// One seeded operation of the tick-wrap test; returns what it saw.
+    fn step(c: &mut Cache<u32>, op: u64, line: LineAddr, meta: u32) -> Option<(LineAddr, u32)> {
+        match op {
+            0..=3 => c.get(line).map(|&m| (line, m)),
+            4..=7 => c.insert(line, meta),
+            8 => c.get_mut(line).map(|m| {
+                *m += 1;
+                (line, *m)
+            }),
+            _ => c.invalidate(line).map(|m| (line, m)),
+        }
+    }
+
+    #[test]
+    fn ticks_renumbered_at_the_wrap_keep_every_lru_choice() {
+        const START: u32 = u32::MAX - 1_000; // wraps a quarter of the way in
+        let mut fresh = cache(32, 4); // 8 sets; 96 lines contend for them
+        let mut wrapped = cache(32, 4);
+        wrapped.tick = START;
+        let mut rng = hmg_sim::Rng::new(0x7ac5);
+        for i in 0..4_000u32 {
+            let (op, line) = (rng.gen_range(0, 10), LineAddr(rng.gen_range(0, 96)));
+            assert_eq!(
+                step(&mut fresh, op, line, i),
+                step(&mut wrapped, op, line, i),
+                "op {i}: {op} on {line:?}"
+            );
+        }
+        assert!(wrapped.tick < START, "the counter wrapped");
+        assert!(fresh.evictions() > 100, "the sequence exercises LRU");
+        assert_eq!(
+            fresh.iter().collect::<Vec<_>>(),
+            wrapped.iter().collect::<Vec<_>>()
+        );
+
+        // A restored copy of the wrapped cache evicts the same victims.
+        let mut w = SnapWriter::new();
+        wrapped.write_snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = Cache::<u32>::read_snap(&mut SnapReader::new(&bytes)).unwrap();
+        let mut evicted = 0;
+        for line in 1_000..1_032 {
+            let want = wrapped.insert(LineAddr(line), 0);
+            evicted += usize::from(want.is_some());
+            assert_eq!(back.insert(LineAddr(line), 0), want);
+            assert_eq!(fresh.insert(LineAddr(line), 0), want);
+        }
+        assert!(evicted >= 16, "only {evicted} restored lines were evicted");
     }
 }

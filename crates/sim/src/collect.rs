@@ -384,53 +384,6 @@ impl<K: FlatKey + std::fmt::Debug> std::fmt::Debug for FlatSet<K> {
     }
 }
 
-/// A freelist of `Vec<T>` buffers so hot paths that repeatedly create
-/// and drop short-lived vectors (MSHR waiter lists, flag waiter lists,
-/// fabric message batches) reuse their allocations instead of hitting
-/// the allocator per transaction.
-///
-/// # Example
-///
-/// ```
-/// use hmg_sim::collect::VecPool;
-///
-/// let mut pool: VecPool<u32> = VecPool::new();
-/// let mut v = pool.take();
-/// v.push(1);
-/// pool.give(v); // cleared and kept for reuse
-/// let v2 = pool.take();
-/// assert!(v2.is_empty() && v2.capacity() >= 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> VecPool<T> {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        VecPool { free: Vec::new() }
-    }
-
-    /// Hands out a cleared buffer, reusing a returned one if available.
-    pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool; its contents are dropped.
-    pub fn give(&mut self, mut v: Vec<T>) {
-        v.clear();
-        if v.capacity() > 0 {
-            self.free.push(v);
-        }
-    }
-
-    /// Buffers currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,19 +513,5 @@ mod tests {
         assert!(s.contains(&PageId(9)));
         assert!(s.remove(&PageId(9)));
         assert!(!s.remove(&PageId(9)));
-    }
-
-    #[test]
-    fn vec_pool_recycles_capacity() {
-        let mut pool: VecPool<u64> = VecPool::new();
-        let mut v = pool.take();
-        v.extend(0..64);
-        let cap = v.capacity();
-        pool.give(v);
-        assert_eq!(pool.idle(), 1);
-        let v2 = pool.take();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap, "allocation was reused");
-        assert_eq!(pool.idle(), 0);
     }
 }

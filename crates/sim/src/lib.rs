@@ -10,7 +10,7 @@
 //! * [`EventQueue`] — a deterministic time-ordered calendar event
 //!   queue (with [`ReferenceEventQueue`] as its differential oracle).
 //! * [`collect`] — flat deterministic hot-path collections
-//!   ([`collect::FlatMap`], [`collect::FlatSet`], [`collect::VecPool`]).
+//!   ([`collect::FlatMap`], [`collect::FlatSet`]).
 //! * [`rng::Rng`] — a self-contained SplitMix64 PRNG so that every
 //!   experiment is bit-for-bit reproducible from a seed.
 //! * [`stats`] — counters and the small amount of statistics math the

@@ -14,8 +14,9 @@
 use std::process::ExitCode;
 
 use hmg::experiments as exp;
-use hmg::prelude::{ProtocolKind, SimError};
+use hmg::prelude::ProtocolKind;
 use hmg::protocol::Arbitration;
+use hmg::supervisor::BenchTally;
 use hmg_bench::{parse_args, Command, ParsedArgs};
 
 /// Writes `svg` into `dir/name.svg` when SVG output was requested.
@@ -32,159 +33,51 @@ fn save_svg(dir: &Option<String>, name: &str, svg: &str) {
     }
 }
 
+/// Runs one registry figure: prints its tables and writes its charts.
+/// A sweep's hard failure is reported on stderr and returns `None`.
+fn run_figure(f: &exp::Figure, opts: &exp::ExpOptions, svg: &Option<String>) -> Option<BenchTally> {
+    let report = f.run(opts).map_err(|e| eprintln!("[sweep failed] {e}"));
+    let report = report.ok()?;
+    report.print();
+    for (name, doc) in f.svgs(&report) {
+        save_svg(svg, &name, &doc);
+    }
+    Some(report.tally)
+}
+
 /// Runs one command; `false` means the command itself failed (a sweep
 /// stopped on a hard failure, reported to stderr, or `check` found a
 /// memory-model violation).
 fn run(cmd: Command, p: &ParsedArgs) -> bool {
-    run_command(cmd, p).unwrap_or_else(|e| {
-        eprintln!("[sweep failed] {e}");
-        false
-    })
-}
-
-/// [`run`] with a sweep's hard failure as `Err`.
-fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
     let (opts, svg, budget) = (&p.options, &p.svg_dir, p.budget);
     match cmd {
-        Command::Table3 => exp::print_table3(opts)?,
-        Command::Fig2 => {
-            let r = exp::fig2(opts)?;
-            r.print("Fig. 2: motivating multi-GPU comparison");
-            save_svg(
-                svg,
-                "fig2",
-                &r.to_svg("Fig. 2: motivating multi-GPU comparison"),
-            );
-        }
-        Command::Fig3 => {
-            let r = exp::fig3(opts)?;
-            r.print();
-            save_svg(svg, "fig3", &r.to_svg());
-        }
-        Command::Fig7 => {
-            let r = exp::fig7(opts)?;
-            r.print();
-            save_svg(svg, "fig7", &r.to_svg());
-        }
-        Command::Fig8 => {
-            let r = exp::fig8(opts)?;
-            r.print("Fig. 8: 4-GPU x 4-GPM, five coherence configurations");
-            match exp::headline(&r) {
-                Some(h) => println!(
-                    "headline: HMG vs SW-nonhier {:+.0}%, vs SW-hier {:+.0}%, vs NHCC {:+.0}%, \
-                     {:.0}% of ideal",
-                    h.vs_sw_nonhier * 100.0,
-                    h.vs_sw_hier * 100.0,
-                    h.vs_nhcc * 100.0,
-                    h.of_ideal * 100.0
-                ),
-                None => println!("headline: n/a (no workload completed)"),
-            }
-            println!("paper:    HMG vs SW-coherence +26%, vs NHCC +18%, 97% of ideal\n");
-            save_svg(
-                svg,
-                "fig8",
-                &r.to_svg("Fig. 8: five coherence configurations"),
-            );
-        }
-        Command::Fig9To11 => {
-            let r = exp::fig9_10_11(opts)?;
-            r.print();
-            let [f9, f10, f11] = r.to_svgs();
-            save_svg(svg, "fig9", &f9);
-            save_svg(svg, "fig10", &f10);
-            save_svg(svg, "fig11", &f11);
-        }
-        Command::Fig12 => {
-            let r = exp::fig12(opts)?;
-            r.print("Fig. 12: inter-GPU bandwidth sensitivity");
-            save_svg(
-                svg,
-                "fig12",
-                &r.to_svg("Fig. 12: inter-GPU bandwidth sensitivity"),
-            );
-        }
-        Command::Fig13 => {
-            let r = exp::fig13(opts)?;
-            r.print("Fig. 13: L2 capacity sensitivity");
-            save_svg(svg, "fig13", &r.to_svg("Fig. 13: L2 capacity sensitivity"));
-        }
-        Command::Fig14 => {
-            let r = exp::fig14(opts)?;
-            r.print("Fig. 14: directory capacity sensitivity");
-            save_svg(
-                svg,
-                "fig14",
-                &r.to_svg("Fig. 14: directory capacity sensitivity"),
-            );
-        }
-        Command::Grain => {
-            let r = exp::grain_sweep(opts)?;
-            r.print("§VII-B: directory granularity sweep");
-            save_svg(svg, "grain", &r.to_svg("Directory granularity sweep"));
-        }
-        Command::Cost => exp::print_storage_cost(),
-        Command::SingleGpu => {
-            let r = exp::single_gpu(opts)?;
-            r.print("§VII-A: single-GPU (1x4 GPM) check");
-        }
-        Command::Carve => {
-            let r = exp::carve_comparison(opts)?;
-            r.print("Prior work: CARVE-like broadcast coherence vs NHCC/HMG");
-            save_svg(
-                svg,
-                "carve",
-                &r.to_svg("CARVE-like broadcast coherence vs NHCC/HMG"),
-            );
-        }
-        Command::Characterize => {
-            let list = opts
-                .filter
-                .clone()
-                .unwrap_or_else(|| vec!["bfs".into(), "RNN_FW".into()]);
-            for c in exp::characterize(opts, &list)? {
-                c.print();
-            }
-        }
-        Command::ScaleStudy => {
-            let r = exp::scale_study(opts)?;
-            r.print("§VII-D: scaling to larger systems");
-            save_svg(svg, "scale-study", &r.to_svg("Scaling to larger systems"));
-        }
-        Command::AblateFence => exp::ablate_fences(opts)?.print(),
-        Command::AblatePlacement => exp::ablate_placement(opts)?.print(),
-        Command::AblateWriteback => exp::ablate_writeback(opts)?.print(),
-        Command::AblateDowngrade => exp::ablate_downgrades(opts)?.print(),
+        Command::Figure(f) => run_figure(f, opts, svg).is_some(),
         Command::All => {
-            // Perf trajectory (ROADMAP item 1): tally every supervised
-            // sweep of the full paper run and leave a machine-readable
-            // baseline next to the figures.
-            hmg::supervisor::take_tally();
+            // Perf trajectory (ROADMAP item 1): sum the tallies of every
+            // supervised sweep of the full paper run and leave a
+            // machine-readable baseline next to the figures.
             // audit:allow(entropy): wall-clock benchmarking only; never
             // feeds simulated state.
             let t0 = std::time::Instant::now();
             // Each command is one sweep, so each gets its own checkpoint
             // file `F.<command>` and `--resume` applies to every one.
             let mut ok = true;
-            for name in Command::PAPER_ORDER {
-                let Some(c) = Command::from_name(name) else {
-                    continue;
-                };
-                let checkpoint = opts.checkpoint.as_ref().map(|f| {
-                    let mut path = f.clone().into_os_string();
-                    path.push(format!(".{name}"));
+            let mut tally = BenchTally::default();
+            for f in exp::FIGURES.iter().filter(|f| f.in_all) {
+                let checkpoint = opts.checkpoint.as_ref().map(|file| {
+                    let mut path = file.clone().into_os_string();
+                    path.push(format!(".{}", f.name));
                     std::path::PathBuf::from(path)
                 });
-                let sub = ParsedArgs {
-                    options: exp::ExpOptions {
-                        checkpoint,
-                        ..opts.clone()
-                    },
-                    ..p.clone()
+                let sub = exp::ExpOptions {
+                    checkpoint,
+                    ..opts.clone()
                 };
-                ok &= run(c, &sub);
+                match run_figure(f, &sub, svg) {
+                    Some(t) => tally += t,
+                    None => ok = false,
+                }
             }
-            let tally = hmg::supervisor::take_tally();
             let jobs = opts.supervisor_config().resolved_jobs(usize::MAX);
             let wall = t0.elapsed().as_secs_f64();
             let path = std::path::Path::new("BENCH_sweep.json");
@@ -197,7 +90,7 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
                 ),
                 Err(e) => eprintln!("cannot write BENCH_sweep.json: {e}"),
             }
-            return Ok(ok);
+            ok
         }
         Command::Check => {
             let cfg = hmg_check::CheckConfig {
@@ -244,14 +137,14 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
             };
             let report = hmg_check::run_check(&cfg);
             print!("{report}");
-            return Ok(report.passed());
+            report.passed()
         }
         Command::Bench => {
             let report = match hmg::bench::run_bench(opts, p.bench_quick) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("bench failed: {e}");
-                    return Ok(false);
+                    return false;
                 }
             };
             report.print();
@@ -259,7 +152,7 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
                 Ok(()) => println!("wrote {}", p.bench_out),
                 Err(e) => {
                     eprintln!("cannot write {}: {e}", p.bench_out);
-                    return Ok(false);
+                    return false;
                 }
             }
             if let Some(base) = &p.bench_baseline {
@@ -267,14 +160,13 @@ fn run_command(cmd: Command, p: &ParsedArgs) -> Result<bool, SimError> {
                     Ok(msg) => println!("{msg}"),
                     Err(msg) => {
                         eprintln!("{msg}");
-                        return Ok(false);
+                        return false;
                     }
                 }
             }
-            return Ok(true);
+            true
         }
     }
-    Ok(true)
 }
 
 fn main() -> ExitCode {

@@ -1,54 +1,19 @@
 //! Minimal argument parsing for the `experiments` binary (std-only; no
 //! external CLI crates per the dependency policy in DESIGN.md §5).
 
-use hmg::experiments::ExpOptions;
+use hmg::experiments::{figure, ExpOptions, Figure, FIGURES};
 use hmg::prelude::FaultPlan;
 use hmg::protocol::SpecVariant;
 use hmg::supervisor::Isolation;
 use hmg::workloads::Scale;
 
 /// Which experiment to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Command {
-    /// Fig. 2 — motivating comparison (SW-NH / NHCC / Ideal).
-    Fig2,
-    /// Fig. 3 — inter-GPU load redundancy.
-    Fig3,
-    /// Fig. 7 — simulator correlation vs analytical model.
-    Fig7,
-    /// Fig. 8 — headline five-configuration comparison.
-    Fig8,
-    /// Figs. 9–11 — HMG invalidation costs.
-    Fig9To11,
-    /// Fig. 12 — inter-GPU bandwidth sweep.
-    Fig12,
-    /// Fig. 13 — L2 capacity sweep.
-    Fig13,
-    /// Fig. 14 — directory capacity sweep.
-    Fig14,
-    /// §VII-B — directory granularity sweep (not pictured in the paper).
-    Grain,
-    /// §VII-C — directory storage cost.
-    Cost,
-    /// Table III — workload inventory.
-    Table3,
-    /// §VII-A — single-GPU sanity comparison.
-    SingleGpu,
-    /// §II-A prior-work comparison — CARVE-like broadcast coherence.
-    Carve,
-    /// §VII-D scaling discussion — 2/4/8-GPU systems.
-    ScaleStudy,
-    /// Per-workload traffic/locality drill-down under every protocol.
-    Characterize,
-    /// DESIGN.md ablation — release-fence cost.
-    AblateFence,
-    /// DESIGN.md ablation — page placement.
-    AblatePlacement,
-    /// §IV-B ablation — write-back vs write-through L2s.
-    AblateWriteback,
-    /// §IV-B ablation — sharer downgrade messages.
-    AblateDowngrade,
-    /// Run every experiment in paper order.
+    /// One entry of the figure registry ([`hmg::experiments::FIGURES`]).
+    Figure(&'static Figure),
+    /// Run every registry entry marked `in_all`, in paper order: all
+    /// but `single-gpu`, `carve`, `scale-study` and `characterize`.
     All,
     /// Bounded litmus enumeration vs the axiomatic memory-model oracle
     /// (crates/check; see docs/CHECKING.md).
@@ -59,54 +24,16 @@ pub enum Command {
 }
 
 impl Command {
-    /// Parses a command name.
+    /// Parses a command name: a registry figure (or one of its
+    /// aliases), `all`, `check` or `bench`.
     pub fn from_name(s: &str) -> Option<Command> {
         Some(match s {
-            "fig2" => Command::Fig2,
-            "fig3" => Command::Fig3,
-            "fig7" => Command::Fig7,
-            "fig8" => Command::Fig8,
-            "fig9" | "fig10" | "fig11" | "fig9-11" => Command::Fig9To11,
-            "fig12" => Command::Fig12,
-            "fig13" => Command::Fig13,
-            "fig14" => Command::Fig14,
-            "grain" => Command::Grain,
-            "cost" => Command::Cost,
-            "table3" => Command::Table3,
-            "single-gpu" => Command::SingleGpu,
-            "carve" => Command::Carve,
-            "scale-study" => Command::ScaleStudy,
-            "characterize" => Command::Characterize,
-            "ablate-fence" => Command::AblateFence,
-            "ablate-placement" => Command::AblatePlacement,
-            "ablate-writeback" => Command::AblateWriteback,
-            "ablate-downgrade" => Command::AblateDowngrade,
             "all" => Command::All,
             "check" => Command::Check,
             "bench" => Command::Bench,
-            _ => return None,
+            _ => Command::Figure(figure(s)?),
         })
     }
-
-    /// Every individual experiment's command name, in paper order
-    /// (used by `all`).
-    pub const PAPER_ORDER: [&'static str; 15] = [
-        "table3",
-        "fig2",
-        "fig3",
-        "fig7",
-        "fig8",
-        "fig9-11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "grain",
-        "cost",
-        "ablate-fence",
-        "ablate-placement",
-        "ablate-writeback",
-        "ablate-downgrade",
-    ];
 }
 
 /// Parsed command line.
@@ -131,16 +58,31 @@ pub struct ParsedArgs {
     pub bench_baseline: Option<String>,
 }
 
-/// Usage text.
-pub const USAGE: &str = "usage: experiments <command> [--scale tiny|small|full] [--seed N] [--workloads a,b,c] [--svg DIR] [--faults SPEC] [--keep-going] [--checkpoint FILE] [--resume] [--livelock-budget N] [--jobs N] [--cell-timeout SECS] [--retries N] [--isolation process|thread] [--snapshot-dir DIR] [--snapshot-interval N] [--budget N] [--protocol VARIANT] [--quick] [--out FILE] [--baseline FILE]
+/// Usage text: the flags, the registry's command names, then the
+/// per-topic flag reference.
+pub fn usage() -> String {
+    let names: Vec<&str> = FIGURES
+        .iter()
+        .map(|f| f.name)
+        .chain(["all", "check", "bench"])
+        .collect();
+    let commands: Vec<String> = names
+        .chunks(8)
+        .map(|c| format!("  {}", c.join(" ")))
+        .collect();
+    format!(
+        "usage: experiments <command> [--scale tiny|small|full] [--seed N] [--workloads a,b,c] \
+         [--svg DIR] [--faults SPEC] [--keep-going] [--checkpoint FILE] [--resume] \
+         [--livelock-budget N] [--jobs N] [--cell-timeout SECS] [--retries N] \
+         [--isolation process|thread] [--snapshot-dir DIR] [--snapshot-interval N] [--budget N] \
+         [--protocol VARIANT] [--quick] [--out FILE] [--baseline FILE]\n\ncommands:\n{}\n\n\
+         {USAGE_DETAILS}",
+        commands.join("\n")
+    )
+}
 
-commands:
-  table3 fig2 fig3 fig7 fig8 fig9-11 fig12 fig13 fig14
-  grain cost single-gpu carve scale-study characterize all
-  ablate-fence ablate-placement ablate-writeback ablate-downgrade
-  check bench
-
-benchmarking (DESIGN.md \u{a7}13 `Performance`):
+/// The per-topic flag reference that ends [`usage`].
+const USAGE_DETAILS: &str = "benchmarking (DESIGN.md \u{a7}13 `Performance`):
   bench           time the Fig. 8 cells single-threaded, in-process,
                   and write schema-versioned BENCH_hotpath.json
                   (events/sec, cycles/sec, wall time, peak RSS, and the
@@ -239,9 +181,9 @@ recovery (DESIGN.md \u{a7}7 `Recovery & degradation`):
 /// Returns a usage message on unknown commands, flags, or values.
 pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
     let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| USAGE.to_string())?;
+    let cmd = it.next().ok_or_else(usage)?;
     let command =
-        Command::from_name(cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{USAGE}"))?;
+        Command::from_name(cmd).ok_or_else(|| format!("unknown command `{cmd}`\n{}", usage()))?;
     // Library callers default to thread isolation (their process is not
     // the `experiments` binary, so re-exec would be wrong); the CLI *is*
     // that binary, so it defaults to full process isolation.
@@ -337,7 +279,7 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, String> {
             "--baseline" => {
                 bench_baseline = Some(it.next().ok_or("--baseline needs a file path")?.clone())
             }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
     if options.resume && options.checkpoint.is_none() {
@@ -366,7 +308,7 @@ mod tests {
     #[test]
     fn parses_command_and_flags() {
         let p = parse_args(&s(&["fig8", "--scale", "tiny", "--seed", "7"])).unwrap();
-        assert_eq!(p.command, Command::Fig8);
+        assert_eq!(p.command, Command::Figure(figure("fig8").unwrap()));
         assert_eq!(p.options.scale, Scale::Tiny);
         assert_eq!(p.options.seed, 7);
         assert!(p.options.filter.is_none());
@@ -505,31 +447,21 @@ mod tests {
 
     #[test]
     fn all_command_names_round_trip() {
-        for name in [
-            "fig2",
-            "fig3",
-            "fig7",
-            "fig8",
-            "fig9-11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "grain",
-            "cost",
-            "table3",
-            "single-gpu",
-            "ablate-fence",
-            "ablate-placement",
-            "ablate-writeback",
-            "ablate-downgrade",
-            "all",
-            "check",
-            "bench",
-        ]
-        .into_iter()
-        .chain(Command::PAPER_ORDER)
-        {
-            assert!(Command::from_name(name).is_some(), "{name}");
+        for f in &FIGURES {
+            let listed = usage()
+                .lines()
+                .any(|l| l.split_whitespace().any(|w| w == f.name));
+            assert!(listed, "{} listed in the usage", f.name);
+            for name in std::iter::once(f.name).chain(f.aliases.iter().copied()) {
+                assert_eq!(Command::from_name(name), Some(Command::Figure(f)), "{name}");
+            }
+        }
+        for (name, c) in [
+            ("all", Command::All),
+            ("check", Command::Check),
+            ("bench", Command::Bench),
+        ] {
+            assert_eq!(Command::from_name(name), Some(c), "{name}");
         }
     }
 

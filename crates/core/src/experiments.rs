@@ -1,20 +1,35 @@
-//! Drivers that regenerate every table and figure of the paper's
-//! evaluation (Section VII). Each function returns a structured result
-//! with a `print` method; the `experiments` binary in `hmg-bench` wires
-//! them to the command line, and EXPERIMENTS.md records paper-measured
-//! comparisons.
+//! The figure registry that regenerates every table and figure of the
+//! paper's evaluation (Section VII).
+//!
+//! [`FIGURES`] holds one [`Figure`] per `experiments` command, in paper
+//! order. An entry builds a [`Plan`] from [`ExpOptions`]: the sweep
+//! cells it runs and a reducer from their results to one or more
+//! [`Table`]s. [`Plan::run`] is the one driver: it runs the cells as
+//! one supervised sweep ([`run_cells`]), collects the failure table, and
+//! reduces ([`Figure::run`] builds an entry's plan and runs it).
+//! [`Report::print`] is the one text renderer and
+//! [`Figure::svgs`] the one SVG renderer. The `experiments` binary in
+//! `hmg-bench` looks commands up with [`figure`], and EXPERIMENTS.md
+//! records paper-measured comparisons.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hmg_gpu::{EngineConfig, RunMetrics};
-use hmg_protocol::{ProtocolKind, WorkloadTrace};
+use hmg_protocol::ProtocolKind::{
+    self, CarveLike, Hmg, Ideal, Nhcc, NoPeerCaching, SwHier, SwNonHier,
+};
+use hmg_protocol::WorkloadTrace;
 use hmg_sim::{stats, FaultPlan, SimError};
-use hmg_workloads::micro::{correlation_suite, MachineParams};
+use hmg_workloads::micro::{correlation_suite, MachineParams, Micro};
 use hmg_workloads::suite::{by_abbrev, table3};
 use hmg_workloads::{Scale, WorkloadSpec};
 
-use crate::report::{f2, f3, pct, Table};
+use crate::report::{f2, f3, pct, Table as TextTable};
 use crate::runner::{run_isolated, SweepCheckpoint};
 use crate::supervisor::{
-    self, Attempt, CellCommand, CellRun, CellStatus, Isolation, SupervisorConfig,
+    self, Attempt, BenchTally, CellCommand, CellReport, CellRun, CellStatus, Isolation,
+    SupervisorConfig,
 };
 
 /// Options shared by all experiments.
@@ -527,14 +542,19 @@ fn cell_command(ctx: &CellCtx, attempt: u32) -> Result<CellCommand, SimError> {
     Ok(CellCommand { exe, args })
 }
 
+/// One cell's merged outcome.
+pub type CellResult = Result<RunMetrics, SimError>;
+
 /// Runs `cells` through the supervisor — the one executor of every
-/// engine-running driver. `opts.checkpoint` is opened here, under an
+/// engine-running figure. `opts.checkpoint` is opened here, under an
 /// identity hashed from every cell's snapshot identity; its
 /// completed cells are reused with `opts.resume`, the rest execute
 /// under the configured isolation with retry/backoff and timeout-kill,
 /// completed cells are checkpointed as they finish, and each cell's
 /// full metrics merge back in input order. A cell drained unrun after
 /// a hard failure (no `--keep-going`) reads as a `skipped` error.
+/// The returned tally counts the cells this call executed and their
+/// events, plus the cells it reused.
 ///
 /// # Errors
 ///
@@ -543,7 +563,7 @@ fn cell_command(ctx: &CellCtx, attempt: u32) -> Result<CellCommand, SimError> {
 pub fn run_cells(
     opts: &ExpOptions,
     cells: &[CellCtx],
-) -> Result<Vec<Result<RunMetrics, SimError>>, SimError> {
+) -> Result<(Vec<CellResult>, BenchTally), SimError> {
     let ckpt = match &opts.checkpoint {
         Some(path) => {
             let ids: Vec<u8> = cells
@@ -560,12 +580,11 @@ pub fn run_cells(
         None => None,
     };
     let ckpt = ckpt.as_ref();
-    let mut merged: Vec<Option<Result<RunMetrics, SimError>>> = cells
+    let mut merged: Vec<Option<CellResult>> = cells
         .iter()
         .map(|c| ckpt.and_then(|k| k.lookup(&c.key)).map(Ok))
         .collect();
     let reused = merged.iter().filter(|m| m.is_some()).count();
-    supervisor::tally_reused(reused as u64);
     let pending: Vec<&CellCtx> = cells
         .iter()
         .zip(&merged)
@@ -573,7 +592,8 @@ pub fn run_cells(
         .map(|(c, _)| c)
         .collect();
     let sup = opts.supervisor_config();
-    let resumed_cells = std::sync::atomic::AtomicU64::new(0);
+    let resumed_cells = AtomicU64::new(0);
+    let events = AtomicU64::new(0);
     let report = supervisor::supervise(
         &pending,
         |c| c.key.clone(),
@@ -597,9 +617,9 @@ pub fn run_cells(
             // be retried; they are recorded post-merge instead.
             match &a {
                 Attempt::Ok((m, resumed_from)) => {
-                    supervisor::tally_events(m.events);
+                    events.fetch_add(m.events, Ordering::Relaxed);
                     if resumed_from.is_some() {
-                        resumed_cells.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        resumed_cells.fetch_add(1, Ordering::Relaxed);
                     }
                     if let Some(k) = ckpt {
                         k.record_ok(&cell.key, m);
@@ -619,10 +639,15 @@ pub fn run_cells(
         "{}",
         report.summary_line(reused, ckpt.map_or(0, |c| c.stale_rows()))
     );
-    let resumed = resumed_cells.load(std::sync::atomic::Ordering::Relaxed);
+    let resumed = resumed_cells.load(Ordering::Relaxed);
     if resumed > 0 {
         println!("[snapshot] resumed_cells={resumed}");
     }
+    let tally = BenchTally {
+        events: events.into_inner(),
+        reused: reused as u64,
+        ..report.tally()
+    };
     let mut live = report.cells.into_iter();
     for slot in merged.iter_mut() {
         if slot.is_some() {
@@ -641,10 +666,11 @@ pub fn run_cells(
         }
         *slot = Some(result);
     }
-    Ok(merged
+    let results = merged
         .into_iter()
         .map(|m| m.unwrap_or_else(|| Err(cell_error(CellStatus::Skipped))))
-        .collect())
+        .collect();
+    Ok((results, tally))
 }
 
 /// The typed error of a cell that finished without a result.
@@ -665,15 +691,17 @@ fn cell_error(status: CellStatus) -> SimError {
 fn failure_table(
     opts: &ExpOptions,
     cells: &[CellCtx],
-    results: &[Result<RunMetrics, SimError>],
+    results: &[CellResult],
 ) -> Result<Vec<RunFailure>, SimError> {
     let failures: Vec<RunFailure> = cells
         .iter()
         .zip(results)
-        .filter_map(|(cell, r)| {
+        .enumerate()
+        .filter_map(|(i, (cell, r))| {
             let error = r.as_ref().err()?.clone();
             let (workload, protocol) = cell_label(cell);
             Some(RunFailure {
+                cell: i,
                 workload,
                 protocol,
                 error,
@@ -699,12 +727,13 @@ fn cell_label(cell: &CellCtx) -> (String, ProtocolKind) {
 
 /// Prints the failure table of a `--keep-going` run: one row per failed
 /// run with the first line of its error. Silent when nothing failed.
-fn print_failures(failures: &[RunFailure]) {
+fn print_failures<'a>(failures: impl Iterator<Item = &'a RunFailure>) {
+    let failures: Vec<&RunFailure> = failures.collect();
     if failures.is_empty() {
         return;
     }
     println!("-- {} failed run(s); partial result --", failures.len());
-    let mut t = Table::new(vec![
+    let mut t = TextTable::new(vec![
         "workload".to_string(),
         "protocol".to_string(),
         "error".to_string(),
@@ -719,14 +748,12 @@ fn print_failures(failures: &[RunFailure]) {
     println!("{}", t.render());
 }
 
-// ---------------------------------------------------------------------
-// Speedup suites (Figs. 2, 8, 12, 13, 14)
-// ---------------------------------------------------------------------
-
 /// One failed run inside a `--keep-going` sweep.
 #[derive(Debug, Clone)]
 pub struct RunFailure {
-    /// Workload abbreviation.
+    /// Index of the failed cell in its sweep.
+    pub cell: usize,
+    /// Workload abbreviation (`point/workload` in sensitivity sweeps).
     pub workload: String,
     /// Protocol configuration that failed.
     pub protocol: ProtocolKind,
@@ -735,532 +762,762 @@ pub struct RunFailure {
     pub error: SimError,
 }
 
-/// Per-workload speedups of several protocols over the no-peer-caching
-/// baseline.
+// ---------------------------------------------------------------------
+// The one result type, its renderers, and the one driver
+// ---------------------------------------------------------------------
+
+/// How a column renders a value. A missing value prints `n/a` (no data,
+/// or an aggregate over zero surviving workloads), except where noted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fmt {
+    /// An integer (cycles, counts).
+    F0,
+    /// One decimal.
+    F1,
+    /// Two decimals.
+    F2,
+    /// Two decimals; a missing value in a data row prints `0` (Figs.
+    /// 9–10: a workload with no invalidations of that kind).
+    F2OrZero,
+    /// A fraction as a percentage; charts plot it in percent.
+    Pct,
+    /// MB, printed in GB from 1000 MB up (Table III).
+    Footprint,
+    /// An index into the Table III suite, printed as its abbreviation.
+    Abbrev,
+    /// `hi * 2^32 + lo`, printed `hi/lo` (characterize's p50/p99 miss
+    /// latency, whose power-of-two buckets pack exactly).
+    Pair,
+}
+
+impl Fmt {
+    /// Renders one value of a data row.
+    pub fn render(self, v: Option<f64>) -> String {
+        let Some(v) = v else {
+            let missing = if self == Fmt::F2OrZero { "0" } else { "n/a" };
+            return missing.to_string();
+        };
+        match self {
+            Fmt::F0 => format!("{v:.0}"),
+            Fmt::F1 => format!("{v:.1}"),
+            Fmt::F2 | Fmt::F2OrZero => f2(v),
+            Fmt::Pct => pct(v),
+            Fmt::Footprint if v >= 1000.0 => format!("{:.2} GB", v / 1024.0),
+            Fmt::Footprint => format!("{v:.0} MB"),
+            Fmt::Abbrev => table3()[v as usize].abbrev.to_string(),
+            Fmt::Pair => format!("{}/{}", v as u64 >> 32, v as u64 & 0xffff_ffff),
+        }
+    }
+}
+
+/// A result table: what every figure reduces to.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Table {
+    /// Printed as `== title ==`.
+    pub title: String,
+    /// Header of the row-label column (a line chart's x axis).
+    pub header: String,
+    /// Column labels and formats.
+    pub columns: Vec<(String, Fmt)>,
+    /// Row labels, each with one value per column.
+    pub rows: Vec<(String, Vec<Option<f64>>)>,
+    /// Aggregate rows after the data rows (`GeoMean`, `Avg`).
+    pub totals: Vec<(String, Vec<Option<f64>>)>,
+    /// Lines printed after the table and its failures.
+    pub notes: Vec<String>,
+    /// The cells whose failures print under this table, when a figure
+    /// prints one table per workload; `None` means every cell.
+    pub cells: Option<Range<usize>>,
+}
+
+impl Table {
+    /// An empty table.
+    pub fn new(title: impl Into<String>, header: &str, columns: &[(&str, Fmt)]) -> Table {
+        Table {
+            title: title.into(),
+            header: header.to_string(),
+            columns: columns.iter().map(|&(l, f)| (l.to_string(), f)).collect(),
+            ..Table::default()
+        }
+    }
+
+    /// Appends an aggregate row of `f` over each column's values; with
+    /// no data rows — zero surviving workloads — each is `None`, not 0.
+    pub fn total(&mut self, label: &str, f: fn(&[f64]) -> f64) {
+        let survivors = !self.rows.is_empty();
+        let aggregate = |i| {
+            let xs: Vec<f64> = self.rows.iter().filter_map(|(_, v)| v[i]).collect();
+            survivors.then(|| f(&xs))
+        };
+        let values = (0..self.columns.len()).map(aggregate).collect();
+        self.totals.push((label.to_string(), values));
+    }
+
+    /// Data rows, then aggregate rows.
+    fn all_rows(&self) -> impl Iterator<Item = &(String, Vec<Option<f64>>)> {
+        self.rows.iter().chain(&self.totals)
+    }
+
+    /// The value in row `row` and column `column`, by label.
+    pub fn value(&self, row: &str, column: &str) -> Option<f64> {
+        let i = self.columns.iter().position(|(l, _)| l == column)?;
+        self.all_rows().find(|(l, _)| l == row)?.1[i]
+    }
+}
+
+/// What one figure run produced.
 #[derive(Debug, Clone)]
-pub struct SpeedupResult {
-    /// The protocols compared, in column order.
-    pub protocols: Vec<ProtocolKind>,
-    /// Workload abbreviations, in figure order. Workloads with a failed
-    /// run are excluded here and listed in `failures` instead.
-    pub workloads: Vec<String>,
-    /// `rows[w][p]` = speedup of protocol `p` on workload `w`.
-    pub rows: Vec<Vec<f64>>,
-    /// Geomean per protocol (over the surviving workloads).
-    pub geomeans: Vec<f64>,
-    /// Runs that failed under `--keep-going` (empty otherwise).
+pub struct Report {
+    /// The figure's tables, in print order.
+    pub tables: Vec<Table>,
+    /// Cells that failed under `--keep-going` (empty otherwise).
     pub failures: Vec<RunFailure>,
+    /// The sweeps this run executed, for `BENCH_sweep.json`.
+    pub tally: BenchTally,
 }
 
-impl SpeedupResult {
-    /// Renders the figure as a table.
-    pub fn print(&self, title: &str) {
-        println!("== {title} ==");
-        let mut headers = vec!["workload".to_string()];
-        headers.extend(self.protocols.iter().map(|p| p.name().to_string()));
-        let mut t = Table::new(headers);
-        for (w, row) in self.workloads.iter().zip(&self.rows) {
-            let mut cells = vec![w.clone()];
-            cells.extend(row.iter().map(|&v| f2(v)));
-            t.row(cells);
+impl Report {
+    /// The text renderer: each table, the failures of its cells, then
+    /// its notes.
+    pub fn print(&self) {
+        for t in &self.tables {
+            println!("== {} ==", t.title);
+            if !t.columns.is_empty() {
+                let labels = t.columns.iter().map(|(l, _)| l);
+                let mut text =
+                    TextTable::new(std::iter::once(&t.header).chain(labels).cloned().collect());
+                for (i, (label, values)) in t.all_rows().enumerate() {
+                    // A missing aggregate always prints `n/a`.
+                    let total = i >= t.rows.len();
+                    let cells = t.columns.iter().zip(values).map(|((_, f), &v)| match v {
+                        None if total => "n/a".to_string(),
+                        v => f.render(v),
+                    });
+                    text.row(std::iter::once(label.clone()).chain(cells).collect());
+                }
+                println!("{}", text.render());
+            }
+            let span = t.cells.clone().unwrap_or(0..usize::MAX);
+            print_failures(self.failures.iter().filter(|f| span.contains(&f.cell)));
+            t.notes.iter().for_each(|n| println!("{n}"));
         }
-        let mut cells = vec!["GeoMean".to_string()];
-        cells.extend(self.geomeans.iter().map(|&v| f2(v)));
-        t.row(cells);
-        println!("{}", t.render());
-        print_failures(&self.failures);
-    }
-
-    /// Renders the figure as an SVG grouped-bar chart.
-    pub fn to_svg(&self, title: &str) -> String {
-        let mut chart = hmg_plot::GroupedBars::new(title)
-            .subtitle("speedup over the no-peer-caching baseline")
-            .series(
-                self.protocols
-                    .iter()
-                    .map(|p| p.name().to_string())
-                    .collect(),
-            )
-            .y_label("speedup")
-            .reference_line(1.0)
-            .label_last_group();
-        for (w, row) in self.workloads.iter().zip(&self.rows) {
-            chart = chart.group(w.clone(), row.clone());
-        }
-        chart = chart.group("GeoMean", self.geomeans.clone());
-        chart.to_svg()
-    }
-
-    /// Geomean speedup of one protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol was not part of this result.
-    pub fn geomean_of(&self, p: ProtocolKind) -> f64 {
-        let i = self
-            .protocols
-            .iter()
-            .position(|&q| q == p)
-            .expect("protocol in result");
-        self.geomeans[i]
     }
 }
 
-/// Runs the suite under `protocols` (plus the baseline) with the
-/// serialized `tweak` applied to every configuration; returns speedups
-/// over the baseline.
-///
-/// Every (workload, protocol) cell runs under the sweep supervisor:
-/// process- or thread-isolated, retried with backoff on transient
-/// failure, timeout-killed when over budget, and checkpointed as it
-/// finishes so `--resume` reuses completed cells. Without
-/// `keep_going`, the first hard failure drains the sweep and comes
-/// back as `Err`; with it, failures land in the result's failure
-/// table.
+type Reduce = Box<dyn FnOnce(&[CellResult], &BenchTally) -> Vec<Table>>;
+
+/// A figure's work: the cells it runs as one sweep, and the reducer
+/// from their results (and the executed cells' tally) to its tables.
+pub struct Plan {
+    cells: Vec<CellCtx>,
+    reduce: Reduce,
+    /// Work done while planning (Table III's trace sweep).
+    tally: BenchTally,
+}
+
+impl Plan {
+    fn new(
+        cells: Vec<CellCtx>,
+        reduce: impl FnOnce(&[CellResult], &BenchTally) -> Vec<Table> + 'static,
+    ) -> Plan {
+        let tally = BenchTally::default();
+        Plan {
+            cells,
+            reduce: Box::new(reduce),
+            tally,
+        }
+    }
+
+    /// This plan, with `f` applied to its tables.
+    fn then(self, f: impl FnOnce(&mut [Table]) + 'static) -> Plan {
+        let reduce = self.reduce;
+        let reduce: Reduce = Box::new(move |r, t| {
+            let mut tables = reduce(r, t);
+            f(&mut tables);
+            tables
+        });
+        Plan { reduce, ..self }
+    }
+
+    /// The one driver: runs the cells as one supervised sweep (if there
+    /// are any), takes the failure table, and reduces.
+    ///
+    /// # Errors
+    ///
+    /// When the checkpoint cannot be opened, or, without `--keep-going`,
+    /// the first failed cell's error.
+    pub fn run(self, opts: &ExpOptions) -> Result<Report, SimError> {
+        let (results, mut tally) = if self.cells.is_empty() {
+            Default::default()
+        } else {
+            run_cells(opts, &self.cells)?
+        };
+        let failures = failure_table(opts, &self.cells, &results)?;
+        let tables = (self.reduce)(&results, &tally);
+        tally += self.tally;
+        Ok(Report {
+            tables,
+            failures,
+            tally,
+        })
+    }
+}
+
+/// How a figure's first table is drawn with `--svg`; a missing value
+/// plots as zero.
+#[derive(Debug)]
+enum Chart {
+    None,
+    /// Speedup bars, titled so: a series per column, a group per row.
+    Speedup(&'static str),
+    /// A line per column over the rows (geomean speedup per point).
+    Lines(&'static str),
+    /// Fig. 7's log-log scatter of column 1 against column 0.
+    Scatter(&'static str),
+    /// Single-series bars named `series`, with an optional y label: of
+    /// column `i` for the `i`th `(file, title, subtitle)`.
+    Profile(
+        &'static str,
+        Option<&'static str>,
+        &'static [(&'static str, &'static str, &'static str)],
+    ),
+}
+
+type PlanFn = fn(&ExpOptions) -> Result<Plan, SimError>;
+
+/// One `experiments` figure command.
+#[derive(Debug)]
+pub struct Figure {
+    /// Command name.
+    pub name: &'static str,
+    /// Other names the command answers to.
+    pub aliases: &'static [&'static str],
+    /// Whether `experiments all` runs it.
+    pub in_all: bool,
+    chart: Chart,
+    plan: PlanFn,
+}
+
+/// A paper figure, run by `experiments all`.
+const fn paper(name: &'static str, chart: Chart, plan: PlanFn) -> Figure {
+    let aliases = &[];
+    Figure {
+        name,
+        aliases,
+        in_all: true,
+        chart,
+        plan,
+    }
+}
+
+/// A check or drill-down that `experiments all` skips.
+const fn extra(name: &'static str, chart: Chart, plan: PlanFn) -> Figure {
+    Figure {
+        in_all: false,
+        ..paper(name, chart, plan)
+    }
+}
+
+impl Figure {
+    /// Builds the figure's plan and runs it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Plan::run`]; also a plan that cannot be built (an unknown
+    /// workload to characterize, a failed Table III trace).
+    pub fn run(&self, opts: &ExpOptions) -> Result<Report, SimError> {
+        (self.plan)(opts)?.run(opts)
+    }
+
+    /// The SVG renderer: the figure's charts as `(file stem, document)`.
+    pub fn svgs(&self, report: &Report) -> Vec<(String, String)> {
+        let Some(t) = report.tables.first() else {
+            return Vec::new();
+        };
+        let column = |(i, (_, f)): (usize, &(String, Fmt))| -> Vec<f64> {
+            let scale = if *f == Fmt::Pct { 100.0 } else { 1.0 };
+            let rows = t.all_rows();
+            rows.map(|(_, v)| v[i].unwrap_or(0.0) * scale).collect()
+        };
+        let columns: Vec<Vec<f64>> = t.columns.iter().enumerate().map(column).collect();
+        let labels = || t.all_rows().map(|(l, _)| l.clone());
+        let bars = |title: &str, cols: &[usize]| {
+            let group = |(r, l)| (l, cols.iter().map(|&i| columns[i][r]).collect::<Vec<_>>());
+            let groups = labels().enumerate().map(group);
+            groups.fold(hmg_plot::GroupedBars::new(title), |c, (l, v)| c.group(l, v))
+        };
+        let name = self.name.to_string();
+        match self.chart {
+            Chart::None => Vec::new(),
+            Chart::Speedup(title) => {
+                let series = t.columns.iter().map(|(l, _)| l.clone()).collect();
+                let chart = bars(title, &(0..columns.len()).collect::<Vec<_>>());
+                let chart = chart.subtitle("speedup over the no-peer-caching baseline");
+                let chart = chart.series(series).y_label("speedup").reference_line(1.0);
+                vec![(name, chart.label_last_group().to_svg())]
+            }
+            Chart::Profile(series, y_label, charts) => {
+                let chart = |(i, &(file, title, subtitle)): (usize, &(&str, &str, &str))| {
+                    let chart = bars(title, &[i])
+                        .subtitle(subtitle)
+                        .series(vec![series.into()]);
+                    let chart = y_label.into_iter().fold(chart, |c, y| c.y_label(y));
+                    (file.to_string(), chart.label_last_group().to_svg())
+                };
+                charts.iter().enumerate().map(chart).collect()
+            }
+            Chart::Lines(title) => {
+                let chart = hmg_plot::LineChart::new(title).x_points(labels().collect());
+                let chart = chart.subtitle(format!("geomean speedup vs {}", t.header));
+                let lines = t.columns.iter().zip(columns);
+                let chart = lines.fold(chart, |c, ((l, _), v)| c.line(l.clone(), v));
+                vec![(name, chart.y_label("geomean speedup").to_svg())]
+            }
+            Chart::Scatter(title) => {
+                let (r, err) = fit(&columns[0], &columns[1]);
+                let (x, y) = ("analytically predicted cycles", "simulated cycles");
+                let chart = hmg_plot::LogLogScatter::new(title, x, y);
+                let chart =
+                    chart.subtitle(format!("r(log10) = {r:.3}, mean abs rel err = {err:.3}"));
+                let points = labels().zip(columns[0].iter().zip(&columns[1]));
+                let chart = points.fold(chart, |c, (l, (&x, &y))| c.point(l, x, y));
+                vec![(name, chart.to_svg())]
+            }
+        }
+    }
+}
+
+/// Figures are equal when their command names are.
+impl PartialEq for Figure {
+    fn eq(&self, other: &Figure) -> bool {
+        self.name == other.name
+    }
+}
+
+/// The figure a command name or alias names.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES
+        .iter()
+        .find(|f| f.name == name || f.aliases.contains(&name))
+}
+
+// ---------------------------------------------------------------------
+// The registry
+// ---------------------------------------------------------------------
+
+/// Every `experiments` figure command, in paper order. `experiments all`
+/// runs the entries with `in_all` set: all but the single-GPU check, the
+/// CARVE comparison, the scale study and the characterization.
+pub static FIGURES: [Figure; 19] = [
+    paper("table3", Chart::None, table_iii),
+    paper("fig2", Chart::Speedup(FIG2), fig2),
+    paper("fig3", FIG3_CHART, fig3),
+    paper(
+        "fig7",
+        Chart::Scatter("Fig. 7: simulator correlation"),
+        fig7,
+    ),
+    paper("fig8", Chart::Speedup(FIG8_CHART), fig8),
+    Figure {
+        aliases: &["fig9", "fig10", "fig11"],
+        ..paper("fig9-11", FIG9_11_CHART, fig9_11)
+    },
+    paper("fig12", Chart::Lines(FIG12), fig12),
+    paper("fig13", Chart::Lines(FIG13), fig13),
+    paper("fig14", Chart::Lines(FIG14), fig14),
+    paper("grain", Chart::Lines("Directory granularity sweep"), grain),
+    paper("cost", Chart::None, cost),
+    extra("single-gpu", Chart::None, single_gpu),
+    extra("carve", Chart::Speedup(CARVE_CHART), carve),
+    extra(
+        "scale-study",
+        Chart::Lines("Scaling to larger systems"),
+        scale_study,
+    ),
+    extra("characterize", Chart::None, characterize),
+    paper("ablate-fence", Chart::None, ablate_fence),
+    paper("ablate-placement", Chart::None, ablate_placement),
+    paper("ablate-writeback", Chart::None, ablate_writeback),
+    paper("ablate-downgrade", Chart::None, ablate_downgrade),
+];
+
+const FIG2: &str = "Fig. 2: motivating multi-GPU comparison";
+const FIG8_CHART: &str = "Fig. 8: five coherence configurations";
+const FIG12: &str = "Fig. 12: inter-GPU bandwidth sensitivity";
+const FIG13: &str = "Fig. 13: L2 capacity sensitivity";
+const FIG14: &str = "Fig. 14: directory capacity sensitivity";
+const CARVE_CHART: &str = "CARVE-like broadcast coherence vs NHCC/HMG";
+const FIG3_CHART: Chart = Chart::Profile(
+    "redundant share",
+    Some("% of inter-GPU loads"),
+    &[(
+        "fig3",
+        "Fig. 3: inter-GPU loads redundant within the GPU",
+        "measured on the no-peer-caching baseline",
+    )],
+);
+const FIG9_11_CHART: Chart = Chart::Profile(
+    "HMG",
+    None,
+    &[
+        (
+            "fig9",
+            "Fig. 9: lines invalidated per store",
+            "stores that triggered invalidations",
+        ),
+        (
+            "fig10",
+            "Fig. 10: lines invalidated per directory eviction",
+            "evictions that triggered invalidations",
+        ),
+        (
+            "fig11",
+            "Fig. 11: invalidation-message bandwidth",
+            "GB/s across both network tiers",
+        ),
+    ],
+);
+
+/// Fig. 2: the motivating subset — non-hierarchical software and
+/// hardware coherence, and idealized caching.
+fn fig2(o: &ExpOptions) -> Result<Plan, SimError> {
+    Ok(speedup_suite(o, FIG2, &[SwNonHier, Nhcc, Ideal], ""))
+}
+
+/// Fig. 8: all five configurations on the Table II machine, with the
+/// headline.
+fn fig8(o: &ExpOptions) -> Result<Plan, SimError> {
+    let title = "Fig. 8: 4-GPU x 4-GPM, five coherence configurations";
+    let plan = speedup_suite(o, title, &ProtocolKind::FIG8, "");
+    Ok(plan.then(|t| t[0].notes = headline_notes(&t[0])))
+}
+
+/// Fig. 12: inter-GPU bandwidth, 100–400 GB/s per link.
+fn fig12(o: &ExpOptions) -> Result<Plan, SimError> {
+    let points = grid(&[100, 200, 300, 400], "GB/s", "bw");
+    Ok(point_sweep(o, FIG12, "inter-GPU BW", points, &SWEEP, false))
+}
+
+/// Fig. 13: L2 capacity, 6/12/24 MB per GPU.
+fn fig13(o: &ExpOptions) -> Result<Plan, SimError> {
+    let points = grid(&[6, 12, 24], "MB/GPU", "l2mb");
+    Ok(point_sweep(o, FIG13, "L2 per GPU", points, &SWEEP, false))
+}
+
+/// Fig. 14: directory capacity, 3K/6K/12K entries per GPM.
+fn fig14(o: &ExpOptions) -> Result<Plan, SimError> {
+    let points = grid(&[3, 6, 12], "K/GPM", "dirk");
+    Ok(point_sweep(o, FIG14, "dir entries", points, &SWEEP, false))
+}
+
+/// §VII-B (not pictured): lines per directory entry at constant
+/// coverage — the entry count shrinks as the grain grows.
+fn grain(o: &ExpOptions) -> Result<Plan, SimError> {
+    let title = "§VII-B: directory granularity sweep";
+    let points = grid(&[1, 2, 4, 8], "x128B", "grain");
+    Ok(point_sweep(o, title, "lines/entry", points, &[Hmg], false))
+}
+
+/// §VII-C: the directory's hardware cost.
+fn cost(_: &ExpOptions) -> Result<Plan, SimError> {
+    let (bits, bytes, frac) = storage_cost();
+    let mut t = Table::new("§VII-C: HMG directory hardware cost", "", &[]);
+    t.notes = vec![
+        format!("bits per entry:      {bits} (48 tag + 1 state + 6 sharers)"),
+        format!(
+            "bytes per GPM:       {bytes} ({:.0} KB)",
+            bytes as f64 / 1024.0
+        ),
+        format!("fraction of L2 data: {}", pct(frac)),
+    ];
+    Ok(Plan::new(Vec::new(), move |_, _| vec![t]))
+}
+
+/// §VII-A: on one GPU, the protocols should be close.
+fn single_gpu(o: &ExpOptions) -> Result<Plan, SimError> {
+    let title = "§VII-A: single-GPU (1x4 GPM) check";
+    let o = &exclude_persistent_kernels(o);
+    Ok(speedup_suite(o, title, &ProtocolKind::FIG8, "gpus=1"))
+}
+
+/// The CARVE-like broadcast-filtered protocol \[14\] against NHCC and
+/// HMG: Section II-A's case for precise, hierarchical sharer tracking.
+fn carve(o: &ExpOptions) -> Result<Plan, SimError> {
+    let title = "Prior work: CARVE-like broadcast coherence vs NHCC/HMG";
+    Ok(speedup_suite(o, title, &[Nhcc, CarveLike, Hmg, Ideal], ""))
+}
+
+/// §VII-D: 2 to 8 GPUs of 4 GPMs, the directory per GPM held at Table
+/// II. A bigger machine changes the baseline too, so each point has its
+/// own.
+fn scale_study(o: &ExpOptions) -> Result<Plan, SimError> {
+    let title = "§VII-D: scaling to larger systems";
+    let o = &exclude_persistent_kernels(o);
+    let points = grid(&[2, 4, 8], " GPUs", "gpus");
+    Ok(point_sweep(o, title, "system size", points, &SWEEP, true))
+}
+
+/// Release fences that are acked and drained, against free ones.
+fn ablate_fence(o: &ExpOptions) -> Result<Plan, SimError> {
+    let variants = [
+        ("acked fences (paper)", ""),
+        ("zero-cost fences", "zero-cost-fences"),
+    ];
+    Ok(ablation(o, "release fence cost (HMG)", variants))
+}
+
+/// First-touch against interleaved page placement.
+fn ablate_placement(o: &ExpOptions) -> Result<Plan, SimError> {
+    let variants = [
+        ("first-touch (paper)", "placement=ft"),
+        ("interleaved", "placement=il"),
+    ];
+    Ok(ablation(o, "page placement (HMG)", variants))
+}
+
+/// §IV-B's write-back option against the evaluated write-through.
+fn ablate_writeback(o: &ExpOptions) -> Result<Plan, SimError> {
+    let wt = ("write-through (paper)", "write-policy=wt");
+    let wb = ("write-back (§IV-B option)", "write-policy=wb");
+    Ok(ablation(o, "L2 write policy (HMG)", [wt, wb]))
+}
+
+/// §IV-B's optional sharer-downgrade messages.
+fn ablate_downgrade(o: &ExpOptions) -> Result<Plan, SimError> {
+    let off = ("silent clean evictions (paper)", "downgrades=off");
+    let on = ("downgrade messages", "downgrades=on");
+    Ok(ablation(o, "sharer downgrades (HMG)", [off, on]))
+}
+
+// ---------------------------------------------------------------------
+// Cell builders and reducers
+// ---------------------------------------------------------------------
+
+/// Speedups of `protocols` over the no-peer-caching baseline, one row
+/// per workload whose every cell completed, then their `GeoMean`; the
+/// serialized `tweak` applies to every cell, baseline included.
 pub fn speedup_suite(
     opts: &ExpOptions,
+    title: &str,
     protocols: &[ProtocolKind],
     tweak: &str,
-) -> Result<SpeedupResult, SimError> {
+) -> Plan {
     let specs = opts.specs();
-    // One cell per (workload, protocol-or-baseline).
-    let mut cells: Vec<CellCtx> = Vec::new();
-    for spec in &specs {
-        for p in std::iter::once(ProtocolKind::NoPeerCaching).chain(protocols.iter().copied()) {
-            let key = format!("{}/{}", spec.abbrev, p.name());
-            cells.push(opts.cell(key, spec.abbrev, p, tweak));
+    let mut cells = Vec::new();
+    for s in &specs {
+        for p in std::iter::once(NoPeerCaching).chain(protocols.iter().copied()) {
+            cells.push(opts.cell(format!("{}/{}", s.abbrev, p.name()), s.abbrev, p, tweak));
         }
     }
-    let results = run_cells(opts, &cells)?;
-    let failures = failure_table(opts, &cells, &results)?;
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(specs.len());
-    let mut workloads = Vec::with_capacity(specs.len());
-    for (spec, chunk) in specs.iter().zip(results.chunks(protocols.len() + 1)) {
-        // Only workloads whose every cell completed get a speedup row.
-        if let Some(cycles) = chunk.iter().map(done_cycles).collect::<Option<Vec<u64>>>() {
-            let base = cycles[0] as f64;
-            rows.push(cycles[1..].iter().map(|&c| base / c as f64).collect());
-            workloads.push(spec.abbrev.to_string());
+    let columns: Vec<(&str, Fmt)> = protocols.iter().map(|p| (p.name(), Fmt::F2)).collect();
+    let mut t = Table::new(title, "workload", &columns);
+    let per = protocols.len() + 1;
+    Plan::new(cells, move |results, _| {
+        for (spec, chunk) in specs.iter().zip(results.chunks(per)) {
+            // Only workloads whose every cell completed get a row.
+            if let Some(cycles) = chunk.iter().map(done_cycles).collect::<Option<Vec<f64>>>() {
+                let speedups = cycles[1..].iter().map(|c| Some(cycles[0] / c));
+                t.rows.push((spec.abbrev.to_string(), speedups.collect()));
+            }
         }
-    }
-    let geomeans: Vec<f64> = (0..protocols.len())
-        .map(|p| stats::geomean(&rows.iter().map(|r| r[p]).collect::<Vec<_>>()))
-        .collect();
-    Ok(SpeedupResult {
-        protocols: protocols.to_vec(),
-        workloads,
-        rows,
-        geomeans,
-        failures,
+        t.total("GeoMean", stats::geomean);
+        vec![t]
     })
 }
 
-/// Fig. 8: all five configurations on the 4-GPU Table II machine.
-pub fn fig8(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
-    speedup_suite(opts, &ProtocolKind::FIG8, "")
-}
-
-/// Fig. 2: the motivating subset (non-hierarchical SW, non-hierarchical
-/// HW, idealized caching).
-pub fn fig2(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
-    speedup_suite(
-        opts,
-        &[
-            ProtocolKind::SwNonHier,
-            ProtocolKind::Nhcc,
-            ProtocolKind::Ideal,
-        ],
-        "",
-    )
-}
-
-/// Prior-work comparison: the CARVE-like broadcast-filtered protocol
-/// \[14\] against NHCC and HMG (Section II-A's motivation for precise,
-/// hierarchical sharer tracking).
-pub fn carve_comparison(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
-    speedup_suite(
-        opts,
-        &[
-            ProtocolKind::Nhcc,
-            ProtocolKind::CarveLike,
-            ProtocolKind::Hmg,
-            ProtocolKind::Ideal,
-        ],
-        "",
-    )
-}
-
-/// §VII-D scaling discussion: geomean speedups as the system grows from
-/// 2 to 8 GPUs (4 GPMs each). Directory capacity per GPM is held at the
-/// Table II value; the paper argues HMG has headroom here (Fig. 14
-/// showed a 50% smaller directory still performs).
-pub fn scale_study(opts: &ExpOptions) -> Result<SweepResult, SimError> {
-    // Persistent-kernel grids are sized for the 4-GPU machine; smaller
-    // topologies cannot make them resident.
-    let opts = &exclude_persistent_kernels(opts);
-    let points: Vec<SweepPoint> = [2u16, 4, 8]
-        .into_iter()
-        .map(|gpus| (format!("{gpus} GPUs"), format!("gpus={gpus}")))
-        .collect();
-    // Per-point normalization here (a bigger machine changes the
-    // baseline too); the interesting output is HMG's gap at each size.
-    point_sweep(opts, "system size", points, &SWEEP_PROTOCOLS, true)
-}
-
-/// §VII-A single-GPU check: on one GPU, protocols should be close.
-///
-/// Persistent-kernel workloads are excluded: their resident grids are
-/// sized for the full Table II machine and cannot co-schedule on one
-/// GPU (see `WorkloadSpec::uses_persistent_kernel`).
-pub fn single_gpu(opts: &ExpOptions) -> Result<SpeedupResult, SimError> {
-    let opts = exclude_persistent_kernels(opts);
-    speedup_suite(&opts, &ProtocolKind::FIG8, "gpus=1")
-}
-
 /// The completed cycle count of a merged cell, if it completed.
-fn done_cycles(r: &Result<RunMetrics, SimError>) -> Option<u64> {
-    r.as_ref().ok().map(|m| m.total_cycles.as_u64())
+fn done_cycles(r: &CellResult) -> Option<f64> {
+    r.as_ref().ok().map(|m| m.total_cycles.as_u64() as f64)
 }
 
-/// Drops persistent-kernel workloads from the selection (they require
-/// the default machine's SM count to be fully resident).
+/// Drops persistent-kernel workloads from the selection: their resident
+/// grids are sized for the full Table II machine.
 fn exclude_persistent_kernels(opts: &ExpOptions) -> ExpOptions {
-    let keep: Vec<String> = opts
+    let keep = opts
         .specs()
         .into_iter()
-        .filter(|s| !s.uses_persistent_kernel())
-        .map(|s| s.abbrev.to_string())
-        .collect();
+        .filter(|s| !s.uses_persistent_kernel());
+    let filter = Some(keep.map(|s| s.abbrev.to_string()).collect());
     ExpOptions {
-        filter: Some(keep),
+        filter,
         ..opts.clone()
     }
 }
 
-/// A sensitivity sweep: geomean speedups per sweep point.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// Label of the swept parameter.
-    pub parameter: &'static str,
-    /// Sweep point labels.
-    pub points: Vec<String>,
-    /// Protocols, in column order.
-    pub protocols: Vec<ProtocolKind>,
-    /// `geomeans[point][protocol]`, over the workloads whose cells all
-    /// completed.
-    pub geomeans: Vec<Vec<f64>>,
-    /// Cells that failed under `--keep-going` (empty otherwise); the
-    /// `workload` field carries the `point/workload` cell prefix.
-    pub failures: Vec<RunFailure>,
-}
-
-impl SweepResult {
-    /// Renders the sweep as a table.
-    pub fn print(&self, title: &str) {
-        println!("== {title} ==");
-        let mut headers = vec![self.parameter.to_string()];
-        headers.extend(self.protocols.iter().map(|p| p.name().to_string()));
-        let mut t = Table::new(headers);
-        for (pt, row) in self.points.iter().zip(&self.geomeans) {
-            let mut cells = vec![pt.clone()];
-            cells.extend(row.iter().map(|&v| f2(v)));
-            t.row(cells);
-        }
-        println!("{}", t.render());
-        print_failures(&self.failures);
-    }
-
-    /// Renders the sweep as an SVG line chart.
-    pub fn to_svg(&self, title: &str) -> String {
-        let mut chart = hmg_plot::LineChart::new(title)
-            .subtitle(format!("geomean speedup vs {}", self.parameter))
-            .x_points(self.points.clone())
-            .y_label("geomean speedup");
-        for (i, p) in self.protocols.iter().enumerate() {
-            let series: Vec<f64> = self.geomeans.iter().map(|row| row[i]).collect();
-            chart = chart.line(p.name(), series);
-        }
-        chart.to_svg()
-    }
-}
-
-/// One sweep point: its axis label and the serialized configuration
-/// tweak it applies (see [`apply_tweak`]).
-pub type SweepPoint = (String, String);
-
 /// The four configurations the sensitivity figures plot.
-const SWEEP_PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::Nhcc,
-    ProtocolKind::SwHier,
-    ProtocolKind::Hmg,
-    ProtocolKind::Ideal,
-];
+const SWEEP: [ProtocolKind; 4] = [Nhcc, SwHier, Hmg, Ideal];
 
-/// Runs a sensitivity sweep: every `(point, workload, protocol)` cell,
-/// and the no-peer-caching baseline each is normalized to. With
+/// Sweep points `{v}{unit}`, each applying the tweak `{clause}={v}`.
+fn grid(values: &[u32], unit: &str, clause: &str) -> Vec<(String, String)> {
+    let point = |v| (format!("{v}{unit}"), format!("{clause}={v}"));
+    values.iter().map(point).collect()
+}
+
+/// A sensitivity sweep over `(label, tweak)` points: every `(point,
+/// workload, protocol)` cell and the no-peer-caching baseline each is
+/// normalized to, reduced to a row of geomean speedups per point. With
 /// `per_point_baseline` the baseline runs at every point. Without it,
 /// the baseline runs **once, on the Table II configuration**, the way
 /// the paper's Figs. 12–14 are normalized ("baseline is no caching with
-/// configurations of Table II"). The geomean per point and protocol is
-/// over the workloads whose baseline and protocol cells both completed.
+/// configurations of Table II"). Each geomean is over the workloads
+/// whose baseline and protocol cells both completed.
 fn point_sweep(
     opts: &ExpOptions,
-    parameter: &'static str,
-    points: Vec<SweepPoint>,
+    title: &str,
+    parameter: &str,
+    points: Vec<(String, String)>,
     protocols: &[ProtocolKind],
     per_point_baseline: bool,
-) -> Result<SweepResult, SimError> {
+) -> Plan {
     let specs = opts.specs();
-    let base = ProtocolKind::NoPeerCaching;
     let key = |label: &str, w: &str, p: ProtocolKind| format!("{label}/{w}/{}", p.name());
     let mut cells: Vec<CellCtx> = Vec::new();
-    if !per_point_baseline {
-        for s in &specs {
-            cells.push(opts.cell(key("table2", s.abbrev, base), s.abbrev, base, ""));
-        }
+    for s in specs.iter().filter(|_| !per_point_baseline) {
+        let key = key("table2", s.abbrev, NoPeerCaching);
+        cells.push(opts.cell(key, s.abbrev, NoPeerCaching, ""));
     }
     for (label, tweak) in &points {
         for s in &specs {
-            let own_base = per_point_baseline.then_some(base);
+            let own_base = per_point_baseline.then_some(NoPeerCaching);
             for p in own_base.into_iter().chain(protocols.iter().copied()) {
                 cells.push(opts.cell(key(label, s.abbrev, p), s.abbrev, p, tweak));
             }
         }
     }
-    let results = run_cells(opts, &cells)?;
-    let failures = failure_table(opts, &cells, &results)?;
-    let cycles: std::collections::HashMap<&str, u64> = cells
-        .iter()
-        .zip(&results)
-        .filter_map(|(c, r)| Some((c.key.as_str(), done_cycles(r)?)))
-        .collect();
-    let speedup = |base_label: &str, label: &str, w: &str, p| {
-        let b = cycles.get(key(base_label, w, base).as_str())?;
-        let c = cycles.get(key(label, w, p).as_str())?;
-        Some(*b as f64 / *c as f64)
+    let keys: Vec<String> = cells.iter().map(|c| c.key.clone()).collect();
+    let columns: Vec<(&str, Fmt)> = protocols.iter().map(|p| (p.name(), Fmt::F2)).collect();
+    let mut t = Table::new(title, parameter, &columns);
+    let protocols = protocols.to_vec();
+    Plan::new(cells, move |results, _| {
+        let done = keys
+            .iter()
+            .zip(results)
+            .filter_map(|(k, r)| Some((k.as_str(), done_cycles(r)?)));
+        let cycles: std::collections::HashMap<&str, f64> = done.collect();
+        for (label, _) in points {
+            let base = if per_point_baseline { &label } else { "table2" };
+            let speedup = |w: &str, p| {
+                let c = cycles.get(key(&label, w, p).as_str())?;
+                Some(cycles.get(key(base, w, NoPeerCaching).as_str())? / c)
+            };
+            let geomean = |&p: &ProtocolKind| {
+                let s: Vec<f64> = specs.iter().filter_map(|s| speedup(s.abbrev, p)).collect();
+                (!s.is_empty()).then(|| stats::geomean(&s))
+            };
+            let row = protocols.iter().map(geomean).collect();
+            t.rows.push((label.clone(), row));
+        }
+        vec![t]
+    })
+}
+
+/// A two-variant HMG ablation as one sweep: each variant's tweak applies
+/// to its HMG cells and to the baseline they are normalized to.
+fn ablation(opts: &ExpOptions, name: &str, variants: [(&str, &str); 2]) -> Plan {
+    let points = variants
+        .map(|(l, t)| (l.to_string(), t.to_string()))
+        .to_vec();
+    let title = format!("Ablation: {name}");
+    let plan = point_sweep(opts, &title, "variant", points, &[Hmg], true);
+    plan.then(|t| t[0].columns[0].0 = "geomean speedup".to_string())
+}
+
+/// Table III (the workload inventory) with generated-trace sizes. No
+/// engine runs here: the traces are generated in-process on the
+/// supervisor pool while planning, and a generator that crashes fails
+/// the table with a typed error.
+fn table_iii(opts: &ExpOptions) -> Result<Plan, SimError> {
+    let specs = opts.specs();
+    let isolation = Isolation::Thread;
+    let sup = SupervisorConfig {
+        isolation,
+        ..opts.supervisor_config()
     };
-    let geomeans = points
-        .iter()
-        .map(|(label, _)| {
-            let base_label = if per_point_baseline { label } else { "table2" };
-            protocols
-                .iter()
-                .map(|&p| {
-                    let s: Vec<f64> = specs
-                        .iter()
-                        .filter_map(|s| speedup(base_label, label, s.abbrev, p))
-                        .collect();
-                    stats::geomean(&s)
-                })
-                .collect()
-        })
-        .collect();
-    Ok(SweepResult {
-        parameter,
-        points: points.into_iter().map(|(l, _)| l).collect(),
-        protocols: protocols.to_vec(),
-        geomeans,
-        failures,
-    })
-}
-
-/// Fig. 12: sensitivity to inter-GPU bandwidth (100–400 GB/s per link).
-pub fn fig12(opts: &ExpOptions) -> Result<SweepResult, SimError> {
-    let points: Vec<SweepPoint> = [100.0f64, 200.0, 300.0, 400.0]
+    let sizes = |s: &WorkloadSpec, _| {
+        let trace = s.generate(opts.scale, opts.seed);
+        Attempt::Ok([trace.num_accesses() as f64, trace.num_kernels() as f64])
+    };
+    let report = supervisor::supervise(&specs, |s| s.abbrev.to_string(), &sup, sizes);
+    println!("{}", report.summary_line(0, 0));
+    let tally = report.tally();
+    let outcome = |c: CellReport<[f64; 2]>| c.outcome.ok_or_else(|| cell_error(c.status));
+    let sizes = report
+        .cells
         .into_iter()
-        .map(|bw| (format!("{bw:.0}GB/s"), format!("bw={bw}")))
-        .collect();
-    point_sweep(opts, "inter-GPU BW", points, &SWEEP_PROTOCOLS, false)
+        .map(outcome)
+        .collect::<Result<Vec<_>, _>>()?;
+    let columns = [
+        ("abbrev", Fmt::Abbrev),
+        ("paper footprint", Fmt::Footprint),
+        ("generated accesses", Fmt::F0),
+        ("kernels", Fmt::F0),
+    ];
+    let mut t = Table::new("Table III: benchmarks", "benchmark", &columns);
+    let suite = table3();
+    for (s, [accesses, kernels]) in specs.iter().zip(sizes) {
+        let index = suite
+            .iter()
+            .position(|x| x.abbrev == s.abbrev)
+            .map(|i| i as f64);
+        let row = vec![
+            index,
+            Some(s.paper_footprint_mb),
+            Some(accesses),
+            Some(kernels),
+        ];
+        t.rows.push((s.name.to_string(), row));
+    }
+    let plan = Plan::new(Vec::new(), move |_, _| vec![t]);
+    Ok(Plan { tally, ..plan })
 }
 
-/// Fig. 13: sensitivity to L2 capacity (6/12/24 MB per GPU).
-pub fn fig13(opts: &ExpOptions) -> Result<SweepResult, SimError> {
-    let points: Vec<SweepPoint> = [6u32, 12, 24]
+/// Fig. 3: per workload, the fraction of inter-GPU loads whose line
+/// another GPM of the same GPU had already accessed (`n/a` without
+/// inter-GPU loads), measured on the no-peer-caching baseline, where
+/// every remote load crosses the inter-GPU network.
+fn fig3(opts: &ExpOptions) -> Result<Plan, SimError> {
+    let cells = opts.suite_cells(NoPeerCaching, "peer-redundancy");
+    let workloads: Vec<String> = cells.iter().map(|c| c.workload.clone()).collect();
+    let title = "Fig. 3: % of inter-GPU loads redundant within the GPU";
+    let mut t = Table::new(title, "workload", &[("redundant", Fmt::Pct)]);
+    Ok(Plan::new(cells, move |results, _| {
+        for (w, m) in done(workloads, results) {
+            t.rows.push((w, vec![m.peer_redundancy()]));
+        }
+        t.total("Avg", stats::mean);
+        vec![t]
+    }))
+}
+
+/// The completed cells' labels with their metrics, in input order.
+fn done<L>(labels: Vec<L>, results: &[CellResult]) -> impl Iterator<Item = (L, &RunMetrics)> {
+    labels
         .into_iter()
-        .map(|mb| (format!("{mb}MB/GPU"), format!("l2mb={mb}")))
-        .collect();
-    point_sweep(opts, "L2 per GPU", points, &SWEEP_PROTOCOLS, false)
+        .zip(results)
+        .filter_map(|(l, r)| Some((l, r.as_ref().ok()?)))
 }
 
-/// Fig. 14: sensitivity to coherence directory capacity
-/// (3K/6K/12K entries per GPM).
-pub fn fig14(opts: &ExpOptions) -> Result<SweepResult, SimError> {
-    let points: Vec<SweepPoint> = [3u32, 6, 12]
-        .into_iter()
-        .map(|k| (format!("{k}K/GPM"), format!("dirk={k}")))
-        .collect();
-    point_sweep(opts, "dir entries", points, &SWEEP_PROTOCOLS, false)
+/// Fig. 7's fit of simulated against predicted cycles: the Pearson
+/// correlation of their log10s and the mean absolute relative error.
+fn fit(predicted: &[f64], simulated: &[f64]) -> (f64, f64) {
+    let log10 = |xs: &[f64]| xs.iter().map(|x| x.log10()).collect::<Vec<f64>>();
+    let r = stats::pearson(&log10(predicted), &log10(simulated));
+    (r, stats::mean_abs_rel_err(simulated, predicted))
 }
 
-/// §VII-B (not pictured): directory tracking granularity at constant
-/// coverage — `lines_per_entry` in {1, 2, 4, 8} with the entry count
-/// adjusted so total covered bytes stay fixed.
-pub fn grain_sweep(opts: &ExpOptions) -> Result<SweepResult, SimError> {
-    let points: Vec<SweepPoint> = [1u32, 2, 4, 8]
-        .into_iter()
-        .map(|g| (format!("{g}x128B"), format!("grain={g}")))
-        .collect();
-    point_sweep(opts, "lines/entry", points, &[ProtocolKind::Hmg], false)
-}
-
-// ---------------------------------------------------------------------
-// Fig. 3: inter-GPU load redundancy
-// ---------------------------------------------------------------------
-
-/// Fig. 3 result: per workload, the fraction of inter-GPU loads whose
-/// line another GPM of the same GPU had already accessed.
-#[derive(Debug, Clone)]
-pub struct Fig3Result {
-    /// `(workload, redundancy)`; `None` when no inter-GPU loads occur.
-    /// Workloads whose run failed are listed in `failures` instead.
-    pub rows: Vec<(String, Option<f64>)>,
-    /// Mean over workloads with inter-GPU loads.
-    pub average: f64,
-    /// Runs that failed under `--keep-going` (empty otherwise).
-    pub failures: Vec<RunFailure>,
-}
-
-impl Fig3Result {
-    /// Renders the figure as a table.
-    pub fn print(&self) {
-        println!("== Fig. 3: % of inter-GPU loads redundant within the GPU ==");
-        let mut t = Table::new(vec!["workload".into(), "redundant".into()]);
-        for (w, v) in &self.rows {
-            t.row(vec![w.clone(), v.map(pct).unwrap_or_else(|| "n/a".into())]);
-        }
-        t.row(vec!["Avg".into(), pct(self.average)]);
-        println!("{}", t.render());
-        print_failures(&self.failures);
-    }
-
-    /// Renders the figure as an SVG bar chart (percent per workload).
-    pub fn to_svg(&self) -> String {
-        let mut chart =
-            hmg_plot::GroupedBars::new("Fig. 3: inter-GPU loads redundant within the GPU")
-                .subtitle("measured on the no-peer-caching baseline")
-                .series(vec!["redundant share".into()])
-                .y_label("% of inter-GPU loads");
-        for (w, v) in &self.rows {
-            chart = chart.group(w.clone(), vec![v.unwrap_or(0.0) * 100.0]);
-        }
-        chart = chart.group("Avg", vec![self.average * 100.0]);
-        chart.label_last_group().to_svg()
-    }
-}
-
-/// Fig. 3: measured on the no-peer-caching baseline, where every remote
-/// load crosses the inter-GPU network.
-pub fn fig3(opts: &ExpOptions) -> Result<Fig3Result, SimError> {
-    let cells = opts.suite_cells(ProtocolKind::NoPeerCaching, "peer-redundancy");
-    let results = run_cells(opts, &cells)?;
-    let failures = failure_table(opts, &cells, &results)?;
-    let rows: Vec<_> = cells
-        .iter()
-        .zip(&results)
-        .filter_map(|(c, r)| Some((c.workload.clone(), r.as_ref().ok()?.peer_redundancy())))
-        .collect();
-    let vals: Vec<f64> = rows.iter().filter_map(|(_, v)| *v).collect();
-    Ok(Fig3Result {
-        average: stats::mean(&vals),
-        rows,
-        failures,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Fig. 7: simulator correlation
-// ---------------------------------------------------------------------
-
-/// One Fig. 7 scatter point.
-#[derive(Debug, Clone)]
-pub struct Fig7Point {
-    /// Microbenchmark name.
-    pub name: String,
-    /// Analytically predicted cycles.
-    pub predicted: f64,
-    /// Simulated cycles.
-    pub simulated: f64,
-}
-
-/// Fig. 7 result: correlation of the DES against the analytical model.
-#[derive(Debug, Clone)]
-pub struct Fig7Result {
-    /// The scatter points.
-    pub points: Vec<Fig7Point>,
-    /// Pearson correlation of log10(cycles).
-    pub r_log: f64,
-    /// Mean absolute relative error.
-    pub mean_abs_rel_err: f64,
-    /// Simulation throughput in events per second of wall time.
-    pub events_per_second: f64,
-    /// Microbenchmarks whose run failed under `--keep-going` (empty
-    /// otherwise).
-    pub failures: Vec<RunFailure>,
-}
-
-impl Fig7Result {
-    /// Renders the figure as a table.
-    pub fn print(&self) {
-        println!("== Fig. 7: simulator correlation vs analytical model ==");
-        let mut t = Table::new(vec![
-            "microbenchmark".into(),
-            "predicted".into(),
-            "simulated".into(),
-            "ratio".into(),
-        ]);
-        for p in &self.points {
-            t.row(vec![
-                p.name.clone(),
-                format!("{:.0}", p.predicted),
-                format!("{:.0}", p.simulated),
-                f2(p.simulated / p.predicted),
-            ]);
-        }
-        println!("{}", t.render());
-        println!("correlation (log10): r = {}", f3(self.r_log));
-        println!("mean abs rel err:    {}", f3(self.mean_abs_rel_err));
-        println!(
-            "simulator speed:     {:.1}M events/s",
-            self.events_per_second / 1e6
-        );
-        print_failures(&self.failures);
-    }
-
-    /// Renders the correlation scatter as SVG.
-    pub fn to_svg(&self) -> String {
-        let mut chart = hmg_plot::LogLogScatter::new(
-            "Fig. 7: simulator correlation",
-            "analytically predicted cycles",
-            "simulated cycles",
-        )
-        .subtitle(format!(
-            "r(log10) = {:.3}, mean abs rel err = {:.3}",
-            self.r_log, self.mean_abs_rel_err
-        ));
-        for p in &self.points {
-            chart = chart.point(p.name.clone(), p.predicted, p.simulated);
-        }
-        chart.to_svg()
-    }
-}
-
-/// Fig. 7 over the correlation microbenchmark suite. The Table II
-/// machine is always used (the micros assume its 16-GPM shape): each
-/// micro is an HMG cell at [`Scale::Small`] with no fault plan, and
-/// `opts` supplies only the worker pool, isolation, checkpoint and
-/// `--keep-going`.
-pub fn fig7(opts: &ExpOptions) -> Result<Fig7Result, SimError> {
-    let suite = correlation_suite();
+/// Fig. 7: the simulator against an analytical model on the correlation
+/// microbenchmarks. The micros assume the Table II machine's 16-GPM
+/// shape, so each is an HMG cell at [`Scale::Small`] with no fault plan,
+/// and `opts` supplies only the worker pool, isolation, checkpoint and
+/// `--keep-going`. The simulator speed counts the cells this run
+/// executed, not checkpoint-reused ones.
+fn fig7(opts: &ExpOptions) -> Result<Plan, SimError> {
     let machine = ExpOptions {
         scale: Scale::Small,
         faults: None,
         ..opts.clone()
     };
-    let cells: Vec<CellCtx> = suite
-        .iter()
-        .map(|m| machine.cell(m.name.clone(), &m.name, ProtocolKind::Hmg, ""))
-        .collect();
-    let cfg = EngineConfig::paper_default(ProtocolKind::Hmg);
+    let cfg = EngineConfig::paper_default(Hmg);
     let params = MachineParams {
         issue_cycles: cfg.issue_cycles as f64,
         l1_latency: cfg.l1_latency.as_u64() as f64,
@@ -1274,192 +1531,73 @@ pub fn fig7(opts: &ExpOptions) -> Result<Fig7Result, SimError> {
         num_gpms: cfg.topo.num_gpms() as f64,
         num_gpus: cfg.topo.num_gpus() as f64,
     };
-    // audit:allow(entropy): wall-clock runtime measurement (Fig. 7);
-    // never feeds simulated state.
-    let start = std::time::Instant::now();
-    let results = run_cells(opts, &cells)?;
-    let wall = start.elapsed().as_secs_f64();
-    let failures = failure_table(opts, &cells, &results)?;
-    let runs: Vec<_> = suite
-        .iter()
-        .zip(&results)
-        .filter_map(|(m, r)| Some((m, r.as_ref().ok()?)))
-        .collect();
-    let total_events: u64 = runs.iter().map(|(_, sim)| sim.events).sum();
-    let points: Vec<Fig7Point> = runs
-        .into_iter()
-        .map(|(m, sim)| Fig7Point {
-            name: m.name.clone(),
-            predicted: (m.predict)(&params),
-            simulated: sim.total_cycles.as_u64() as f64,
-        })
-        .collect();
-    let logp: Vec<f64> = points.iter().map(|p| p.predicted.log10()).collect();
-    let logs: Vec<f64> = points.iter().map(|p| p.simulated.log10()).collect();
-    let sims: Vec<f64> = points.iter().map(|p| p.simulated).collect();
-    let preds: Vec<f64> = points.iter().map(|p| p.predicted).collect();
-    Ok(Fig7Result {
-        r_log: stats::pearson(&logp, &logs),
-        mean_abs_rel_err: stats::mean_abs_rel_err(&sims, &preds),
-        events_per_second: total_events as f64 / wall.max(1e-9),
-        points,
-        failures,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Figs. 9, 10, 11: invalidation cost profile of HMG
-// ---------------------------------------------------------------------
-
-/// Per-workload invalidation costs under HMG.
-#[derive(Debug, Clone)]
-pub struct InvCostRow {
-    /// Workload abbreviation.
-    pub workload: String,
-    /// Fig. 9: avg lines invalidated per invalidation-triggering store.
-    pub lines_per_store_inv: Option<f64>,
-    /// Fig. 10: avg lines invalidated per directory eviction.
-    pub lines_per_eviction_inv: Option<f64>,
-    /// Fig. 11: invalidation-message bandwidth in GB/s.
-    pub inv_gbps: f64,
-}
-
-/// Figs. 9–11 result.
-#[derive(Debug, Clone)]
-pub struct InvCostResult {
-    /// One row per workload.
-    pub rows: Vec<InvCostRow>,
-    /// Averages across workloads (where defined).
-    pub avg_store: f64,
-    /// Average lines per eviction.
-    pub avg_evict: f64,
-    /// Average invalidation bandwidth.
-    pub avg_gbps: f64,
-    /// Runs that failed under `--keep-going` (empty otherwise).
-    pub failures: Vec<RunFailure>,
-}
-
-impl InvCostResult {
-    /// Renders the three figures as one table.
-    pub fn print(&self) {
-        println!("== Figs. 9-11: HMG invalidation costs ==");
-        let mut t = Table::new(vec![
-            "workload".into(),
-            "lines/store-inv".into(),
-            "lines/dir-evict".into(),
-            "inv GB/s".into(),
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.workload.clone(),
-                r.lines_per_store_inv.map(f2).unwrap_or_else(|| "0".into()),
-                r.lines_per_eviction_inv
-                    .map(f2)
-                    .unwrap_or_else(|| "0".into()),
-                f2(r.inv_gbps),
-            ]);
+    let suite = correlation_suite();
+    let cell = |m: &Micro| machine.cell(m.name.clone(), &m.name, Hmg, "");
+    let cells = suite.iter().map(cell).collect();
+    // The micros' traces are not needed past here; keep their names and
+    // predictions only.
+    let predict = |m: &Micro| (m.name.clone(), (m.predict)(&params));
+    let predicted: Vec<(String, f64)> = suite.iter().map(predict).collect();
+    let columns = [
+        ("predicted", Fmt::F0),
+        ("simulated", Fmt::F0),
+        ("ratio", Fmt::F2),
+    ];
+    let title = "Fig. 7: simulator correlation vs analytical model";
+    let mut t = Table::new(title, "microbenchmark", &columns);
+    Ok(Plan::new(cells, move |results, tally| {
+        for ((name, p), m) in done(predicted, results) {
+            let s = m.total_cycles.as_u64() as f64;
+            t.rows.push((name, vec![Some(p), Some(s), Some(s / p)]));
         }
-        t.row(vec![
-            "Avg".into(),
-            f2(self.avg_store),
-            f2(self.avg_evict),
-            f2(self.avg_gbps),
-        ]);
-        println!("{}", t.render());
-        print_failures(&self.failures);
-    }
-
-    /// Renders Figs. 9–11 as three single-series SVG bar charts,
-    /// concatenated vertically is left to the caller; this returns the
-    /// three documents in figure order.
-    pub fn to_svgs(&self) -> [String; 3] {
-        let mk = |title: &str, sub: &str, vals: Vec<(String, f64)>, avg: f64| {
-            let mut chart = hmg_plot::GroupedBars::new(title)
-                .subtitle(sub)
-                .series(vec!["HMG".into()]);
-            for (w, v) in vals {
-                chart = chart.group(w, vec![v]);
-            }
-            chart
-                .group("Avg".to_string(), vec![avg])
-                .label_last_group()
-                .to_svg()
+        let column = |i: usize| t.rows.iter().filter_map(|(_, v)| v[i]).collect::<Vec<_>>();
+        let (r, err) = fit(&column(0), &column(1));
+        let speed = match tally.cells {
+            0 => "n/a".to_string(),
+            _ => format!("{:.1}M events/s", tally.events_per_sec() / 1e6),
         };
-        let fig9 = mk(
-            "Fig. 9: lines invalidated per store",
-            "stores that triggered invalidations",
-            self.rows
-                .iter()
-                .map(|r| (r.workload.clone(), r.lines_per_store_inv.unwrap_or(0.0)))
-                .collect(),
-            self.avg_store,
-        );
-        let fig10 = mk(
-            "Fig. 10: lines invalidated per directory eviction",
-            "evictions that triggered invalidations",
-            self.rows
-                .iter()
-                .map(|r| (r.workload.clone(), r.lines_per_eviction_inv.unwrap_or(0.0)))
-                .collect(),
-            self.avg_evict,
-        );
-        let fig11 = mk(
-            "Fig. 11: invalidation-message bandwidth",
-            "GB/s across both network tiers",
-            self.rows
-                .iter()
-                .map(|r| (r.workload.clone(), r.inv_gbps))
-                .collect(),
-            self.avg_gbps,
-        );
-        [fig9, fig10, fig11]
-    }
+        t.notes = vec![
+            format!("correlation (log10): r = {}", f3(r)),
+            format!("mean abs rel err:    {}", f3(err)),
+            format!("simulator speed:     {speed}"),
+        ];
+        vec![t]
+    }))
 }
 
-/// Runs HMG over the suite and extracts the Figs. 9–11 statistics.
-pub fn fig9_10_11(opts: &ExpOptions) -> Result<InvCostResult, SimError> {
-    let cells = opts.suite_cells(ProtocolKind::Hmg, "");
-    let results = run_cells(opts, &cells)?;
-    let failures = failure_table(opts, &cells, &results)?;
+/// Figs. 9–11: per workload, HMG's lines invalidated per invalidating
+/// store (Fig. 9) and per directory eviction (Fig. 10), `0` where there
+/// were none, and its invalidation-message bandwidth (Fig. 11); then
+/// their averages over the workloads where each is defined (`0.00` when
+/// none is).
+fn fig9_11(opts: &ExpOptions) -> Result<Plan, SimError> {
+    let cells = opts.suite_cells(Hmg, "");
+    let workloads: Vec<String> = cells.iter().map(|c| c.workload.clone()).collect();
     // The scale's machine clock; nothing these cells apply changes it.
-    let freq = crate::runner::machine_config(opts.scale, ProtocolKind::Hmg)
+    let freq = crate::runner::machine_config(opts.scale, Hmg)
         .fabric
         .freq_ghz;
-    let rows: Vec<InvCostRow> = cells
-        .iter()
-        .zip(&results)
-        .filter_map(|(cell, r)| {
-            let m = r.as_ref().ok()?;
-            Some(InvCostRow {
-                workload: cell.workload.clone(),
-                lines_per_store_inv: m.lines_per_store_inv(),
-                lines_per_eviction_inv: m.lines_per_eviction_inv(),
-                inv_gbps: m.inv_bandwidth_gbps(freq),
-            })
-        })
-        .collect();
-    let stores: Vec<f64> = rows.iter().filter_map(|r| r.lines_per_store_inv).collect();
-    let evicts: Vec<f64> = rows
-        .iter()
-        .filter_map(|r| r.lines_per_eviction_inv)
-        .collect();
-    let gbps: Vec<f64> = rows.iter().map(|r| r.inv_gbps).collect();
-    Ok(InvCostResult {
-        avg_store: stats::mean(&stores),
-        avg_evict: stats::mean(&evicts),
-        avg_gbps: stats::mean(&gbps),
-        rows,
-        failures,
-    })
+    let columns = [
+        ("lines/store-inv", Fmt::F2OrZero),
+        ("lines/dir-evict", Fmt::F2OrZero),
+        ("inv GB/s", Fmt::F2),
+    ];
+    let mut t = Table::new("Figs. 9-11: HMG invalidation costs", "workload", &columns);
+    Ok(Plan::new(cells, move |results, _| {
+        for (w, m) in done(workloads, results) {
+            let bw = Some(m.inv_bandwidth_gbps(freq));
+            let row = vec![m.lines_per_store_inv(), m.lines_per_eviction_inv(), bw];
+            t.rows.push((w, row));
+        }
+        t.total("Avg", stats::mean);
+        vec![t]
+    }))
 }
 
-// ---------------------------------------------------------------------
-// §VII-C storage cost, and the DESIGN.md ablations
-// ---------------------------------------------------------------------
-
-/// §VII-C: directory storage arithmetic for the Table II machine.
+/// §VII-C: directory storage arithmetic for the Table II machine — bits
+/// per entry, bytes per GPM, and that as a fraction of an L2 slice.
 pub fn storage_cost() -> (u32, u64, f64) {
-    let cfg = EngineConfig::paper_default(ProtocolKind::Hmg);
+    let cfg = EngineConfig::paper_default(Hmg);
     let dir = hmg_mem::Directory::new(cfg.dir, cfg.topo);
     let cost = dir.storage_cost(48);
     let l2_slice_bytes = cfg.l2.lines as u64 * cfg.geometry.line_bytes() as u64;
@@ -1467,262 +1605,49 @@ pub fn storage_cost() -> (u32, u64, f64) {
     (cost.bits_per_entry, cost.total_bytes, frac)
 }
 
-/// Prints the §VII-C hardware-cost numbers.
-pub fn print_storage_cost() {
-    let (bits, bytes, frac) = storage_cost();
-    println!("== §VII-C: HMG directory hardware cost ==");
-    println!("bits per entry:      {bits} (48 tag + 1 state + 6 sharers)");
-    println!(
-        "bytes per GPM:       {bytes} ({:.0} KB)",
-        bytes as f64 / 1024.0
-    );
-    println!("fraction of L2 data: {}", pct(frac));
-}
-
-/// Result of a two-point ablation.
-#[derive(Debug, Clone)]
-pub struct AblationResult {
-    /// What was ablated.
-    pub name: &'static str,
-    /// `(label, geomean speedup over baseline)`.
-    pub variants: Vec<(String, f64)>,
-}
-
-impl AblationResult {
-    /// Renders the ablation.
-    pub fn print(&self) {
-        println!("== Ablation: {} ==", self.name);
-        let mut t = Table::new(vec!["variant".into(), "geomean speedup".into()]);
-        for (label, v) in &self.variants {
-            t.row(vec![label.clone(), f2(*v)]);
-        }
-        println!("{}", t.render());
-    }
-}
-
-/// Runs a two-variant HMG ablation as one sweep: each variant's tweak
-/// applies to its HMG cells and to the no-peer-caching baseline they
-/// are normalized to, and each variant reports the geomean speedup
-/// over the workloads whose cells both completed.
-fn ablation(
-    opts: &ExpOptions,
-    name: &'static str,
-    variants: [(&str, &str); 2],
-) -> Result<AblationResult, SimError> {
-    let points = variants
-        .iter()
-        .map(|&(label, tweak)| (label.to_string(), tweak.to_string()))
-        .collect();
-    let r = point_sweep(opts, name, points, &[ProtocolKind::Hmg], true)?;
-    Ok(AblationResult {
-        name,
-        variants: r
-            .points
-            .into_iter()
-            .zip(r.geomeans)
-            .map(|(l, g)| (l, g[0]))
-            .collect(),
-    })
-}
-
-/// Ablation: HMG with real (acked, drained) release fences vs
-/// zero-cost fences.
-pub fn ablate_fences(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    ablation(
-        opts,
-        "release fence cost (HMG)",
-        [
-            ("acked fences (paper)", ""),
-            ("zero-cost fences", "zero-cost-fences"),
-        ],
-    )
-}
-
-/// Ablation: §IV-B's write-back option vs the evaluated write-through
-/// configuration, under HMG.
-pub fn ablate_writeback(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    ablation(
-        opts,
-        "L2 write policy (HMG)",
-        [
-            ("write-through (paper)", "write-policy=wt"),
-            ("write-back (§IV-B option)", "write-policy=wb"),
-        ],
-    )
-}
-
-/// Ablation: §IV-B's optional sharer-downgrade messages, under HMG.
-pub fn ablate_downgrades(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    ablation(
-        opts,
-        "sharer downgrades (HMG)",
-        [
-            ("silent clean evictions (paper)", "downgrades=off"),
-            ("downgrade messages", "downgrades=on"),
-        ],
-    )
-}
-
-/// Ablation: first-touch vs interleaved page placement under HMG.
-pub fn ablate_placement(opts: &ExpOptions) -> Result<AblationResult, SimError> {
-    ablation(
-        opts,
-        "page placement (HMG)",
-        [
-            ("first-touch (paper)", "placement=ft"),
-            ("interleaved", "placement=il"),
-        ],
-    )
-}
-
-/// Prints Table III (the workload inventory) with generated-trace sizes.
-/// No engine runs here, so the traces are generated in-process on the
-/// supervisor pool, and there is no per-protocol failure row: a trace
-/// generator that crashes fails the table with a typed error.
-pub fn print_table3(opts: &ExpOptions) -> Result<(), SimError> {
-    let specs = opts.specs();
-    let sup = SupervisorConfig {
-        isolation: Isolation::Thread,
-        ..opts.supervisor_config()
-    };
-    let report = supervisor::supervise(
-        &specs,
-        |s| s.abbrev.to_string(),
-        &sup,
-        |s, _| Attempt::Ok(s.generate(opts.scale, opts.seed)),
-    );
-    println!("{}", report.summary_line(0, 0));
-    let traces = report
-        .cells
-        .into_iter()
-        .map(|c| c.outcome.ok_or_else(|| cell_error(c.status)))
-        .collect::<Result<Vec<WorkloadTrace>, SimError>>()?;
-    println!("== Table III: benchmarks ==");
-    let mut t = Table::new(vec![
-        "benchmark".into(),
-        "abbrev".into(),
-        "paper footprint".into(),
-        "generated accesses".into(),
-        "kernels".into(),
-    ]);
-    for (s, tr) in specs.iter().zip(&traces) {
-        let fp = if s.paper_footprint_mb >= 1000.0 {
-            format!("{:.2} GB", s.paper_footprint_mb / 1024.0)
-        } else {
-            format!("{:.0} MB", s.paper_footprint_mb)
-        };
-        t.row(vec![
-            s.name.to_string(),
-            s.abbrev.to_string(),
-            fp,
-            tr.num_accesses().to_string(),
-            tr.num_kernels().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    Ok(())
-}
-
-/// One protocol's traffic/locality profile on one workload — the raw
-/// characterization behind the figures.
-#[derive(Debug, Clone)]
-pub struct CharacterizationRow {
-    /// Protocol profiled.
-    pub protocol: ProtocolKind,
-    /// Total execution cycles.
-    pub cycles: u64,
-    /// L1 hit rate over loads.
-    pub l1_hit_rate: f64,
-    /// Fraction of loads served by any L2 level.
-    pub l2_serve_rate: f64,
-    /// DRAM accesses per load.
-    pub dram_per_load: f64,
-    /// Inter-GPU bytes moved (all classes).
-    pub inter_bytes: u64,
-    /// Invalidation messages (store- plus eviction-caused).
-    pub invalidations: u64,
-    /// Median / 99th-percentile miss latency.
-    pub lat_p50_p99: (u64, u64),
-}
-
-/// One workload's characterization under every protocol.
-#[derive(Debug, Clone)]
-pub struct Characterization {
-    /// Workload abbreviation.
-    pub workload: String,
-    /// One row per protocol that completed, in [`ProtocolKind::ALL`]
-    /// order.
-    pub rows: Vec<CharacterizationRow>,
-    /// Runs that failed under `--keep-going` (empty otherwise).
-    pub failures: Vec<RunFailure>,
-}
-
-impl Characterization {
-    /// Renders the characterization as a table.
-    pub fn print(&self) {
-        println!("== Characterization: {} ==", self.workload);
-        let mut t = Table::new(vec![
-            "protocol".into(),
-            "cycles".into(),
-            "L1 hit".into(),
-            "L2 serve".into(),
-            "DRAM/load".into(),
-            "inter MB".into(),
-            "invs".into(),
-            "p50/p99 lat".into(),
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.protocol.name().into(),
-                r.cycles.to_string(),
-                pct(r.l1_hit_rate),
-                pct(r.l2_serve_rate),
-                f2(r.dram_per_load),
-                format!("{:.1}", r.inter_bytes as f64 / 1e6),
-                r.invalidations.to_string(),
-                format!("{}/{}", r.lat_p50_p99.0, r.lat_p50_p99.1),
-            ]);
-        }
-        println!("{}", t.render());
-        print_failures(&self.failures);
-    }
-}
-
-/// Characterizes each of `workloads` under every protocol (the
-/// `characterize` CLI command) — a drill-down companion to Fig. 8. All
-/// workloads run as one sweep, so one checkpoint covers them.
-pub fn characterize(
-    opts: &ExpOptions,
-    workloads: &[String],
-) -> Result<Vec<Characterization>, SimError> {
+/// Each selected workload (default `bfs` and `RNN_FW`) under every
+/// protocol, one table each: a traffic/locality drill-down companion to
+/// Fig. 8. All workloads run as one sweep, so one checkpoint covers
+/// them.
+fn characterize(opts: &ExpOptions) -> Result<Plan, SimError> {
+    let default = || vec!["bfs".to_string(), "RNN_FW".to_string()];
+    let workloads = opts.filter.clone().unwrap_or_else(default);
     if let Some(w) = workloads.iter().find(|w| by_abbrev(w).is_none()) {
         return Err(SimError::config(format!("unknown workload `{w}`")));
     }
-    let cells: Vec<CellCtx> = workloads
-        .iter()
-        .flat_map(|w| ProtocolKind::ALL.iter().map(|&p| opts.plain_cell(w, p)))
-        .collect();
-    let results = run_cells(opts, &cells)?;
+    let per_workload = |w: &String| ProtocolKind::ALL.map(|p| opts.plain_cell(w, p));
+    let cells = workloads.iter().flat_map(per_workload).collect();
+    let columns = [
+        ("cycles", Fmt::F0),
+        ("L1 hit", Fmt::Pct),
+        ("L2 serve", Fmt::Pct),
+        ("DRAM/load", Fmt::F2),
+        ("inter MB", Fmt::F1),
+        ("invs", Fmt::F0),
+        ("p50/p99 lat", Fmt::Pair),
+    ];
     let per = ProtocolKind::ALL.len();
-    workloads
-        .iter()
-        .zip(cells.chunks(per).zip(results.chunks(per)))
-        .map(|(w, (cells, results))| {
-            Ok(Characterization {
-                workload: w.clone(),
-                failures: failure_table(opts, cells, results)?,
-                rows: cells
-                    .iter()
-                    .zip(results)
-                    .filter_map(|(c, r)| Some(characterization_row(c.protocol, r.as_ref().ok()?)))
-                    .collect(),
-            })
-        })
-        .collect()
+    Ok(Plan::new(cells, move |results, _| {
+        let table = |(i, (w, chunk)): (usize, (&String, &[CellResult]))| {
+            let mut t = Table::new(format!("Characterization: {w}"), "protocol", &columns);
+            let names = ProtocolKind::ALL.map(|p| p.name().to_string()).to_vec();
+            t.rows = done(names, chunk)
+                .map(|(p, m)| (p, characterization(m)))
+                .collect();
+            t.cells = Some(i * per..(i + 1) * per);
+            t
+        };
+        workloads
+            .iter()
+            .zip(results.chunks(per))
+            .enumerate()
+            .map(table)
+            .collect()
+    }))
 }
 
-/// One protocol's [`CharacterizationRow`] from its run's metrics.
-fn characterization_row(protocol: ProtocolKind, m: &RunMetrics) -> CharacterizationRow {
+/// One protocol's characterization row.
+fn characterization(m: &RunMetrics) -> Vec<Option<f64>> {
     let per_load = |n: u64| {
         if m.loads == 0 {
             0.0
@@ -1730,22 +1655,18 @@ fn characterization_row(protocol: ProtocolKind, m: &RunMetrics) -> Characterizat
             n as f64 / m.loads as f64
         }
     };
-    CharacterizationRow {
-        protocol,
-        cycles: m.total_cycles.as_u64(),
-        l1_hit_rate: m.l1_hit_rate(),
-        l2_serve_rate: per_load(m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits),
-        dram_per_load: per_load(m.dram_accesses),
-        inter_bytes: hmg_interconnect::MsgClass::ALL
-            .iter()
-            .map(|&c| m.fabric.inter_bytes(c))
-            .sum(),
-        invalidations: m.invs_from_stores + m.invs_from_evictions,
-        lat_p50_p99: (
-            m.miss_latency_percentile(0.5),
-            m.miss_latency_percentile(0.99),
-        ),
-    }
+    let inter = hmg_interconnect::MsgClass::ALL.map(|c| m.fabric.inter_bytes(c));
+    let latency = m.miss_latency_percentile(0.5) << 32 | m.miss_latency_percentile(0.99);
+    let row = [
+        m.total_cycles.as_u64() as f64,
+        m.l1_hit_rate(),
+        per_load(m.local_l2_hits + m.gpu_home_hits + m.sys_home_hits),
+        per_load(m.dram_accesses),
+        inter.iter().sum::<u64>() as f64 / 1e6,
+        (m.invs_from_stores + m.invs_from_evictions) as f64,
+        latency as f64,
+    ];
+    row.map(Some).to_vec()
 }
 
 /// The headline numbers of the abstract, computed from a Fig. 8
@@ -1764,20 +1685,35 @@ pub struct Headline {
     pub of_ideal: f64,
 }
 
-/// The [`Headline`] of a Fig. 8 result; `None` when no workload
-/// completed (the geomeans are then undefined).
-pub fn headline(fig8: &SpeedupResult) -> Option<Headline> {
-    if fig8.workloads.is_empty() {
-        return None;
-    }
-    let hmg = fig8.geomean_of(ProtocolKind::Hmg);
-    let vs = |p| hmg / fig8.geomean_of(p) - 1.0;
+/// The [`Headline`] of a Fig. 8 table's `GeoMean` row; `None` when no
+/// workload completed (the geomeans are then undefined).
+pub fn headline(fig8: &Table) -> Option<Headline> {
+    let geomean = |p: ProtocolKind| fig8.value("GeoMean", p.name());
+    let hmg = geomean(Hmg)?;
+    let vs = |p| Some(hmg / geomean(p)? - 1.0);
     Some(Headline {
-        vs_sw_nonhier: vs(ProtocolKind::SwNonHier),
-        vs_sw_hier: vs(ProtocolKind::SwHier),
-        vs_nhcc: vs(ProtocolKind::Nhcc),
-        of_ideal: hmg / fig8.geomean_of(ProtocolKind::Ideal),
+        vs_sw_nonhier: vs(SwNonHier)?,
+        vs_sw_hier: vs(SwHier)?,
+        vs_nhcc: vs(Nhcc)?,
+        of_ideal: hmg / geomean(Ideal)?,
     })
+}
+
+/// Fig. 8's notes: the measured headline, then the paper's.
+fn headline_notes(fig8: &Table) -> Vec<String> {
+    let measured = match headline(fig8) {
+        Some(h) => format!(
+            "headline: HMG vs SW-nonhier {:+.0}%, vs SW-hier {:+.0}%, vs NHCC {:+.0}%, \
+             {:.0}% of ideal",
+            h.vs_sw_nonhier * 100.0,
+            h.vs_sw_hier * 100.0,
+            h.vs_nhcc * 100.0,
+            h.of_ideal * 100.0
+        ),
+        None => "headline: n/a (no workload completed)".to_string(),
+    };
+    let paper = "paper:    HMG vs SW-coherence +26%, vs NHCC +18%, 97% of ideal";
+    vec![measured, paper.to_string(), String::new()]
 }
 
 #[cfg(test)]
@@ -1793,31 +1729,42 @@ mod tests {
         }
     }
 
+    /// The one table of the registry entry `name`, and its failures.
+    fn run(name: &str, opts: &ExpOptions) -> (Table, Vec<RunFailure>) {
+        let r = figure(name).expect("registered").run(opts).expect(name);
+        let [t] = <[Table; 1]>::try_from(r.tables).expect("one table");
+        (t, r.failures)
+    }
+
+    /// A speedup table's geomean for protocol `p`.
+    fn geomean(t: &Table, p: ProtocolKind) -> f64 {
+        t.value("GeoMean", p.name()).expect("workloads completed")
+    }
+
     #[test]
     fn fig8_runs_on_tiny_subset() {
-        let r = fig8(&tiny()).expect("fig8");
-        assert_eq!(r.workloads.len(), 3);
-        assert_eq!(r.protocols.len(), 5);
-        for row in &r.rows {
-            for &v in row {
-                assert!(v > 0.1 && v < 100.0, "speedup {v} out of range");
-            }
+        let (t, _) = run("fig8", &tiny());
+        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.columns.len(), 5);
+        for v in t.rows.iter().flat_map(|(_, row)| row) {
+            let v = v.expect("every cell completed");
+            assert!(v > 0.1 && v < 100.0, "speedup {v} out of range");
         }
-        assert!(r.geomean_of(ProtocolKind::Ideal) >= r.geomean_of(ProtocolKind::Hmg) * 0.7);
+        assert!(geomean(&t, Ideal) >= geomean(&t, Hmg) * 0.7);
     }
 
     #[test]
     fn fig2_is_a_subset_of_protocols() {
-        let r = fig2(&tiny()).expect("fig2");
-        assert_eq!(r.protocols.len(), 3);
+        assert_eq!(run("fig2", &tiny()).0.columns.len(), 3);
     }
 
     #[test]
     fn fig3_reports_redundancy() {
-        let r = fig3(&tiny()).expect("fig3");
-        assert_eq!(r.rows.len(), 3);
-        assert!(r.failures.is_empty());
-        assert!(r.average >= 0.0 && r.average <= 1.0);
+        let (t, failures) = run("fig3", &tiny());
+        assert_eq!(t.rows.len(), 3);
+        assert!(failures.is_empty());
+        let average = t.value("Avg", "redundant").expect("workloads completed");
+        assert!((0.0..=1.0).contains(&average));
     }
 
     #[test]
@@ -1830,29 +1777,27 @@ mod tests {
 
     #[test]
     fn headline_computes_ratios() {
-        let r = fig8(&tiny()).expect("fig8");
-        let h = headline(&r).expect("workloads completed");
+        let (t, _) = run("fig8", &tiny());
+        let h = headline(&t).expect("workloads completed");
         assert!(h.vs_sw_nonhier > -0.9 && h.vs_sw_hier > -0.9 && h.vs_nhcc > -0.9);
         assert!(h.of_ideal > 0.1 && h.of_ideal <= 1.5);
         // Each ratio is over its own named baseline.
-        let hmg = r.geomean_of(ProtocolKind::Hmg);
-        let over = |p| hmg / r.geomean_of(p) - 1.0;
-        assert_eq!(h.vs_sw_nonhier, over(ProtocolKind::SwNonHier));
-        assert_eq!(h.vs_sw_hier, over(ProtocolKind::SwHier));
-        assert_eq!(h.vs_nhcc, over(ProtocolKind::Nhcc));
+        let over = |p| geomean(&t, Hmg) / geomean(&t, p) - 1.0;
+        assert_eq!(h.vs_sw_nonhier, over(SwNonHier));
+        assert_eq!(h.vs_sw_hier, over(SwHier));
+        assert_eq!(h.vs_nhcc, over(Nhcc));
     }
 
     #[test]
     fn headline_is_undefined_when_no_workload_completed() {
         // Every run failed under --keep-going: the geomeans are over
-        // nothing, and the headline must say so instead of 0/0 = NaN.
-        let empty = SpeedupResult {
-            protocols: ProtocolKind::FIG8.to_vec(),
-            workloads: Vec::new(),
-            rows: Vec::new(),
-            geomeans: vec![0.0; ProtocolKind::FIG8.len()],
-            failures: Vec::new(),
-        };
+        // nothing, so they print `n/a` (not 0.00), and the headline must
+        // say so instead of 0/0 = NaN.
+        let columns = ProtocolKind::FIG8.map(|p| (p.name(), Fmt::F2));
+        let mut empty = Table::new("Fig. 8", "workload", &columns);
+        empty.total("GeoMean", stats::geomean);
+        assert_eq!(empty.value("GeoMean", "hmg"), None);
+        assert_eq!(Fmt::F2.render(None), "n/a");
         assert_eq!(headline(&empty), None);
     }
 
@@ -1864,22 +1809,14 @@ mod tests {
             filter: Some(vec!["bfs".into()]),
             ..tiny()
         };
-        let plain = speedup_suite(&opts, &[ProtocolKind::Hmg], "").expect("plain suite");
+        let plain = speedup_suite(&opts, "plain", &[Hmg], "").run(&opts);
+        let b = geomean(&plain.expect("plain suite").tables[0], Hmg);
         // The 200 GB/s point of fig12 leaves the machine at its default
         // bandwidth, so it must reproduce the plain suite's speedup.
-        let sweep = fig12(&opts).expect("fig12");
-        let identity = sweep
-            .points
-            .iter()
-            .position(|p| p == "200GB/s")
-            .expect("200GB/s point");
-        let hmg_col = sweep
-            .protocols
-            .iter()
-            .position(|&p| p == ProtocolKind::Hmg)
-            .expect("hmg in sweep");
-        let a = sweep.geomeans[identity][hmg_col];
-        let b = plain.geomean_of(ProtocolKind::Hmg);
+        let a = run("fig12", &opts)
+            .0
+            .value("200GB/s", "hmg")
+            .expect("point");
         assert!(
             (a - b).abs() < 1e-9,
             "identity sweep point must match the plain run: {a} vs {b}"
@@ -1897,9 +1834,8 @@ mod tests {
                 filter: Some(vec!["bfs".into(), "RNN_FW".into()]),
                 ..ExpOptions::default()
             };
-            let r = fig8(&opts).expect("fig8");
-            let hmg = r.geomean_of(ProtocolKind::Hmg);
-            let sw = r.geomean_of(ProtocolKind::SwNonHier);
+            let (t, _) = run("fig8", &opts);
+            let (hmg, sw) = (geomean(&t, Hmg), geomean(&t, SwNonHier));
             assert!(
                 hmg >= sw * 0.8,
                 "seed {seed}: hmg {hmg} collapsed below sw {sw}"
@@ -1913,17 +1849,18 @@ mod tests {
             filter: Some(vec!["bfs".into()]),
             ..tiny()
         };
-        let c = characterize(&opts, &["bfs".into()]).expect("bfs known");
-        let [c] = c.as_slice() else {
-            panic!("one characterization per workload")
-        };
+        let (c, failures) = run("characterize", &opts);
         assert_eq!(c.rows.len(), ProtocolKind::ALL.len());
-        assert!(c.failures.is_empty());
-        for r in &c.rows {
-            assert!(r.cycles > 0);
-            assert!((0.0..=1.0).contains(&r.l1_hit_rate));
+        assert!(failures.is_empty());
+        for (p, row) in &c.rows {
+            assert!(row[0].is_some_and(|cycles| cycles > 0.0), "{p}");
+            assert!(row[1].is_some_and(|l1| (0.0..=1.0).contains(&l1)), "{p}");
         }
-        let err = characterize(&opts, &["nope".into()]).expect_err("unknown workload");
+        let filter = Some(vec!["nope".into()]);
+        let unknown = figure("characterize")
+            .unwrap()
+            .run(&ExpOptions { filter, ..opts });
+        let err = unknown.expect_err("unknown workload");
         assert!(err.to_string().contains("unknown workload"), "{err}");
     }
 
@@ -1937,7 +1874,8 @@ mod tests {
             checkpoint: Some(path.clone()),
             ..tiny()
         };
-        let full = fig8(&opts).expect("full sweep");
+        let fig8 = figure("fig8").expect("registered");
+        let full = fig8.run(&opts).expect("full sweep");
 
         // Simulate an interrupted sweep: drop some completed cells from
         // the checkpoint, then resume. The resumed sweep re-runs only
@@ -1945,22 +1883,21 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let kept: Vec<&str> = text.lines().filter(|l| !l.contains("lstm/")).collect();
         std::fs::write(&path, kept.join("\n") + "\n").unwrap();
-        let resumed = fig8(&ExpOptions {
+        let resume = ExpOptions {
             resume: true,
             ..opts.clone()
-        })
-        .expect("resumed sweep");
-        assert_eq!(resumed.workloads, full.workloads);
-        assert_eq!(resumed.rows, full.rows, "resumed report must be identical");
-        assert_eq!(resumed.geomeans, full.geomeans);
+        };
+        let resumed = fig8.run(&resume).expect("resumed sweep");
+        assert_eq!(
+            resumed.tables, full.tables,
+            "resumed report must be identical"
+        );
+        assert_eq!(resumed.tally.reused, 6, "bfs's six cells were reused");
 
         // A second resume with the now-complete file reuses every cell.
-        let resumed_again = fig8(&ExpOptions {
-            resume: true,
-            ..opts.clone()
-        })
-        .expect("second resume");
-        assert_eq!(resumed_again.rows, full.rows);
+        let resumed_again = fig8.run(&resume).expect("second resume");
+        assert_eq!(resumed_again.tables, full.tables);
+        assert_eq!(resumed_again.tally.cells, 0, "nothing re-ran");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1974,18 +1911,20 @@ mod tests {
             checkpoint: Some(path.clone()),
             ..tiny()
         };
-        let first = ablate_fences(&opts).expect("checkpointed ablation");
-        let resumed = ablate_fences(&ExpOptions {
-            resume: true,
-            ..opts.clone()
-        })
-        .expect("resumed ablation");
+        let first = run("ablate-fence", &opts);
+        let resumed = run(
+            "ablate-fence",
+            &ExpOptions {
+                resume: true,
+                ..opts.clone()
+            },
+        );
         // The resume compacts the 8 reused rows into the file; a cell
         // that re-ran would append a ninth.
         let rows = std::fs::read_to_string(&path).unwrap().lines().count() - 1;
         std::fs::remove_file(&path).ok();
         assert_eq!(rows, 8, "every cell must be reused");
-        assert_eq!(resumed.variants, first.variants);
+        assert_eq!(resumed.0, first.0);
     }
 
     #[test]
@@ -1994,10 +1933,42 @@ mod tests {
             filter: Some(vec!["bfs".into()]),
             ..tiny()
         };
-        let s = fig12(&opts).expect("fig12");
-        assert_eq!(s.points.len(), 4);
-        assert_eq!(s.geomeans.len(), 4);
-        assert_eq!(s.geomeans[0].len(), 4);
+        let (s, _) = run("fig12", &opts);
+        assert_eq!((s.rows.len(), s.columns.len()), (4, 4));
+        assert!(s.rows.iter().all(|(_, v)| v.iter().all(Option::is_some)));
+    }
+
+    #[test]
+    fn every_engine_figure_reports_its_failures_under_keep_going() {
+        // A lethal fault under --keep-going: every entry whose cells take
+        // the fault plan reports its failed cells instead of dropping
+        // them. Table III and the cost arithmetic run no engine, and
+        // Fig. 7 always runs its micros fault-free.
+        let opts = ExpOptions {
+            seed: 4,
+            filter: Some(vec!["cuSolver".into(), "bfs".into()]),
+            faults: Some(FaultPlan::parse("drop-store=1").unwrap()),
+            keep_going: true,
+            ..tiny()
+        };
+        let mut exempt = Vec::new();
+        for f in &FIGURES {
+            let plan = (f.plan)(&opts).expect(f.name);
+            if plan.cells.iter().all(|c| c.faults.is_none()) {
+                exempt.push(f.name);
+                continue;
+            }
+            let r = plan.run(&opts).expect(f.name);
+            assert!(!r.failures.is_empty(), "{}: failures dropped", f.name);
+        }
+        assert_eq!(exempt, ["table3", "fig7", "cost"]);
+        let all = FIGURES.iter().filter(|f| f.in_all).map(|f| f.name);
+        assert_eq!(
+            all.collect::<Vec<_>>().join(" "),
+            "table3 fig2 fig3 fig7 fig8 fig9-11 fig12 fig13 fig14 grain cost \
+             ablate-fence ablate-placement ablate-writeback ablate-downgrade",
+            "`all` runs the paper figures in paper order"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! table and figure of the paper's evaluation.
 //!
 //! This crate is the facade: it re-exports the subsystem crates and adds
-//! the per-figure experiment drivers and their cells ([`experiments`]),
+//! the figure registry and its cells ([`experiments`]),
 //! the parts of the cell recipe and the sweep checkpoint ([`runner`]),
 //! and plain-text report formatting ([`report`]).
 //!

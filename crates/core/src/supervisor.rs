@@ -42,7 +42,7 @@
 //!
 //! Results merge in deterministic input order regardless of worker
 //! interleaving, and every cell records its wall time so sweeps emit a
-//! perf trajectory (`BENCH_sweep.json` via [`take_tally`]).
+//! perf trajectory (`BENCH_sweep.json` from [`SweepReport::tally`]).
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -231,6 +231,18 @@ impl<R> SweepReport<R> {
             .count()
     }
 
+    /// This sweep's perf tally: one sweep, its executed cells (reused
+    /// and skipped ones excluded) and its wall time. Events are the
+    /// caller's to add; the supervisor does not know its outcome type.
+    pub fn tally(&self) -> BenchTally {
+        BenchTally {
+            sweeps: 1,
+            cells: self.cells.iter().filter(|c| c.attempts > 0).count() as u64,
+            sweep_wall_secs: self.wall_secs,
+            ..BenchTally::default()
+        }
+    }
+
     /// One greppable summary line for sweep logs and CI.
     pub fn summary_line(&self, reused: usize, stale: usize) -> String {
         let quarantined = self.cells.iter().filter(|c| c.quarantined).count();
@@ -325,13 +337,11 @@ where
                 .expect("every claimed slot is filled before the scope ends")
         })
         .collect();
-    let report = SweepReport {
+    SweepReport {
         cells,
         wall_secs: t0.elapsed().as_secs_f64(),
         jobs,
-    };
-    tally_sweep(&report);
-    report
+    }
 }
 
 /// Runs one cell to its final status: first attempt, then bounded
@@ -669,8 +679,9 @@ pub fn apply_test_knobs(key: &str, attempt: u32) {
 // Sweep perf tally (the BENCH_sweep.json trajectory)
 // ---------------------------------------------------------------------
 
-/// Accumulated sweep-supervisor statistics since the last
-/// [`take_tally`], for the perf trajectory `experiments all` emits.
+/// Sweep-supervisor statistics of one sweep ([`SweepReport::tally`]) or,
+/// summed with `+=`, of many: the perf trajectory `experiments all`
+/// emits.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BenchTally {
     /// Cells executed (reused checkpoint cells excluded).
@@ -735,35 +746,14 @@ impl BenchTally {
     }
 }
 
-static TALLY: Mutex<BenchTally> = Mutex::new(BenchTally {
-    cells: 0,
-    sweep_wall_secs: 0.0,
-    events: 0,
-    sweeps: 0,
-    reused: 0,
-});
-
-fn tally_sweep<R>(report: &SweepReport<R>) {
-    let mut t = TALLY.lock().unwrap_or_else(|p| p.into_inner());
-    t.sweeps += 1;
-    t.cells += report.cells.iter().filter(|c| c.attempts > 0).count() as u64;
-    t.sweep_wall_secs += report.wall_secs;
-}
-
-/// Adds simulation events completed by supervised cells (callers know
-/// their outcome type; the supervisor does not).
-pub fn tally_events(events: u64) {
-    TALLY.lock().unwrap_or_else(|p| p.into_inner()).events += events;
-}
-
-/// Adds cells a sweep reused from its checkpoint instead of running.
-pub fn tally_reused(cells: u64) {
-    TALLY.lock().unwrap_or_else(|p| p.into_inner()).reused += cells;
-}
-
-/// Returns the accumulated tally and resets it.
-pub fn take_tally() -> BenchTally {
-    std::mem::take(&mut *TALLY.lock().unwrap_or_else(|p| p.into_inner()))
+impl std::ops::AddAssign for BenchTally {
+    fn add_assign(&mut self, o: BenchTally) {
+        self.cells += o.cells;
+        self.sweep_wall_secs += o.sweep_wall_secs;
+        self.events += o.events;
+        self.sweeps += o.sweeps;
+        self.reused += o.reused;
+    }
 }
 
 #[cfg(test)]
@@ -940,21 +930,26 @@ mod tests {
 
     #[test]
     fn tally_accumulates_and_resets() {
-        let _ = take_tally();
-        let cells = ["a", "b"];
-        let _ = supervise(
-            &cells,
-            |c| c.to_string(),
-            &cfg(0, true),
-            |_, _| Attempt::Ok(1u32),
-        );
-        tally_events(500);
-        let t = take_tally();
+        let sweep = |cells: &[&str]| {
+            supervise(
+                cells,
+                |c| c.to_string(),
+                &cfg(0, true),
+                |_, _| Attempt::Ok(1u32),
+            )
+            .tally()
+        };
+        let mut t = sweep(&["a", "b"]);
+        t.events += 500;
         assert_eq!(t.cells, 2);
         assert_eq!(t.events, 500);
         assert_eq!(t.sweeps, 1);
         assert!(t.cells_per_sec() > 0.0);
-        assert_eq!(take_tally(), BenchTally::default(), "reset after take");
+        // Each sweep's tally starts from zero; `+=` sums them.
+        let second = sweep(&["c"]);
+        assert_eq!((second.cells, second.events, second.sweeps), (1, 0, 1));
+        t += second;
+        assert_eq!((t.cells, t.events, t.sweeps), (3, 500, 2));
     }
 
     #[test]

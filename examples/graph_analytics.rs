@@ -36,7 +36,7 @@ fn main() {
         c.tweak = "peer-redundancy".into();
     }
     let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
-        .and_then(|rs| rs.into_iter().collect())
+        .and_then(|(rs, _)| rs.into_iter().collect())
         .expect("fault-free cells run clean");
 
     for (name, runs) in workloads.iter().zip(runs.chunks(ProtocolKind::ALL.len())) {

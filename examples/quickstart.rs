@@ -46,7 +46,7 @@ fn main() {
         .map(|&p| opts.plain_cell(spec.abbrev, p))
         .collect();
     let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
-        .and_then(|rs| rs.into_iter().collect())
+        .and_then(|(rs, _)| rs.into_iter().collect())
         .expect("fault-free cells run clean");
     let mut t = Table::new(
         [

@@ -38,7 +38,7 @@ fn main() {
         .flat_map(|pass| ProtocolKind::ALL.map(|p| opts.plain_cell(pass, p)))
         .collect();
     let runs: Vec<RunMetrics> = run_cells(&opts, &cells)
-        .and_then(|rs| rs.into_iter().collect())
+        .and_then(|(rs, _)| rs.into_iter().collect())
         .expect("fault-free cells run clean");
     let mut total: Vec<(ProtocolKind, u64)> = ProtocolKind::ALL.iter().map(|&p| (p, 0)).collect();
 

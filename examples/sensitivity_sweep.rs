@@ -7,7 +7,7 @@
 //! cargo run --release --example sensitivity_sweep [workload] [bw|l2|dir] [tiny|small]
 //! ```
 
-use hmg::experiments::{fig12, fig13, fig14, ExpOptions};
+use hmg::experiments::{figure, ExpOptions};
 use hmg::prelude::*;
 
 fn main() {
@@ -26,13 +26,16 @@ fn main() {
         eprintln!("unknown workload `{workload}`");
         std::process::exit(1);
     }
-    let (sweep, parameter) = match axis {
-        "l2" => (fig13(&opts), "L2 capacity"),
-        "dir" => (fig14(&opts), "directory capacity"),
-        _ => (fig12(&opts), "inter-GPU bandwidth"),
+    let (name, parameter) = match axis {
+        "l2" => ("fig13", "L2 capacity"),
+        "dir" => ("fig14", "directory capacity"),
+        _ => ("fig12", "inter-GPU bandwidth"),
     };
-    match sweep {
-        Ok(r) => r.print(&format!("{workload}: {parameter} sensitivity")),
+    match figure(name).expect("registered").run(&opts) {
+        Ok(mut r) => {
+            r.tables[0].title = format!("{workload}: {parameter} sensitivity");
+            r.print();
+        }
         Err(e) => {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);

@@ -2,7 +2,7 @@
 //! simulations bit-for-bit, across every protocol — the property that
 //! makes every figure in EXPERIMENTS.md reproducible.
 
-use hmg::experiments::{fig8, run_cell, CellCtx, ExpOptions};
+use hmg::experiments::{figure, run_cell, CellCtx, ExpOptions, Report};
 use hmg::prelude::*;
 use hmg::workloads::suite::by_abbrev;
 
@@ -150,6 +150,11 @@ fn soft_error_sweeps_are_seed_stable() {
     }
 }
 
+/// Runs the Fig. 8 registry entry.
+fn fig8(opts: &ExpOptions) -> Result<Report, SimError> {
+    figure("fig8").expect("registered").run(opts)
+}
+
 #[test]
 fn keep_going_sweeps_are_deterministic() {
     let opts = ExpOptions {
@@ -162,8 +167,7 @@ fn keep_going_sweeps_are_deterministic() {
     };
     let a = fig8(&opts).expect("keep-going sweep yields a partial report");
     let b = fig8(&opts).expect("keep-going sweep yields a partial report");
-    assert_eq!(a.rows, b.rows);
-    assert_eq!(a.workloads, b.workloads);
+    assert_eq!(a.tables, b.tables);
     assert_eq!(a.failures.len(), b.failures.len());
 }
 
@@ -177,8 +181,7 @@ fn experiment_drivers_are_deterministic() {
     };
     let a = fig8(&opts).expect("fig8");
     let b = fig8(&opts).expect("fig8");
-    assert_eq!(a.rows, b.rows);
-    assert_eq!(a.geomeans, b.geomeans);
+    assert_eq!(a.tables, b.tables);
 }
 
 #[test]
@@ -223,9 +226,11 @@ fn faulty_sweeps_resume_deterministically_from_a_checkpoint() {
     let first = fig8(&mk(Some(ckpt.clone()), false)).expect("checkpointed sweep");
     let resumed = fig8(&mk(Some(ckpt.clone()), true)).expect("resumed sweep");
     let _ = std::fs::remove_file(&ckpt);
-    assert_eq!(fresh.rows, first.rows);
-    assert_eq!(first.rows, resumed.rows, "resume must not change results");
-    assert_eq!(first.geomeans, resumed.geomeans);
+    assert_eq!(fresh.tables, first.tables);
+    assert_eq!(
+        first.tables, resumed.tables,
+        "resume must not change results"
+    );
 }
 
 /// Golden [`RunMetrics::fingerprint`] for one tiny cell per recovery

@@ -440,17 +440,23 @@ fn keep_going_sweep_yields_partial_report_with_failure_table() {
         keep_going: true,
         ..ExpOptions::default()
     };
-    let r = speedup_suite(&opts, &[ProtocolKind::Hmg], "").expect("keep-going sweep");
+    let r = speedup_suite(&opts, "keep-going", &[ProtocolKind::Hmg], "")
+        .run(&opts)
+        .expect("keep-going sweep");
+    let [t] = r.tables.as_slice() else {
+        panic!("one table")
+    };
+    let rows = &t.rows;
     assert!(
         !r.failures.is_empty(),
         "the lethal fault must fail at least one workload"
     );
     assert!(
-        !r.workloads.is_empty(),
+        !rows.is_empty(),
         "the report must be partial, not empty: some workloads survive"
     );
     assert_eq!(
-        r.workloads.len() + {
+        rows.len() + {
             let mut failed: Vec<&str> = r.failures.iter().map(|f| f.workload.as_str()).collect();
             failed.dedup();
             failed.len()
@@ -467,9 +473,9 @@ fn keep_going_sweep_yields_partial_report_with_failure_table() {
         );
     }
     // Surviving rows are well-formed speedups.
-    for row in &r.rows {
+    for (_, row) in rows {
         assert_eq!(row.len(), 1);
-        assert!(row[0].is_finite() && row[0] > 0.0);
+        assert!(row[0].is_some_and(|v| v.is_finite() && v > 0.0));
     }
 }
 

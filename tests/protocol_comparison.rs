@@ -1,7 +1,7 @@
 //! End-to-end performance-relation sanity across the suite at test
 //! scale: the qualitative orderings the paper's figures rest on.
 
-use hmg::experiments::{fig2, fig8, run_cell, CellCtx, ExpOptions};
+use hmg::experiments::{figure, run_cell, CellCtx, ExpOptions, Table};
 use hmg::prelude::*;
 
 fn opts(workloads: &[&str]) -> ExpOptions {
@@ -13,23 +13,35 @@ fn opts(workloads: &[&str]) -> ExpOptions {
     }
 }
 
+/// The speedup table of the registry figure `name`.
+fn speedups(name: &str, opts: &ExpOptions) -> Table {
+    let report = figure(name).expect("registered").run(opts).expect(name);
+    report.tables.into_iter().next().expect("one table")
+}
+
+/// A speedup table's `GeoMean` for the protocol column `p`.
+fn geomean(t: &Table, p: &str) -> f64 {
+    t.value("GeoMean", p).expect("workloads completed")
+}
+
 #[test]
 fn fig8_structure_and_orderings() {
-    let r = fig8(&opts(&["RNN_FW", "bfs", "CoMD", "lstm"])).expect("fig8");
-    assert_eq!(r.workloads.len(), 4);
-    assert_eq!(r.protocols.len(), 5);
+    let t = speedups("fig8", &opts(&["RNN_FW", "bfs", "CoMD", "lstm"]));
+    assert_eq!(t.rows.len(), 4);
+    assert_eq!(t.columns.len(), 5);
     // All speedups within sane bounds.
-    for (w, row) in r.workloads.iter().zip(&r.rows) {
-        for (&p, &v) in r.protocols.iter().zip(row) {
+    for (w, row) in &t.rows {
+        for ((p, _), v) in t.columns.iter().zip(row) {
+            let v = v.unwrap_or_else(|| panic!("{w}/{p}: cell completed"));
             assert!(v > 0.2 && v < 50.0, "{w}/{p}: speedup {v}");
         }
     }
     // The caching upper bound leads the geomean (small tolerance for
     // tiny-scale noise).
-    let ideal = r.geomean_of(ProtocolKind::Ideal);
-    for &p in &r.protocols {
+    let ideal = geomean(&t, ProtocolKind::Ideal.name());
+    for (p, _) in &t.columns {
         assert!(
-            ideal >= r.geomean_of(p) * 0.9,
+            ideal >= geomean(&t, p) * 0.9,
             "{p} geomean exceeds ideal's meaningfully"
         );
     }
@@ -92,9 +104,9 @@ fn hmg_coalesces_broadcasts_that_flat_tracking_cannot() {
 
 #[test]
 fn hw_coherence_beats_sw_on_fine_grained_sharing() {
-    let r = fig8(&opts(&["bfs"])).expect("fig8");
-    let hmg = r.geomean_of(ProtocolKind::Hmg);
-    let sw = r.geomean_of(ProtocolKind::SwNonHier);
+    let t = speedups("fig8", &opts(&["bfs"]));
+    let hmg = geomean(&t, ProtocolKind::Hmg.name());
+    let sw = geomean(&t, ProtocolKind::SwNonHier.name());
     assert!(
         hmg > sw,
         "cross-kernel reuse must reward hardware coherence: hmg={hmg} sw={sw}"
@@ -103,16 +115,17 @@ fn hw_coherence_beats_sw_on_fine_grained_sharing() {
 
 #[test]
 fn fig2_is_the_motivating_subset() {
-    let r = fig2(&opts(&["bfs", "CoMD"])).expect("fig2");
+    let t = speedups("fig2", &opts(&["bfs", "CoMD"]));
+    let columns: Vec<&str> = t.columns.iter().map(|(p, _)| p.as_str()).collect();
     assert_eq!(
-        r.protocols,
-        vec![
-            ProtocolKind::SwNonHier,
-            ProtocolKind::Nhcc,
-            ProtocolKind::Ideal
+        columns,
+        [
+            ProtocolKind::SwNonHier.name(),
+            ProtocolKind::Nhcc.name(),
+            ProtocolKind::Ideal.name()
         ]
     );
-    assert_eq!(r.rows.len(), 2);
+    assert_eq!(t.rows.len(), 2);
 }
 
 #[test]

@@ -28,12 +28,13 @@
 //!   files; the retained reference oracle carries an explicit
 //!   `audit:allow(hot-path-struct)` justification.
 //! * `dir-match` — no `match` arms on `DirState::` / `DirEvent::`
-//!   patterns outside the guarded-action spec and the model checker,
-//!   and no `.has(Action::` row tests outside those, the conformance
-//!   replay and the engine's directory interpreter. The spec rows are
-//!   the single source of truth for protocol decisions; a hand-rolled
-//!   match or action test elsewhere is a shadow transition table that
-//!   can silently drift from the proved one.
+//!   patterns and no row action tests (`SpecRow::has`) outside the
+//!   guarded-action spec. The spec rows and their one executor,
+//!   `SpecRow::effect`, are the single source of truth for protocol
+//!   decisions; the engine, the conformance replay and the model
+//!   checker all read rows through `effect`. A hand-rolled match or
+//!   action test elsewhere is a shadow transition table that can
+//!   silently drift from the proved one.
 //!
 //! Suppression grammar: `// audit:allow(<rule-id>): <justification>` on
 //! the same line as the flagged token or in the contiguous comment block
@@ -73,20 +74,15 @@ const HOT_PATH_FILES: &[&str] = &[
 /// ordering the hot path does not need.
 const HOT_PATH_TOKENS: &[&str] = &["BinaryHeap", "BTreeMap", "BTreeSet"];
 
-/// The only files allowed to pattern-match on `DirState`/`DirEvent`:
-/// the guarded-action spec (the source of truth) and the model checker
-/// that walks its rows. Anywhere else, such a match is a shadow
-/// transition table.
-const DIR_MATCH_ALLOWLIST: &[&str] = &["crates/protocol/src/spec.rs", "crates/audit/src/model.rs"];
+/// The only file allowed to pattern-match on `DirState`/`DirEvent` or
+/// to test a row for an action: the guarded-action spec, the source of
+/// truth and home of the one row executor. Anywhere else, such a match
+/// is a shadow transition table and such a test a second execution
+/// semantics for the rows.
+const DIR_MATCH_HOME: &str = "crates/protocol/src/spec.rs";
 
-/// Beyond [`DIR_MATCH_ALLOWLIST`], the only files allowed to test a row
-/// for an action (`.has(Action::`): the conformance replay and the
-/// engine's one directory interpreter. Anywhere else, an action test is
-/// a second execution semantics for the rows.
-const ACTION_TEST_ALLOWLIST: &[&str] = &[
-    "crates/protocol/src/conformance.rs",
-    "crates/gpu/src/engine/directory.rs",
-];
+/// A row action test: `SpecRow::has` called on an `Action`.
+const ACTION_TEST: &str = concat!(".has", "(Action::");
 
 /// Tokens that read wall-clock time or OS entropy.
 const ENTROPY_TOKENS: &[&str] = &[
@@ -155,8 +151,7 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
     let sim_state = SIM_STATE_CRATES.contains(&krate);
     let entropy_ok = ENTROPY_WHITELIST.contains(&rel);
     let hot_path = HOT_PATH_FILES.contains(&rel);
-    let dir_match_ok = DIR_MATCH_ALLOWLIST.contains(&rel);
-    let action_test_ok = ACTION_TEST_ALLOWLIST.contains(&rel);
+    let dir_match_ok = rel == DIR_MATCH_HOME;
 
     let raw: Vec<&str> = text.lines().collect();
     let stripped_text = strip_comments_and_strings(text);
@@ -219,22 +214,23 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Finding>) {
         if !dir_match_ok {
             // A `DirState::X =>` / `DirEvent::X =>` arm is protocol
             // decision logic living outside the spec. (Expression uses
-            // — passing a variant to the spec API — carry no `=>`.) A
-            // `.has(Action::` test runs a row outside the interpreter.
+            // — passing a variant to the spec API — carry no `=>`.) An
+            // action test runs a row outside `SpecRow::effect`.
             let is_arm = ["DirState::", "DirEvent::"]
                 .iter()
                 .any(|tok| line.find(tok).is_some_and(|pos| line[pos..].contains("=>")));
-            let is_action_test = !action_test_ok && line.contains(".has(Action::");
-            if (is_arm || is_action_test) && !allowed(&raw, i, "dir-match", rel, lineno, out) {
+            if (is_arm || line.contains(ACTION_TEST))
+                && !allowed(&raw, i, "dir-match", rel, lineno, out)
+            {
                 out.push(Finding::new(
                     "dir-match",
                     rel,
                     lineno,
-                    "`match` arm on DirState/DirEvent or `.has(Action::` outside the \
+                    "`match` arm on DirState/DirEvent or a row action test outside the \
                      guarded-action spec — protocol decisions must come from \
-                     hmg_protocol::spec rows (the table the audit proves), run by the \
-                     interpreter in engine/directory.rs, not a hand-rolled shadow table. \
-                     Call `ProtocolSpec::row`, or justify with \
+                     hmg_protocol::spec rows (the table the audit proves), executed by \
+                     `SpecRow::effect`, not a hand-rolled shadow table. Call \
+                     `ProtocolSpec::row` and read the row's `effect`, or justify with \
                      `// audit:allow(dir-match): <why this is not transition logic>`"
                         .to_string(),
                 ));
@@ -667,18 +663,19 @@ pub fn synthetic_unordered_map_file() -> SyntheticFile {
 
 /// Synthetic file for the `dir-match` seeded-violation self-test: a
 /// hand-rolled shadow of the transition table in engine territory, and
-/// a row executed by testing its actions outside the interpreter.
+/// a row executed by testing its actions outside `SpecRow::effect`.
 pub fn synthetic_dir_match_file() -> SyntheticFile {
     SyntheticFile {
         path: "crates/gpu/src/__audit_selftest_dirmatch.rs",
-        text: "use hmg_protocol::{DirEvent, DirState};\n\n\
-               pub fn shadow_transition(s: DirState, e: DirEvent) -> DirState {\n    \
-               match (s, e) {\n        \
-               (DirState::Invalid, DirEvent::RemoteLoad) => DirState::Valid,\n        \
-               _ => s,\n    }\n}\n\n\
-               pub fn shadow_action(row: &SpecRow) -> bool {\n    \
-               row.has(Action::AddSharer)\n}\n"
-            .to_string(),
+        text: format!(
+            "use hmg_protocol::{{DirEvent, DirState}};\n\n\
+             pub fn shadow_transition(s: DirState, e: DirEvent) -> DirState {{\n    \
+             match (s, e) {{\n        \
+             (DirState::Invalid, DirEvent::RemoteLoad) => DirState::Valid,\n        \
+             _ => s,\n    }}\n}}\n\n\
+             pub fn shadow_action(row: &SpecRow) -> bool {{\n    \
+             row{ACTION_TEST}AddSharer)\n}}\n"
+        ),
     }
 }
 
@@ -768,29 +765,39 @@ mod tests {
 
     #[test]
     fn dir_match_rule_spares_the_spec_and_expression_uses() {
-        // The same arm inside the spec itself is the source of truth,
-        // not a shadow; the interpreter is the one place that executes
-        // row actions; and expression-position variants never fire.
+        // The same arm and action test inside the spec itself are the
+        // source of truth and its executor, not a shadow; and
+        // expression-position variants never fire.
         let in_spec = SyntheticFile {
             path: "crates/protocol/src/spec.rs",
-            text: "fn f(s: DirState) -> &'static str {\n    \
-                   match s {\n        DirState::Invalid => \"I\",\n        \
-                   DirState::Valid => \"V\",\n    }\n}\n"
-                .to_string(),
+            text: format!(
+                "fn f(s: DirState) -> &'static str {{\n    \
+                 match s {{\n        DirState::Invalid => \"I\",\n        \
+                 DirState::Valid => \"V\",\n    }}\n}}\n\
+                 fn g(row: &SpecRow) -> bool {{\n    row{ACTION_TEST}Defer)\n}}\n"
+            ),
         };
         let expr_use = SyntheticFile {
             path: "crates/gpu/src/__audit_selftest_dirmatch_expr.rs",
             text: "pub fn g() {\n    let _ = hmg_protocol::DirEvent::RemoteLoad;\n}\n".to_string(),
         };
-        let interpreter = SyntheticFile {
-            path: "crates/gpu/src/engine/directory.rs",
-            text: "fn f(row: &SpecRow) -> bool {\n    row.has(Action::Defer)\n}\n".to_string(),
-        };
-        let (findings, _) = run(&root(), &[in_spec, expr_use, interpreter]);
+        let (findings, _) = run(&root(), &[in_spec, expr_use]);
         assert!(
             findings.iter().all(|f| f.rule != "dir-match"),
             "{findings:?}"
         );
+        // The engine, the replay and the model read rows through
+        // `effect` only: an action test in any of them is a finding.
+        for path in [
+            "crates/gpu/src/engine/directory.rs",
+            "crates/protocol/src/conformance.rs",
+            "crates/audit/src/model.rs",
+        ] {
+            let text = format!("fn f(row: &SpecRow) -> bool {{\n    row{ACTION_TEST}Defer)\n}}\n");
+            let (findings, _) = run(&root(), &[SyntheticFile { path, text }]);
+            let hits = findings.iter().filter(|f| f.rule == "dir-match");
+            assert_eq!(hits.count(), 1, "{path}: {findings:?}");
+        }
     }
 
     #[test]

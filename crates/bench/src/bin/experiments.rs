@@ -78,6 +78,14 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                     None => ok = false,
                 }
             }
+            if !ok {
+                // The failed figures never returned their sweeps' tallies.
+                eprintln!(
+                    "[kept BENCH_sweep.json] a figure stopped on a hard failure, so this \
+                     run's tally is partial"
+                );
+                return false;
+            }
             let jobs = opts.supervisor_config().resolved_jobs(usize::MAX);
             let wall = t0.elapsed().as_secs_f64();
             let path = std::path::Path::new("BENCH_sweep.json");
@@ -90,7 +98,7 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
                 ),
                 Err(e) => eprintln!("cannot write BENCH_sweep.json: {e}"),
             }
-            ok
+            true
         }
         Command::Check => {
             let cfg = hmg_check::CheckConfig {

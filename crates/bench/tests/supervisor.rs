@@ -206,35 +206,35 @@ fn corruption_sweeps_resume_digest_identical() {
     let _ = std::fs::remove_file(&fresh);
 }
 
+/// A hard failure without `--keep-going` fails the run. Under `all` it
+/// also keeps the previous `BENCH_sweep.json`: the failed sweeps'
+/// tallies never come back, so the run's own tally would undercount.
 #[test]
 fn hard_failure_without_keep_going_exits_nonzero() {
+    let dir = tmp("all-cwd");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("BENCH_sweep.json"), "full run").expect("seed record");
     let out = Command::new(BIN)
-        .args([
-            "fig8",
-            "--scale",
-            "tiny",
-            "--seed",
-            "4",
-            "--workloads",
-            "bfs",
-            "--jobs",
-            "2",
-            "--retries",
-            "0",
-        ])
+        .args(["all", "--scale", "tiny", "--seed", "4"])
+        .args(["--workloads", "bfs", "--jobs", "2", "--retries", "0"])
+        .current_dir(&dir)
         .env("HMG_CELL_CRASH", "bfs/hmg")
         .env_remove("HMG_CELL_HANG")
         .output()
         .expect("experiments binary runs");
+    let err = stderr(&out);
     assert!(
         !out.status.success(),
         "a quarantined cell without --keep-going must fail the run"
     );
     assert!(
-        stderr(&out).contains("[sweep failed]"),
-        "the hard failure is reported:\n{}",
-        stderr(&out)
+        err.contains("[sweep failed]"),
+        "the hard failure is reported:\n{err}"
     );
+    assert!(err.contains("[kept BENCH_sweep.json] a figure"), "{err}");
+    let kept = std::fs::read_to_string(dir.join("BENCH_sweep.json"));
+    assert_eq!(kept.expect("record kept"), "full run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

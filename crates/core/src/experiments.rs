@@ -841,13 +841,13 @@ impl Table {
         }
     }
 
-    /// Appends an aggregate row of `f` over each column's values; with
-    /// no data rows — zero surviving workloads — each is `None`, not 0.
+    /// Appends an aggregate row of `f` over each column's defined
+    /// values; a column no row defines — zero surviving workloads, or
+    /// none with that kind of event — aggregates to `None`, not 0.
     pub fn total(&mut self, label: &str, f: fn(&[f64]) -> f64) {
-        let survivors = !self.rows.is_empty();
         let aggregate = |i| {
             let xs: Vec<f64> = self.rows.iter().filter_map(|(_, v)| v[i]).collect();
-            survivors.then(|| f(&xs))
+            (!xs.is_empty()).then(|| f(&xs))
         };
         let values = (0..self.columns.len()).map(aggregate).collect();
         self.totals.push((label.to_string(), values));
@@ -1799,6 +1799,18 @@ mod tests {
         assert_eq!(empty.value("GeoMean", "hmg"), None);
         assert_eq!(Fmt::F2.render(None), "n/a");
         assert_eq!(headline(&empty), None);
+    }
+
+    #[test]
+    fn an_aggregate_over_no_defined_value_is_undefined() {
+        // Fig. 9 with bfs alone: no store triggered an invalidation, so
+        // `lines/store-inv` has no value to average and reads `n/a`.
+        let columns = [("lines/store-inv", Fmt::F2OrZero), ("stores", Fmt::F2)];
+        let mut t = Table::new("Fig. 9", "workload", &columns);
+        t.rows.push(("bfs".into(), vec![None, Some(4.0)]));
+        t.total("Avg", stats::mean);
+        assert_eq!(t.value("Avg", "lines/store-inv"), None);
+        assert_eq!(t.value("Avg", "stores"), Some(4.0));
     }
 
     #[test]

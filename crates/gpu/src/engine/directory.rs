@@ -8,18 +8,18 @@
 use hmg_interconnect::GpmId;
 use hmg_mem::{BlockAddr, LineAddr, Sharer, SharerSet};
 use hmg_protocol::DirState::{Invalid, Valid};
-use hmg_protocol::{AccessKind, Action, DirEvent, GuardCtx, Observed, ProtocolKind, ProtocolSpec};
+use hmg_protocol::{
+    AccessKind, DirEvent, GuardCtx, Observed, ProtocolKind, ProtocolSpec, Sharers, Targets,
+};
 use hmg_sim::Cycle;
 
 use super::{InvCause, InvMsg, Sim};
 
-/// The Table I column an access falls in at a directory home.
-fn access_event(kind: AccessKind, remote: bool) -> DirEvent {
-    match (kind == AccessKind::Load, remote) {
-        (true, false) => DirEvent::LocalLoad,
-        (true, true) => DirEvent::RemoteLoad,
-        (false, false) => DirEvent::LocalStore,
-        (false, true) => DirEvent::RemoteStore,
+/// A directory entry as the spec rows see it.
+fn sharers(set: SharerSet) -> Sharers {
+    Sharers {
+        bits: set.bits(),
+        broadcast: set.is_broadcast(),
     }
 }
 
@@ -65,9 +65,10 @@ impl<'t> Sim<'t> {
     pub(super) fn home_defers(&self, node: GpmId, block: BlockAddr, kind: AccessKind) -> bool {
         let resident = self.gpms[node.index()].dir.lookup(block).is_some();
         let state = if resident { Valid } else { Invalid };
+        let event = DirEvent::access(kind != AccessKind::Load, true);
         self.spec()
-            .row(state, access_event(kind, true), GuardCtx::BUSY)
-            .is_some_and(|row| row.has(Action::Defer))
+            .row(state, event, GuardCtx::BUSY)
+            .is_some_and(|row| row.effect(Sharers::default(), None).defer)
     }
 
     /// Table I at a directory home: the transition a load, store or
@@ -91,7 +92,7 @@ impl<'t> Sim<'t> {
         }
         let sender = (origin != node).then(|| self.dir_sharer_for(node, origin, sys_home));
         let block = self.cfg.geometry.block_of(line);
-        let event = access_event(kind, sender.is_some());
+        let event = DirEvent::access(kind != AccessKind::Load, sender.is_some());
         let charge = Charge(InvCause::Store, origin, version);
         self.apply_row(t, node, block, event, None, sender, charge);
     }
@@ -126,10 +127,10 @@ impl<'t> Sim<'t> {
     /// for `block`, or on `evicted`, an entry the directory already gave
     /// up inside `allocate`. `sender` is the requester as the directory
     /// names it (`None` for local accesses, replacements and
-    /// invalidations). Invalidation targets come from the entry as it
-    /// stood before any action ran, so a precise entry names the others
-    /// exactly even when this very insert overflows the sharer cap; they
-    /// go out before an entry this row's allocation evicted is replaced.
+    /// invalidations). The row's [`SpecRow::effect`] decides everything;
+    /// this only performs it: allocate or remove the entry (the sharer
+    /// cap applies here), send the invalidations, which go out before an
+    /// entry this row's allocation evicted is replaced, and count.
     /// Panics on a cell the spec leaves undefined: a simulator bug.
     #[allow(clippy::too_many_arguments)] // a directory transition, not a config
     fn apply_row(
@@ -151,53 +152,39 @@ impl<'t> Sim<'t> {
             panic!("spec leaves ({state:?}, {event:?}) undefined")
         });
         let before = before.unwrap_or_default();
-        let mut resident = state == Valid;
-        let (mut added, mut newly_broadcast, mut victim, mut forwarded) =
-            (false, false, None, false);
-        // `Some(except)` once an invalidating action ran.
-        let mut inv: Option<Option<Sharer>> = None;
-        for &action in row.actions {
-            match action {
-                Action::AddSharer => {
-                    if let Some(s) = sender {
-                        let (set, v) = dir.allocate(block);
-                        newly_broadcast = set.insert_capped(&topo, s, cap).1;
-                        (added, resident, victim) = (true, true, v);
-                    }
-                }
-                // A no-op on an evicted entry: its way already holds
-                // another block.
-                Action::RemoveAllSharers => {
-                    dir.remove(block);
-                    resident = false;
-                }
-                Action::InvAllSharers => inv = Some(None),
-                Action::ForwardInv => (inv, forwarded) = (Some(None), true),
-                Action::InvOtherSharers => inv = Some(sender),
-                // Write-through: dirty copies flush at the invalidated
-                // caches. Arbitration rows are guarded `HomeBusy` and
-                // never selected here.
-                Action::Writeback | Action::Nack | Action::Defer => {}
-            }
+        let prior = sharers(before);
+        let sender_bit = sender.map(|s| SharerSet::bit(&topo, s));
+        let effect = row.effect(prior, sender_bit);
+        let (mut resident, mut added, mut newly_broadcast, mut victim) =
+            (state == Valid, false, false, None);
+        if let (true, Some(s)) = (effect.add_sender, sender) {
+            let (set, v) = dir.allocate(block);
+            newly_broadcast = set.insert_capped(&topo, s, cap).1;
+            (resident, added, victim) = (true, true, v);
         }
-        let targets: Vec<Sharer> = match inv {
-            None => Vec::new(),
-            Some(except) => {
-                let all = if before.is_broadcast() {
-                    self.m.broadcast_invs += 1;
-                    self.broadcast_targets(node, block)
-                } else {
-                    before.iter(&topo)
-                };
-                all.into_iter().filter(|s| Some(*s) != except).collect()
+        // A no-op on an evicted entry: its way already holds another
+        // block.
+        if effect.clear {
+            dir.remove(block);
+            resident = false;
+        }
+        // Most rows invalidate nobody; they allocate no target list.
+        let (mut targets, spared) = match effect.targets {
+            Targets::Exact(0) => (Vec::new(), 0),
+            Targets::Exact(bits) => (before.iter(&topo), !bits),
+            Targets::AllBut(spared) => {
+                self.m.broadcast_invs += 1;
+                (self.broadcast_targets(node, block), spared)
             }
         };
+        targets.retain(|&s| SharerSet::bit(&topo, s) & spared == 0);
+        let sent = targets.iter().fold(0, |m, &s| m | SharerSet::bit(&topo, s));
         let observed = Observed {
+            prior,
+            sender: sender_bit,
             next: if resident { Valid } else { Invalid },
             added_sharer: added,
-            prior_sharers: (!before.is_broadcast()).then(|| before.len()),
-            sender_was_sharer: sender.is_some_and(|s| before.contains(&topo, s)),
-            invalidated: (inv.is_none() || !before.is_broadcast()).then_some(targets.len() as u32),
+            invalidated: matches!(effect.targets, Targets::Exact(_)).then_some(sent),
         };
         // The run's conformance tracker (`RunMetrics::table`) checks the
         // effect against the static table; release builds count a
@@ -215,7 +202,7 @@ impl<'t> Sim<'t> {
         }
         if !targets.is_empty() {
             let Charge(cause, causer, version) = charge;
-            match (forwarded, cause) {
+            match (effect.forwarded, cause) {
                 (true, _) => {}
                 (false, InvCause::Store) => self.m.stores_triggering_invs += 1,
                 (false, InvCause::Eviction) => self.m.evictions_triggering_invs += 1,
@@ -325,26 +312,61 @@ mod tests {
         ]
     }
 
+    /// The sharers whose invalidations `sim` has enqueued.
+    fn enqueued_invs(sim: &mut Sim<'_>) -> Vec<Sharer> {
+        let mut targets = Vec::new();
+        while let Some((_, ev)) = sim.q.pop() {
+            if let Ev::Inv(inv) = ev {
+                targets.push(Sharer::Gpm(inv.target));
+            }
+        }
+        targets.sort();
+        targets
+    }
+
     #[test]
     fn every_unconditional_row_conforms_on_every_entry_kind() {
+        let topo = Topology::new(2, 4);
         for v in SpecVariant::ALL {
             let spec = ProtocolSpec::for_variant(v);
             for r in spec.rows().filter(|r| r.guard == Guard::Always) {
                 let remote = matches!(r.event, DirEvent::RemoteLoad | DirEvent::RemoteStore);
+                let sender = remote.then_some(SENDER);
                 for set in entries() {
                     let resident = r.state == Valid && r.event != DirEvent::Replace;
+                    let prior = sharers(if r.state == Valid {
+                        set
+                    } else {
+                        SharerSet::new()
+                    });
+                    let effect = r.effect(prior, sender.map(|s| SharerSet::bit(&topo, s)));
                     with_sim(v, resident.then_some(set), |sim| {
                         if r.event == DirEvent::Replace {
                             sim.replace_entry(Cycle(1), HOME, BLOCK, set);
                         } else {
-                            let sender = remote.then_some(SENDER);
                             sim.apply_row(Cycle(1), HOME, BLOCK, r.event, None, sender, STORE);
                         }
                         let t = &sim.m.table;
                         let ran = (t.rows[row_index(r.state, r.event)], t.mismatches);
                         assert_eq!(ran, (1, 0), "{v:?} {r:?} {set:?}");
-                        let resident = sim.gpms[HOME.index()].dir.lookup(BLOCK).is_some();
-                        assert_eq!(resident, r.next == Valid, "{r:?}");
+                        let left = sim.gpms[HOME.index()].dir.lookup(BLOCK).copied();
+                        assert_eq!(left.is_some(), r.next == Valid, "{r:?}");
+                        // The entry the engine left is the effect's,
+                        // unless the insert overflowed the sharer cap.
+                        let left = sharers(left.unwrap_or_default());
+                        if sim.m.dir_broadcast_fallbacks == 0 {
+                            assert_eq!(left, effect.sharers, "{v:?} {r:?} {set:?}");
+                        } else {
+                            assert!(left.broadcast && set.len() == 3, "{r:?} {set:?}");
+                        }
+                        // ... and so are the invalidations it enqueued.
+                        let (mut want, spared) = match effect.targets {
+                            Targets::Exact(bits) => (set.iter(&topo), !bits),
+                            Targets::AllBut(spared) => (sim.broadcast_targets(HOME, BLOCK), spared),
+                        };
+                        want.retain(|&s| SharerSet::bit(&topo, s) & spared == 0);
+                        want.sort();
+                        assert_eq!(enqueued_invs(sim), want, "{v:?} {r:?} {set:?}");
                     });
                 }
             }
@@ -360,14 +382,7 @@ mod tests {
                 sim.m.dir_broadcast_fallbacks, 1,
                 "the insert overflows the cap"
             );
-            let mut targets = Vec::new();
-            while let Some((_, ev)) = sim.q.pop() {
-                if let Ev::Inv(inv) = ev {
-                    targets.push(Sharer::Gpm(inv.target));
-                }
-            }
-            targets.sort();
-            assert_eq!(targets, OTHERS);
+            assert_eq!(enqueued_invs(sim), OTHERS);
             assert_eq!(sim.m.broadcast_invs, 0, "exact targets, not a broadcast");
         });
     }
@@ -379,10 +394,11 @@ mod tests {
                 let resident = (state == Valid).then(SharerSet::new);
                 with_sim(v, resident, |sim| {
                     for kind in [AccessKind::Load, AccessKind::Store, AccessKind::Atomic] {
-                        let event = access_event(kind, true);
+                        let event = DirEvent::access(kind != AccessKind::Load, true);
                         let row = sim.spec().row(state, event, GuardCtx::BUSY).unwrap();
                         assert_eq!(row.guard, Guard::HomeBusy, "{v:?} {state:?} {event:?}");
-                        assert_eq!(sim.home_defers(HOME, BLOCK, kind), row.has(Action::Defer));
+                        let defers = row.effect(Sharers::default(), None).defer;
+                        assert_eq!(sim.home_defers(HOME, BLOCK, kind), defers);
                     }
                 });
             }

@@ -53,6 +53,17 @@ impl SharerSet {
         SharerSet::default()
     }
 
+    /// The precisely tracked sharers, one bit each: GPM `g` at bit `g`,
+    /// GPU `u` at bit `num_gpms + u` (0 in broadcast mode).
+    pub fn bits(&self) -> u64 {
+        self.bits
+    }
+
+    /// `s`'s one-bit mask in the layout of [`SharerSet::bits`].
+    pub fn bit(topo: &Topology, s: Sharer) -> u64 {
+        1u64 << Self::slot(topo, s)
+    }
+
     fn slot(topo: &Topology, s: Sharer) -> u32 {
         match s {
             Sharer::Gpm(g) => {
@@ -72,7 +83,7 @@ impl SharerSet {
         if self.broadcast {
             return false;
         }
-        let mask = 1u64 << Self::slot(topo, s);
+        let mask = Self::bit(topo, s);
         let added = self.bits & mask == 0;
         self.bits |= mask;
         added
@@ -113,7 +124,7 @@ impl SharerSet {
         if self.broadcast {
             return false;
         }
-        let mask = 1u64 << Self::slot(topo, s);
+        let mask = Self::bit(topo, s);
         let present = self.bits & mask != 0;
         self.bits &= !mask;
         present
@@ -122,7 +133,7 @@ impl SharerSet {
     /// Whether `s` is in the set. Broadcast sets may be sharing with
     /// anyone, so they answer `true` for every sharer.
     pub fn contains(&self, topo: &Topology, s: Sharer) -> bool {
-        self.broadcast || self.bits & (1u64 << Self::slot(topo, s)) != 0
+        self.broadcast || self.bits & Self::bit(topo, s) != 0
     }
 
     /// Number of *precisely tracked* sharers (0 in broadcast mode).

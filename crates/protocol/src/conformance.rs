@@ -3,23 +3,24 @@
 //! `hmg-audit` proves properties of the [`crate::spec`] rows *offline*;
 //! this module closes the loop at *runtime*: the GPU engine reports
 //! every directory transition it actually executes, and
-//! [`TableConformance`] checks the observed effect against the
-//! unconditional spec row for that cell while accumulating per-row
-//! coverage. The engine passes the state it sampled before mutating the
+//! [`TableConformance`] checks what the engine did — the state it left
+//! the entry in, whether it tracked the sender, and the invalidations it
+//! sent — against [`SpecRow::effect`](crate::SpecRow::effect) of the
+//! unconditional spec row for that cell, while accumulating per-row
+//! coverage. The engine passes the entry it sampled before mutating the
 //! directory, and the row is looked up here, not taken from the engine,
 //! so the check stays independent of the row the engine executed. A
 //! mismatch means the timed engine has drifted from the table the paper
 //! specifies — the engine debug-asserts on it, and release builds count
 //! it so CI can fail the run.
 //!
-//! The observation API is deliberately integer-based (sharer counts, not
-//! sharer sets) so this crate stays free of simulator dependencies and so
-//! vacuous cases — e.g. a `(Valid, RemoteStore)` whose "invalidate other
-//! sharers" target set happens to be empty — compare exactly rather than
-//! by boolean intent.
+//! Observations are sharer bitmasks ([`Sharers`]), so this crate stays
+//! free of simulator dependencies and invalidation targets compare
+//! exactly, vacuous (empty) ones included.
 
 use crate::spec::{
-    row_index, row_of, Action, Arbitration, DirEvent, DirState, GuardCtx, ProtocolSpec, NUM_ROWS,
+    row_index, row_of, Arbitration, DirEvent, DirState, GuardCtx, ProtocolSpec, Sharers, Targets,
+    NUM_ROWS,
 };
 
 /// The spec whose unconditional rows a run under `hmg` must follow.
@@ -29,22 +30,23 @@ fn spec(hmg: bool) -> ProtocolSpec {
     ProtocolSpec::of(hmg, Arbitration::NackRetry)
 }
 
-/// What the engine actually did for one directory transition.
+/// What the engine actually did for one directory transition, and the
+/// entry and sender it did it for.
 #[derive(Debug, Clone, Copy)]
 pub struct Observed {
+    /// The entry before the transition (empty when Invalid).
+    pub prior: Sharers,
+    /// The sender's sharer bit, or `None` for local accesses,
+    /// replacements and invalidations.
+    pub sender: Option<u64>,
     /// The stable state the entry ended in.
     pub next: DirState,
     /// Whether the sender was recorded as a sharer (an insert was
     /// performed; re-inserting an already-tracked sharer counts).
     pub added_sharer: bool,
-    /// Precisely tracked sharers before the transition, or `None` when
-    /// the entry had degraded to broadcast (over-approximate) tracking.
-    pub prior_sharers: Option<u32>,
-    /// Whether the sender was already among the tracked sharers.
-    pub sender_was_sharer: bool,
-    /// How many sharers were sent invalidations, or `None` when the
-    /// target list came from a conservative broadcast substitution.
-    pub invalidated: Option<u32>,
+    /// The sharers sent invalidations, or `None` when the target list
+    /// came from a conservative broadcast substitution.
+    pub invalidated: Option<u64>,
 }
 
 /// Per-row coverage and conformance counters for directory transitions.
@@ -95,34 +97,20 @@ impl TableConformance {
                 "engine executed a cell the table leaves undefined".into(),
             ));
         };
-        if obs.next != row.next {
+        let want = row.effect(obs.prior, obs.sender);
+        // A broadcast substitution is only checked for being one: its
+        // members depend on the topology, which this crate never sees.
+        let sent_ok = match (want.targets, obs.invalidated) {
+            (Targets::Exact(bits), Some(sent)) => bits == sent,
+            (Targets::AllBut(_), None) => true,
+            _ => false,
+        };
+        if obs.next != want.next || obs.added_sharer != want.add_sender || !sent_ok {
             self.mismatches += 1;
-            return Err(fail(format!("table says next={:?}", row.next)));
-        }
-        let add_sharer = row.has(Action::AddSharer);
-        if obs.added_sharer != add_sharer {
-            self.mismatches += 1;
-            return Err(fail(format!("table says add_sharer={add_sharer}")));
-        }
-        // Invalidation-count check, skipped when either side of the
-        // comparison is a broadcast over-approximation.
-        if let (Some(prior), Some(inv)) = (obs.prior_sharers, obs.invalidated) {
-            // At a GPU home, forwarding a system-home invalidation
-            // downward is the same wire traffic as invalidating every
-            // tracked sharer.
-            let want = if row.has(Action::InvAllSharers) || row.has(Action::ForwardInv) {
-                prior
-            } else if row.has(Action::InvOtherSharers) {
-                prior - u32::from(obs.sender_was_sharer)
-            } else {
-                0
-            };
-            if inv != want {
-                self.mismatches += 1;
-                return Err(fail(format!(
-                    "table implies {want} invalidations, sent {inv}"
-                )));
-            }
+            return Err(fail(format!(
+                "table implies next={:?} add_sharer={} invalidations {:?}",
+                want.next, want.add_sender, want.targets
+            )));
         }
         Ok(())
     }
@@ -184,10 +172,10 @@ mod tests {
     /// sharer, invalidated nobody.
     fn quiet(state: DirState) -> Observed {
         Observed {
+            prior: Sharers::default(),
+            sender: None,
             next: state,
             added_sharer: false,
-            prior_sharers: Some(0),
-            sender_was_sharer: false,
             invalidated: Some(0),
         }
     }
@@ -214,21 +202,29 @@ mod tests {
     #[test]
     fn remote_store_invalidates_exactly_the_others() {
         let mut t = TableConformance::new();
-        // 3 sharers tracked, sender already among them: expect 2 invs.
+        // Sharers {0, 1, 2}, sender 1 among them: expect invs to 0 and 2.
         let ok = Observed {
+            prior: Sharers::exact(0b111),
+            sender: Some(0b010),
             next: Valid,
             added_sharer: true,
-            prior_sharers: Some(3),
-            sender_was_sharer: true,
-            invalidated: Some(2),
+            invalidated: Some(0b101),
         };
         t.observe(Valid, RemoteStore, false, ok).unwrap();
-        let bad = Observed {
-            invalidated: Some(3),
+        for sent in [0b111, 0b100, 0b110] {
+            let bad = Observed {
+                invalidated: Some(sent),
+                ..ok
+            };
+            let err = t.observe(Valid, RemoteStore, false, bad).unwrap_err();
+            assert!(err.contains("invalidations Exact(5)"), "{err}");
+        }
+        let untracked = Observed {
+            added_sharer: false,
             ..ok
         };
-        let err = t.observe(Valid, RemoteStore, false, bad).unwrap_err();
-        assert!(err.contains("implies 2 invalidations"), "{err}");
+        let err = t.observe(Valid, RemoteStore, false, untracked).unwrap_err();
+        assert!(err.contains("add_sharer=true"), "{err}");
     }
 
     #[test]
@@ -237,20 +233,20 @@ mod tests {
         // InvAllSharers; at a GPU home both mean "every tracked sharer".
         let mut t = TableConformance::new();
         let ok = Observed {
+            prior: Sharers::exact(0b111),
+            sender: None,
             next: Invalid,
             added_sharer: false,
-            prior_sharers: Some(3),
-            sender_was_sharer: false,
-            invalidated: Some(3),
+            invalidated: Some(0b111),
         };
         t.observe(Valid, Invalidation, true, ok).unwrap();
-        for sent in [0, 2, 4] {
+        for sent in [0, 0b011, 0b1111] {
             let bad = Observed {
                 invalidated: Some(sent),
                 ..ok
             };
             let err = t.observe(Valid, Invalidation, true, bad).unwrap_err();
-            assert!(err.contains("implies 3 invalidations"), "{err}");
+            assert!(err.contains("invalidations Exact(7)"), "{err}");
         }
         assert_eq!(t.mismatches, 3);
     }
@@ -259,14 +255,23 @@ mod tests {
     fn broadcast_entries_skip_the_count_check() {
         let mut t = TableConformance::new();
         let obs = Observed {
+            prior: Sharers {
+                bits: 0,
+                broadcast: true,
+            },
+            sender: None,
             next: Invalid,
             added_sharer: false,
-            prior_sharers: None,
-            sender_was_sharer: false,
             invalidated: None,
         };
         t.observe(Valid, Replace, false, obs).unwrap();
         assert_eq!(t.mismatches, 0);
+        // A precise list sent for a broadcast entry is not a broadcast.
+        let precise = Observed {
+            invalidated: Some(0b11),
+            ..obs
+        };
+        assert!(t.observe(Valid, Replace, false, precise).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use op::{Access, AccessKind};
 pub use policy::{AcquireAction, CacheLevel, FenceDomain, ProtocolKind};
 pub use scope::Scope;
 pub use spec::{
-    row_index, row_of, Action, Arbitration, DirEvent, DirState, Guard, GuardCtx, ProtocolSpec,
-    SpecRow, SpecVariant, NUM_ROWS,
+    row_index, row_of, Action, Arbitration, DirEvent, DirState, Effect, Guard, GuardCtx,
+    ProtocolSpec, Sharers, SpecRow, SpecVariant, Targets, NUM_ROWS,
 };
 pub use trace::{Cta, Kernel, Ops, OpsIter, TraceOp, WorkloadTrace};

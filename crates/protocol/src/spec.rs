@@ -15,19 +15,19 @@
 //! The table is written once, as a flat list of guarded-action rows
 //! `(state, event, guard) → (actions, next_state)` over a small closed
 //! action vocabulary ([`ROWS`]). The rows are `static` data — no
-//! allocation, no I/O — and every other layer reads them:
+//! allocation, no I/O — and one pure executor, [`SpecRow::effect`],
+//! gives the actions their meaning. Every other layer reads them:
 //!
-//! * the GPU engine runs every directory transition through one
-//!   interpreter over [`SpecRow::actions`] (`engine/directory.rs`)
-//!   instead of hand-coded per-event paths;
-//! * [`crate::conformance`] replays every executed transition against
-//!   the unconditional row for its cell;
+//! * the GPU engine runs every directory transition through `effect`
+//!   (`engine/directory.rs`) and only performs its side effects;
+//! * [`crate::conformance`] checks every executed transition against
+//!   `effect` of the unconditional row for its cell;
 //! * the check oracle accepts exactly the cells the spec defines;
 //! * `hmg-audit` checks every cell of every variant is defined XOR
-//!   declared N/A, and its explicit-state model checker enumerates the
-//!   rows to generate its transition relation, so a spec edit is
-//!   re-proved safe (single-writer, conservation, no stuck states)
-//!   before any cycle is simulated.
+//!   declared N/A, and its explicit-state model checker steps its
+//!   abstract directories through `effect`, so a spec edit is re-proved
+//!   safe (single-writer, conservation, no stuck states) on the
+//!   semantics the engine runs, before any cycle is simulated.
 //!
 //! Guards model *arbitration* at a busy directory home — the one place
 //! the protocol's behavior is conditional on something other than
@@ -90,6 +90,17 @@ impl DirEvent {
         DirEvent::Replace,
         DirEvent::Invalidation,
     ];
+
+    /// The column of a load, or of a store or atomic (`store`), from a
+    /// remote sender or from the home GPM itself.
+    pub fn access(store: bool, remote: bool) -> DirEvent {
+        match (store, remote) {
+            (false, false) => LocalLoad,
+            (false, true) => RemoteLoad,
+            (true, false) => LocalStore,
+            (true, true) => RemoteStore,
+        }
+    }
 
     /// Column label used by coverage reports.
     pub fn label(self) -> &'static str {
@@ -325,6 +336,111 @@ impl SpecRow {
                 .arbitration
                 .is_none_or(|arb| arb == variant.arbitration())
     }
+
+    /// What the row does to an entry holding `prior` when `sender` (its
+    /// one-bit sharer mask, `None` for local accesses, replacements and
+    /// invalidations) triggers it: the one meaning of the action
+    /// vocabulary, which the engine, the conformance replay and the
+    /// model checker all execute. Invalidation targets come from
+    /// `prior`, the entry before any action ran. Pure: the
+    /// caller performs the side effects, and the directory's sharer cap
+    /// (an overflow policy, not a Table I action) is the caller's too.
+    pub fn effect(&self, prior: Sharers, sender: Option<u64>) -> Effect {
+        let mut e = Effect {
+            next: self.next,
+            add_sender: false,
+            clear: false,
+            sharers: prior,
+            targets: Targets::Exact(0),
+            forwarded: false,
+            nack: false,
+            defer: false,
+        };
+        // `Some(spared)` once an invalidating action ran.
+        let mut inv = None;
+        for &action in self.actions {
+            match action {
+                Action::AddSharer => {
+                    if let Some(s) = sender {
+                        e.add_sender = true;
+                        if !e.sharers.broadcast {
+                            e.sharers.bits |= s;
+                        }
+                    }
+                }
+                Action::RemoveAllSharers => (e.clear, e.sharers) = (true, Sharers::default()),
+                Action::InvAllSharers => inv = Some(0),
+                Action::ForwardInv => (inv, e.forwarded) = (Some(0), true),
+                Action::InvOtherSharers => inv = Some(sender.unwrap_or(0)),
+                // Write-through: dirty copies flush at the invalidated
+                // caches.
+                Action::Writeback => {}
+                Action::Nack => e.nack = true,
+                Action::Defer => e.defer = true,
+            }
+        }
+        if let Some(spared) = inv {
+            e.targets = if prior.broadcast {
+                Targets::AllBut(spared)
+            } else {
+                Targets::Exact(prior.bits & !spared)
+            };
+        }
+        e
+    }
+}
+
+/// A directory entry's sharers as the rows see them: one bit per
+/// precisely tracked sharer, or an entry degraded to broadcast tracking
+/// that anyone may be sharing (DESIGN.md §7).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Sharers {
+    /// Precisely tracked sharers, one bit each (0 when broadcast).
+    pub bits: u64,
+    /// Whether the entry has degraded to broadcast tracking.
+    pub broadcast: bool,
+}
+
+impl Sharers {
+    /// A precise entry tracking exactly `bits`.
+    pub const fn exact(bits: u64) -> Sharers {
+        Sharers {
+            bits,
+            broadcast: false,
+        }
+    }
+}
+
+/// Who a row's invalidations go to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Targets {
+    /// Exactly these sharers (none when the row invalidates nobody).
+    Exact(u64),
+    /// A broadcast entry's conservative substitute: everyone the home
+    /// could be tracking, except these sharers.
+    AllBut(u64),
+}
+
+/// The effect of one row on one entry ([`SpecRow::effect`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Effect {
+    /// The stable state the entry moves to.
+    pub next: DirState,
+    /// Whether the sender is recorded as a sharer.
+    pub add_sender: bool,
+    /// Whether the entry is deallocated.
+    pub clear: bool,
+    /// The entry's sharers after the row (before any sharer cap).
+    pub sharers: Sharers,
+    /// The invalidations the row sends.
+    pub targets: Targets,
+    /// Whether the invalidations forward a system-home invalidation
+    /// down the hierarchy rather than originate here.
+    pub forwarded: bool,
+    /// Whether the request is rejected for a retry.
+    pub nack: bool,
+    /// Whether the request is held at the home for a replay.
+    pub defer: bool,
 }
 
 /// Shorthand for unconditional rows shared by every arbitration.
@@ -582,41 +698,63 @@ mod tests {
     };
 
     /// One test per cell of Table I: the unconditional row's actions and
-    /// next state, or `None` for the cells the paper leaves undefined.
+    /// next state, or `None` for the cells the paper leaves undefined;
+    /// and its effect on an entry tracking sharers 0 and 1 (none when
+    /// Invalid) when sharer 1 sends a remote event: the sharers left,
+    /// and the invalidations sent.
     macro_rules! cell_tests {
-        ($($name:ident: ($s:ident, $e:ident, $hmg:literal) => $want:expr;)*) => {$(
+        ($($name:ident: ($s:ident, $e:ident, $hmg:literal) => $want:expr, $effect:expr;)*) => {$(
             #[test]
             fn $name() {
                 let spec = ProtocolSpec::of($hmg, Arbitration::NackRetry);
-                let got = spec.row($s, $e, GuardCtx::FREE).map(|r| (r.next, r.actions));
+                let row = spec.row($s, $e, GuardCtx::FREE);
                 let want: Option<(DirState, &[Action])> = $want;
-                assert_eq!(got, want);
+                assert_eq!(row.map(|r| (r.next, r.actions)), want);
+                let prior = Sharers::exact(if $s == Valid { 0b011 } else { 0 });
+                let sender = matches!($e, RemoteLoad | RemoteStore).then_some(0b010);
+                let got = row.map(|r| r.effect(prior, sender));
+                let want: Option<(u64, Targets)> = $effect;
+                assert_eq!(got.map(|e| (e.sharers.bits, e.targets)), want);
+                if let (Some(r), Some(e)) = (row, got) {
+                    assert_eq!(e.next, r.next);
+                    assert_eq!(e.add_sender, sender.is_some());
+                    assert_eq!(e.clear, r.has(RemoveAllSharers));
+                    assert_eq!(e.forwarded, r.has(ForwardInv));
+                }
             }
         )*};
     }
 
+    const QUIET: Targets = Targets::Exact(0);
+    const ALL: Targets = Targets::Exact(0b011);
+
     cell_tests! {
-        i_local_load_is_a_nop: (Invalid, LocalLoad, false) => Some((Invalid, &[]));
-        i_local_store_is_a_nop: (Invalid, LocalStore, false) => Some((Invalid, &[]));
+        i_local_load_is_a_nop: (Invalid, LocalLoad, false) =>
+            Some((Invalid, &[])), Some((0, QUIET));
+        i_local_store_is_a_nop: (Invalid, LocalStore, false) =>
+            Some((Invalid, &[])), Some((0, QUIET));
         i_remote_load_allocates_and_tracks: (Invalid, RemoteLoad, false) =>
-            Some((Valid, &[AddSharer]));
+            Some((Valid, &[AddSharer])), Some((0b010, QUIET));
         i_remote_store_allocates_and_tracks: (Invalid, RemoteStore, false) =>
-            Some((Valid, &[AddSharer]));
-        i_replace_is_unreachable: (Invalid, Replace, false) => None;
+            Some((Valid, &[AddSharer])), Some((0b010, QUIET));
+        i_replace_is_unreachable: (Invalid, Replace, false) => None, None;
         i_invalidation_under_hmg_stays_invalid: (Invalid, Invalidation, true) =>
-            Some((Invalid, &[]));
-        v_local_load_is_a_nop: (Valid, LocalLoad, false) => Some((Valid, &[]));
+            Some((Invalid, &[])), Some((0, QUIET));
+        v_local_load_is_a_nop: (Valid, LocalLoad, false) =>
+            Some((Valid, &[])), Some((0b011, QUIET));
         v_local_store_invalidates_all_and_deallocates: (Valid, LocalStore, false) =>
-            Some((Invalid, &[InvAllSharers, RemoveAllSharers]));
+            Some((Invalid, &[InvAllSharers, RemoveAllSharers])), Some((0, ALL));
         v_remote_load_adds_sharer_and_stays_valid: (Valid, RemoteLoad, false) =>
-            Some((Valid, &[AddSharer]));
+            Some((Valid, &[AddSharer])), Some((0b011, QUIET));
+        // The invalidated other stays tracked: the entry only gains the
+        // sender.
         v_remote_store_adds_sharer_and_invalidates_others: (Valid, RemoteStore, false) =>
-            Some((Valid, &[AddSharer, InvOtherSharers]));
+            Some((Valid, &[AddSharer, InvOtherSharers])), Some((0b011, Targets::Exact(0b001)));
         v_replace_invalidates_all_and_deallocates: (Valid, Replace, false) =>
-            Some((Invalid, &[InvAllSharers, RemoveAllSharers, Writeback]));
+            Some((Invalid, &[InvAllSharers, RemoveAllSharers, Writeback])), Some((0, ALL));
         v_invalidation_under_hmg_forwards_to_all_sharers: (Valid, Invalidation, true) =>
-            Some((Invalid, &[ForwardInv, RemoveAllSharers]));
-        invalidation_without_hmg_is_rejected: (Valid, Invalidation, false) => None;
+            Some((Invalid, &[ForwardInv, RemoveAllSharers])), Some((0, ALL));
+        invalidation_without_hmg_is_rejected: (Valid, Invalidation, false) => None, None;
     }
 
     #[test]
@@ -673,6 +811,7 @@ mod tests {
 
     #[test]
     fn home_busy_rows_never_transition() {
+        let prior = Sharers::exact(0b011);
         for r in ROWS.iter().filter(|r| r.guard == Guard::HomeBusy) {
             assert_eq!(r.next, r.state, "{r:?}");
             assert!(
@@ -680,7 +819,37 @@ mod tests {
                 "{r:?}"
             );
             assert!(matches!(r.event, RemoteLoad | RemoteStore), "{r:?}");
+            let e = r.effect(prior, Some(0b100));
+            assert_eq!((e.sharers, e.targets), (prior, Targets::Exact(0)), "{r:?}");
+            assert!(!e.add_sender && !e.clear, "{r:?}");
+            assert_eq!(e.nack, r.arbitration == Some(Arbitration::NackRetry));
+            assert_eq!(e.defer, r.arbitration == Some(Arbitration::PhasePriority));
         }
+    }
+
+    #[test]
+    fn effect_on_a_broadcast_entry_broadcasts_and_stays_broadcast() {
+        let spec = ProtocolSpec::of(false, Arbitration::NackRetry);
+        let degraded = Sharers {
+            bits: 0,
+            broadcast: true,
+        };
+        let effect = |e, sender| {
+            spec.row(Valid, e, GuardCtx::FREE)
+                .unwrap()
+                .effect(degraded, sender)
+        };
+        let store = effect(RemoteStore, Some(0b100));
+        assert_eq!(
+            (store.sharers, store.targets),
+            (degraded, Targets::AllBut(0b100))
+        );
+        let local = effect(LocalStore, None);
+        assert_eq!(
+            (local.sharers, local.targets),
+            (Sharers::default(), Targets::AllBut(0))
+        );
+        assert_eq!(effect(RemoteLoad, Some(1)).targets, QUIET);
     }
 
     #[test]
@@ -792,6 +961,8 @@ mod tests {
         let r = spec.row(Valid, Invalidation, GuardCtx::FREE).unwrap();
         assert!(!r.has(Action::ForwardInv), "forward must be gone");
         assert!(r.has(Action::RemoveAllSharers), "deallocation survives");
+        let e = r.effect(Sharers::exact(1), None);
+        assert_eq!((e.targets, e.clear), (Targets::Exact(0), true));
         let clean = ProtocolSpec::for_variant(SpecVariant::Hmg);
         for s in DirState::ALL {
             for e in DirEvent::ALL {

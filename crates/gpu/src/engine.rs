@@ -68,18 +68,47 @@ enum FlipSeverity {
     Uncorrectable,
 }
 
-/// One L2 line's metadata in one word: the data version it holds in
-/// bits 0–62 and, under the write-back policy, whether it is dirty
-/// (newer than its home) in bit 63.
+/// The largest version a cache lane holds. Messages, the committed map
+/// and the [`VersionStore`] carry `u64` versions; only the L1 and L2
+/// lanes are 31 bits wide, and a store that would take a line past this
+/// ends the run with a typed error (`Sim::bump_version`).
+const MAX_LANE_VERSION: u64 = (1 << 31) - 1;
+
+/// `version` in a cache lane's 31 bits.
+fn lane_version(version: u64) -> u32 {
+    debug_assert!(
+        version <= MAX_LANE_VERSION,
+        "version {version} overflows 31 bits"
+    );
+    version as u32
+}
+
+/// One L1 line's metadata: the data version it holds, in the low 31
+/// bits of a 4-byte lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct L2Line(u64);
+struct L1Line(u32);
+
+impl L1Line {
+    fn new(version: u64) -> Self {
+        L1Line(lane_version(version))
+    }
+
+    fn version(self) -> u64 {
+        u64::from(self.0)
+    }
+}
+
+/// One L2 line's metadata in one 4-byte word: the data version it holds
+/// in bits 0–30 and, under the write-back policy, whether it is dirty
+/// (newer than its home) in bit 31.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct L2Line(u32);
 
 impl L2Line {
-    const DIRTY: u64 = 1 << 63;
+    const DIRTY: u32 = 1 << 31;
 
     fn new(version: u64, dirty: bool) -> Self {
-        debug_assert!(version < Self::DIRTY, "version {version} overflows 63 bits");
-        L2Line(version | if dirty { Self::DIRTY } else { 0 })
+        L2Line(lane_version(version) | if dirty { Self::DIRTY } else { 0 })
     }
 
     fn clean(version: u64) -> Self {
@@ -87,7 +116,7 @@ impl L2Line {
     }
 
     fn version(self) -> u64 {
-        self.0 & !Self::DIRTY
+        u64::from(self.0 & !Self::DIRTY)
     }
 
     fn dirty(self) -> bool {
@@ -126,7 +155,7 @@ enum SmState {
 
 #[derive(Debug)]
 struct Sm {
-    l1: Cache<u64>,
+    l1: Cache<L1Line>,
     cta: Option<usize>,
     pc: usize,
     outstanding: u32,
@@ -339,9 +368,31 @@ impl Engine {
     /// and address context plus a machine-state dump: per-SM
     /// outstanding ops, pending counters, the directory entry and link
     /// backlogs for the stuck address.
+    ///
+    /// A trace that accesses a line index of 2^32 or more is refused
+    /// before the first event: the caches' tag lanes hold 32 bits.
     pub fn try_run(&self, trace: &WorkloadTrace) -> Result<RunMetrics, SimError> {
+        self.check_line_domain(trace)?;
         let mut sim = Sim::new(&self.cfg, trace);
         sim.run()
+    }
+
+    /// Refuses a trace whose highest access lies on a line index at or
+    /// above [`hmg_mem::cache::LINE_LIMIT`] (512 GiB at 128-byte lines).
+    fn check_line_domain(&self, trace: &WorkloadTrace) -> Result<(), SimError> {
+        let Some(max) = trace.max_addr() else {
+            return Ok(());
+        };
+        let line = self.cfg.geometry.line_of(hmg_mem::Addr(max));
+        if line.0 < hmg_mem::cache::LINE_LIMIT {
+            return Ok(());
+        }
+        Err(SimError::trace(format!(
+            "trace accesses line {} at byte address {max:#x}; the caches hold line \
+             indices below 2^32",
+            line.0
+        ))
+        .with_addr(max))
     }
 }
 
@@ -1135,7 +1186,7 @@ impl<'t> Sim<'t> {
         let proto = self.cfg.protocol;
         let idx = self.sm_index(r);
         if proto.load_may_hit(CacheLevel::L1, scope) {
-            if let Some(&v) = self.sms[idx].l1.get(line) {
+            if let Some(v) = self.sms[idx].l1.get(line).map(|m| m.version()) {
                 self.m.loads += 1;
                 self.m.l1_hits += 1;
                 self.record_touch(r, line);
@@ -1185,13 +1236,45 @@ impl<'t> Sim<'t> {
         }
     }
 
+    /// Commits a store or atomic by SM `r` to `line` and returns the
+    /// line's new version, or ends the run with a typed error when that
+    /// version would not fit the 31-bit cache lanes.
+    #[inline]
+    fn bump_version(&mut self, t: Cycle, r: SmRef, line: LineAddr) -> Option<u64> {
+        let v = self.versions.bump(line);
+        if v > MAX_LANE_VERSION {
+            self.refuse_version(t, r, line, v);
+            return None;
+        }
+        Some(v)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refuse_version(&mut self, t: Cycle, r: SmRef, line: LineAddr, v: u64) {
+        if self.fatal.is_some() {
+            return;
+        }
+        self.fatal = Some(
+            SimError::trace(format!(
+                "a store takes line {} to version {v}; cache lanes hold versions below 2^31",
+                line.0
+            ))
+            .at_cycle(t.0)
+            .with_agent(self.agent_name(r))
+            .with_addr(line.0 * self.cfg.geometry.line_bytes() as u64),
+        );
+    }
+
     fn issue_store(&mut self, t: Cycle, r: SmRef, line: LineAddr, scope: Scope) {
         self.m.stores += 1;
-        let v = self.versions.bump(line);
+        let Some(v) = self.bump_version(t, r, line) else {
+            return;
+        };
         let idx = self.sm_index(r);
         // The L1 is always write-through with write-update, no-allocate.
         if let Some(meta) = self.sms[idx].l1.get_mut(line) {
-            *meta = v;
+            *meta = L1Line::new(v);
         }
         // §IV-B write-back option: plain stores coalesce as dirty lines
         // in the local L2; evictions and releases flush them. Scoped
@@ -1223,7 +1306,9 @@ impl<'t> Sim<'t> {
         }
         self.m.loads += 1; // response-bearing
         self.m.stores += 1; // write-committing
-        let v = self.versions.bump(line);
+        let Some(v) = self.bump_version(t, r, line) else {
+            return true;
+        };
         let g = &mut self.gpms[r.gpm.index()];
         g.st_pending_gpu += 1;
         g.st_pending_sys += 1;
@@ -1859,7 +1944,7 @@ impl<'t> Sim<'t> {
             };
             if fill_l1 {
                 let idx = self.sm_index(msg.sm);
-                self.sms[idx].l1.insert(msg.line, msg.version);
+                self.sms[idx].l1.insert(msg.line, L1Line::new(msg.version));
             }
         }
         self.record_probe(msg.sm, msg.line, msg.version);
@@ -2379,7 +2464,7 @@ mod tests {
     use super::*;
     use hmg_mem::Addr;
     use hmg_protocol::{Access, Cta, Kernel, WorkloadTrace};
-    use hmg_sim::{SnapError, Snapshot, SnapshotStore};
+    use hmg_sim::{SnapError, Snapshot, SnapshotRead, SnapshotStore, SnapshotWrite};
 
     /// Builds a kernel with one CTA per GPM of the small_test topology
     /// (2 GPUs x 2 GPMs = 4 GPMs), so CTA `i` lands on GPM `i` under
@@ -2415,6 +2500,18 @@ mod tests {
         let (ev, msg) = (std::mem::size_of::<Ev>(), std::mem::size_of::<MemMsg>());
         assert!(ev <= 40, "Ev is {ev} bytes");
         assert!(msg <= 32, "MemMsg is {msg} bytes");
+    }
+
+    #[test]
+    fn cache_slots_stay_twelve_bytes() {
+        // 917,504 L1 and L2 slots on the Table II machine: a 4-byte tag,
+        // tick and meta each. A wider lane costs megabytes per cell
+        // (DESIGN.md §13), so widening one must fail here first.
+        assert_eq!(std::mem::size_of::<L1Line>(), 4);
+        assert_eq!(std::mem::size_of::<L2Line>(), 4);
+        let shape = hmg_mem::CacheConfig::new(1024, 8);
+        assert_eq!(Cache::<L1Line>::new(shape).lane_bytes(), 12 * 1024);
+        assert_eq!(Cache::<L2Line>::new(shape).lane_bytes(), 12 * 1024);
     }
 
     #[test]
@@ -3332,6 +3429,100 @@ mod tests {
             m.state_digest, fault_free.state_digest,
             "a dead GPU that only loaded must not change committed memory"
         );
+    }
+
+    #[test]
+    fn lines_past_the_cache_domain_are_refused_before_the_first_event() {
+        let line_bytes = 128;
+        let trace_at = |line: u64| {
+            WorkloadTrace::new(
+                "edge",
+                vec![kernel_per_gpm(vec![
+                    vec![ld(0)],
+                    vec![ld(line * line_bytes)],
+                ])],
+            )
+        };
+        let engine = Engine::new(EngineConfig::small_test(ProtocolKind::Hmg));
+        let last = hmg_mem::cache::LINE_LIMIT - 1;
+        let m = engine.try_run(&trace_at(last)).expect("line 2^32 - 1 fits");
+        assert_eq!(m.loads, 2);
+
+        let wide = trace_at(last + 1);
+        let err = engine.try_run(&wide).expect_err("line 2^32 is refused");
+        assert_eq!(err.kind, hmg_sim::SimErrorKind::Trace, "{err}");
+        assert!(err.message.contains("line 4294967296"), "{err}");
+        assert_eq!(err.addr, Some((last + 1) * line_bytes));
+        assert_eq!(err.cycle, None, "refused before any event ran");
+
+        // The preemptible entry refuses it too, before it restores or
+        // captures anything: a capture every cycle writes no slot.
+        let base = snap_store("line-domain");
+        let policy = SnapshotPolicy::periodic(base.clone(), 1, 1);
+        let err = engine
+            .try_run_preemptible(&wide, &policy)
+            .expect_err("line 2^32 is refused");
+        assert_eq!(err.kind, hmg_sim::SimErrorKind::Trace, "{err}");
+        assert!(SnapshotStore::new(&base)
+            .slots()
+            .iter()
+            .all(|p| !p.exists()));
+    }
+
+    /// A version store holding `line` at version `v`.
+    fn versions_at(line: LineAddr, v: u64) -> VersionStore {
+        let mut map = FlatMap::new();
+        map.insert(line, v);
+        let mut w = hmg_sim::SnapWriter::new();
+        map.write_snap(&mut w);
+        0u64.write_snap(&mut w); // stores committed
+        VersionStore::read_snap(&mut hmg_sim::SnapReader::new(&w.into_bytes())).unwrap()
+    }
+
+    #[test]
+    fn a_version_past_the_cache_lanes_is_a_typed_error() {
+        let atomic = TraceOp::Access(Access::atomic(Addr(0), Scope::Gpu));
+        for (op, what) in [(st(0), "store"), (atomic, "atomic")] {
+            let trace = WorkloadTrace::new("v", vec![kernel_per_gpm(vec![vec![ld(0), op]])]);
+            let cfg = EngineConfig::small_test(ProtocolKind::Hmg);
+            let run_from = |v: u64| {
+                let mut sim = Sim::new(&cfg, &trace);
+                sim.versions = versions_at(LineAddr(0), v);
+                sim.run()
+            };
+            let m = run_from(MAX_LANE_VERSION - 1).expect("version 2^31 - 1 fits the lanes");
+            assert_eq!(m.stores, 1, "{what}");
+            let err = run_from(MAX_LANE_VERSION).expect_err("version 2^31 does not");
+            assert_eq!(err.kind, hmg_sim::SimErrorKind::Trace, "{what}: {err}");
+            assert!(err.message.contains("version 2147483648"), "{what}: {err}");
+            assert!(err.cycle.is_some() && err.agent.is_some(), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn snapshot_refuses_versions_past_the_cache_lanes() {
+        let read = |v: u64, dirty: Option<bool>| {
+            let mut w = hmg_sim::SnapWriter::new();
+            v.write_snap(&mut w);
+            let Some(d) = dirty else {
+                let bytes = w.into_bytes();
+                return L1Line::read_snap(&mut hmg_sim::SnapReader::new(&bytes))
+                    .map(|l| l.version());
+            };
+            d.write_snap(&mut w);
+            let bytes = w.into_bytes();
+            L2Line::read_snap(&mut hmg_sim::SnapReader::new(&bytes)).map(|l| l.version())
+        };
+        for dirty in [None, Some(false), Some(true)] {
+            assert_eq!(read(MAX_LANE_VERSION, dirty), Ok(MAX_LANE_VERSION));
+            assert!(
+                matches!(
+                    read(MAX_LANE_VERSION + 1, dirty),
+                    Err(SnapError::Malformed(_))
+                ),
+                "{dirty:?}"
+            );
+        }
     }
 
     #[test]

@@ -339,9 +339,10 @@ impl<'t> Sim<'t> {
                             }
                             None => {
                                 // No detection: the resident copy is
-                                // silently wrong from here on.
+                                // silently wrong from here on. The flip
+                                // hits the lane's top version bit.
                                 if let Some(meta) = self.gpms[node.index()].l2.get_mut(line) {
-                                    meta.set_version(meta.version() ^ (1 << 40));
+                                    meta.set_version(meta.version() ^ (1 << 30));
                                 }
                                 self.m.integrity.silent_corruptions += 1;
                             }

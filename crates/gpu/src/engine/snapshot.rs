@@ -32,8 +32,8 @@ use hmg_sim::{
 };
 
 use super::{
-    CarveClass, Engine, Ev, Fence, FlipSeverity, Gpm, InvCause, InvMsg, L2Line, MemMsg, Sim, Sm,
-    SmRef, SmState, StoreMsg,
+    CarveClass, Engine, Ev, Fence, FlipSeverity, Gpm, InvCause, InvMsg, L1Line, L2Line, MemMsg,
+    Sim, Sm, SmRef, SmState, StoreMsg, MAX_LANE_VERSION,
 };
 use crate::metrics::RunMetrics;
 
@@ -41,8 +41,20 @@ hmg_sim::snapshot_codec!(enum FlipSeverity {
     0 => Correctable,
     1 => Uncorrectable,
 });
-// The packed word is written as the `{ version, dirty }` pair it holds,
-// so the snapshot format does not depend on the in-memory packing.
+// Cache metas are written as the `u64` version (and, for the L2, the
+// dirty flag) they hold, so the snapshot format does not depend on the
+// lanes' in-memory packing; a read version the 31-bit lane cannot hold
+// is refused.
+impl SnapshotWrite for L1Line {
+    fn write_snap(&self, w: &mut SnapWriter) {
+        self.version().write_snap(w);
+    }
+}
+impl SnapshotRead for L1Line {
+    fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        read_lane_version(r, "L1").map(L1Line::new)
+    }
+}
 impl SnapshotWrite for L2Line {
     fn write_snap(&self, w: &mut SnapWriter) {
         self.version().write_snap(w);
@@ -51,13 +63,19 @@ impl SnapshotWrite for L2Line {
 }
 impl SnapshotRead for L2Line {
     fn read_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let version = u64::read_snap(r)?;
-        let dirty = bool::read_snap(r)?;
-        if version >= L2Line::DIRTY {
-            return Err(SnapError::Malformed(format!("L2 line version {version}")));
-        }
-        Ok(L2Line::new(version, dirty))
+        let version = read_lane_version(r, "L2")?;
+        Ok(L2Line::new(version, bool::read_snap(r)?))
     }
+}
+
+fn read_lane_version(r: &mut SnapReader<'_>, level: &str) -> Result<u64, SnapError> {
+    let version = u64::read_snap(r)?;
+    if version > MAX_LANE_VERSION {
+        return Err(SnapError::Malformed(format!(
+            "{level} line version {version} exceeds 31 bits"
+        )));
+    }
+    Ok(version)
 }
 hmg_sim::snapshot_codec!(SmRef { gpm, sm });
 hmg_sim::snapshot_codec!(enum SmState {
@@ -243,6 +261,7 @@ impl Engine {
         trace: &WorkloadTrace,
         policy: &SnapshotPolicy,
     ) -> Result<(RunMetrics, SnapshotReport), SimError> {
+        self.check_line_domain(trace)?;
         let store = SnapshotStore::new(&policy.path);
         let mut report = SnapshotReport::default();
         // Every existing slot is a candidate; files whose header does

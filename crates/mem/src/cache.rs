@@ -57,6 +57,10 @@ impl CacheConfig {
     }
 }
 
+/// Line indices a [`Cache`] holds are below this: 2^32 lines, 512 GiB
+/// at 128-byte lines.
+pub const LINE_LIMIT: u64 = 1 << 32;
+
 /// A set-associative, LRU-replacement cache mapping [`LineAddr`]s to
 /// per-line metadata `M`.
 ///
@@ -70,6 +74,12 @@ impl CacheConfig {
 /// invalidation that software coherence performs at every acquire is a
 /// clear of the occupancy array rather than a walk over per-set heap
 /// allocations. `M: Default` fills the slabs' never-yet-occupied slots.
+///
+/// The cache's domain is line indices below [`LINE_LIMIT`] (2^32), so a
+/// tag (`line / sets`) always fits the 32-bit tag lane. Every probe
+/// asserts it: a line at or above the limit panics with a message that
+/// names the line, never aliases a resident one. The engine refuses such
+/// traces before their first event, so only a direct caller can trip it.
 ///
 /// Within a set, slots behave exactly like a `Vec` of ways: inserts
 /// append, [`Cache::invalidate`] swap-removes, and
@@ -95,7 +105,7 @@ pub struct Cache<M> {
     config: CacheConfig,
     /// Tag lane, indexed `set * ways + way`; only `lens[set]` slots of
     /// each set's span are live.
-    tags: Box<[u64]>,
+    tags: Box<[u32]>,
     /// LRU recency tick per slot, parallel to `tags`;
     /// [`Cache::next_tick`] renumbers the live ticks before the counter
     /// would wrap.
@@ -135,15 +145,31 @@ impl<M: Default> Cache<M> {
 
     /// Splits a line address into `(tag, set index)` — one
     /// strength-reduced divide instead of a hardware div + mod.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is outside the cache's domain (see [`Cache`]).
     #[inline]
-    fn locate(&self, line: LineAddr) -> (u64, usize) {
+    fn locate(&self, line: LineAddr) -> (u32, usize) {
+        assert!(
+            line.0 < LINE_LIMIT,
+            "line {} is outside the cache's domain of line indices below 2^32",
+            line.0
+        );
         let (tag, set) = self.split.split(line.0);
-        (tag, set as usize)
+        // `tag <= line < 2^32`: the cast is exact.
+        (tag as u32, set as usize)
+    }
+
+    /// The line held by tag `tag` of set `idx`.
+    #[inline]
+    fn line(&self, tag: u32, idx: usize) -> LineAddr {
+        LineAddr(u64::from(tag) * u64::from(self.split.sets()) + idx as u64)
     }
 
     /// Position of `line`'s slot within its set span, if resident.
     #[inline]
-    fn find(&self, base: usize, len: usize, tag: u64) -> Option<usize> {
+    fn find(&self, base: usize, len: usize, tag: u32) -> Option<usize> {
         self.tags[base..base + len].iter().position(|&t| t == tag)
     }
 
@@ -218,7 +244,6 @@ impl<M: Default> Cache<M> {
     #[inline(always)]
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<(LineAddr, M)> {
         let tick = self.next_tick();
-        let sets_count = self.config.sets() as u64;
         let ways = self.config.ways as usize;
         let (tag, idx) = self.locate(line);
         let base = idx * ways;
@@ -254,8 +279,7 @@ impl<M: Default> Cache<M> {
         self.last_use[base + victim_i] = tick;
         let victim_meta = std::mem::replace(&mut self.metas[base + victim_i], meta);
         self.evictions += 1;
-        let victim_line = LineAddr(victim_tag * sets_count + idx as u64);
-        Some((victim_line, victim_meta))
+        Some((self.line(victim_tag, idx), victim_meta))
     }
 
     /// Removes `line` if present, returning its metadata.
@@ -289,7 +313,6 @@ impl<M: Default> Cache<M> {
 
     /// Removes every line for which `pred` holds; returns how many.
     pub fn invalidate_where<F: FnMut(LineAddr, &M) -> bool>(&mut self, mut pred: F) -> u64 {
-        let sets_count = self.config.sets() as u64;
         let ways = self.config.ways as usize;
         let mut n = 0;
         for idx in 0..self.lens.len() {
@@ -299,7 +322,7 @@ impl<M: Default> Cache<M> {
             // `Vec::retain`.
             let mut keep = 0;
             for i in 0..len {
-                let line = LineAddr(self.tags[base + i] * sets_count + idx as u64);
+                let line = self.line(self.tags[base + i], idx);
                 if pred(line, &self.metas[base + i]) {
                     n += 1;
                 } else {
@@ -331,6 +354,13 @@ impl<M: Default> Cache<M> {
         self.len() == 0
     }
 
+    /// Bytes the tag, recency and metadata lanes occupy together.
+    pub fn lane_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.tags)
+            + std::mem::size_of_val(&*self.last_use)
+            + std::mem::size_of_val(&*self.metas)
+    }
+
     /// Lines inserted so far (fills).
     pub fn insertions(&self) -> u64 {
         self.insertions
@@ -351,25 +381,20 @@ impl<M: Default> Cache<M> {
 
     /// Iterates over resident `(line, meta)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        let sets_count = self.config.sets() as u64;
         let ways = self.config.ways as usize;
         self.lens.iter().enumerate().flat_map(move |(idx, &len)| {
             let base = idx * ways;
-            (base..base + len as usize).map(move |slot| {
-                (
-                    LineAddr(self.tags[slot] * sets_count + idx as u64),
-                    &self.metas[slot],
-                )
-            })
+            (base..base + len as usize)
+                .map(move |slot| (self.line(self.tags[slot], idx), &self.metas[slot]))
         })
     }
 }
 
 // Snapshots serialize only the live slots (`lens[set]` per set): dead
 // slab slots hold stale metadata that is unobservable through the API,
-// so the restored cache fills them with `M::default()` instead. Ticks
-// are written as `u64`, the format's width, and a read tick of 2^32 or
-// more is refused.
+// so the restored cache fills them with `M::default()` instead. Tags
+// and ticks are written as `u64`, the format's width, and a read tag or
+// tick of 2^32 or more is refused.
 impl<M: Default + hmg_sim::SnapshotWrite> hmg_sim::SnapshotWrite for Cache<M> {
     fn write_snap(&self, w: &mut hmg_sim::SnapWriter) {
         w.put_u32(self.config.lines);
@@ -382,7 +407,7 @@ impl<M: Default + hmg_sim::SnapshotWrite> hmg_sim::SnapshotWrite for Cache<M> {
             w.put_u32(len);
             let base = idx * ways;
             for slot in base..base + len as usize {
-                w.put_u64(self.tags[slot]);
+                w.put_u64(u64::from(self.tags[slot]));
                 w.put_u64(u64::from(self.last_use[slot]));
                 self.metas[slot].write_snap(w);
             }
@@ -397,7 +422,7 @@ impl<M: Default + hmg_sim::SnapshotRead> hmg_sim::SnapshotRead for Cache<M> {
         let config = CacheConfig::try_new(lines, ways)
             .map_err(|e| hmg_sim::SnapError::Malformed(e.to_string()))?;
         let mut c = Cache::new(config);
-        c.tick = read_tick(r)?;
+        c.tick = read_lane(r, "tick")?;
         c.insertions = r.get_u64()?;
         c.evictions = r.get_u64()?;
         let ways = config.ways as usize;
@@ -410,8 +435,8 @@ impl<M: Default + hmg_sim::SnapshotRead> hmg_sim::SnapshotRead for Cache<M> {
             }
             let base = idx * ways;
             for slot in base..base + len as usize {
-                c.tags[slot] = r.get_u64()?;
-                c.last_use[slot] = read_tick(r)?;
+                c.tags[slot] = read_lane(r, "tag")?;
+                c.last_use[slot] = read_lane(r, "tick")?;
                 c.metas[slot] = M::read_snap(r)?;
             }
             c.lens[idx] = len;
@@ -420,12 +445,12 @@ impl<M: Default + hmg_sim::SnapshotRead> hmg_sim::SnapshotRead for Cache<M> {
     }
 }
 
-/// Reads one snapshot tick, refusing a value that does not fit the
-/// 32-bit lane.
-fn read_tick(r: &mut hmg_sim::SnapReader<'_>) -> Result<u32, hmg_sim::SnapError> {
+/// Reads one snapshot tag or tick, refusing a value that does not fit
+/// its 32-bit lane.
+fn read_lane(r: &mut hmg_sim::SnapReader<'_>, what: &str) -> Result<u32, hmg_sim::SnapError> {
     let v = r.get_u64()?;
     u32::try_from(v)
-        .map_err(|_| hmg_sim::SnapError::Malformed(format!("cache tick {v} exceeds 32 bits")))
+        .map_err(|_| hmg_sim::SnapError::Malformed(format!("cache {what} {v} exceeds 32 bits")))
 }
 
 #[cfg(test)]
@@ -626,6 +651,40 @@ mod tests {
             Cache::<u32>::read_snap(&mut SnapReader::new(&w.into_bytes())),
             Err(hmg_sim::SnapError::Malformed(_))
         ));
+
+        let mut w = SnapWriter::new();
+        c_header(&mut w);
+        w.put_u32(1); // set 0 holds one line ...
+        w.put_u64(1 << 32); // ... whose tag does not fit the 32-bit lane
+        w.put_u64(0); // tick
+        0u32.write_snap(&mut w);
+        assert!(matches!(
+            Cache::<u32>::read_snap(&mut SnapReader::new(&w.into_bytes())),
+            Err(hmg_sim::SnapError::Malformed(m)) if m.contains("tag")
+        ));
+    }
+
+    #[test]
+    fn the_last_line_of_the_domain_keeps_its_address() {
+        // 6 sets, so the split is not a shift. Line 2^32 - 1 has the
+        // largest tag the lane holds; it hits, iterates and is evicted
+        // as itself.
+        let mut c = cache(12, 2);
+        let top = LineAddr(LINE_LIMIT - 1);
+        c.insert(top, 1);
+        assert_eq!(c.get(top), Some(&1));
+        assert_eq!(c.iter().map(|(l, _)| l).collect::<Vec<_>>(), [top]);
+        c.insert(LineAddr(top.0 - 6), 2);
+        assert_eq!(c.insert(LineAddr(top.0 - 12), 3), Some((top, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "line 4294967296 is outside the cache's domain")]
+    fn a_line_past_the_domain_panics_instead_of_aliasing() {
+        // Line 2^32 with one set would alias tag 0 in a truncating lane.
+        let mut c = cache(2, 2);
+        c.insert(LineAddr(0), 0);
+        c.get(LineAddr(LINE_LIMIT));
     }
 
     fn c_header(w: &mut SnapWriter) {

@@ -14,6 +14,11 @@ use crate::addr::LineAddr;
 /// The authoritative version of every line in global memory. Lines start
 /// at version 0 (their initial contents).
 ///
+/// Versions here are `u64`, as in the engine's messages. The engine's
+/// L1 and L2 lanes hold 31 bits of version, so the engine checks each
+/// version [`VersionStore::bump`] returns and ends the run with a typed
+/// error at 2^31, one compare per store.
+///
 /// # Example
 ///
 /// ```
@@ -48,8 +53,6 @@ impl VersionStore {
         self.stores_committed += 1;
         let v = self.versions.or_insert(line, 0);
         *v += 1;
-        // Caches pack a version with a dirty bit into one word.
-        debug_assert!(*v < 1 << 63, "version of {line:?} overflows 63 bits");
         *v
     }
 

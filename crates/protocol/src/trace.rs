@@ -102,8 +102,8 @@ const COUNT_LIMIT: u32 = 1 << (32 - COUNT_SHIFT);
 /// flag is 2^15 or more or whose count is 2^14 or more. The encoding is
 /// canonical (an op is escaped exactly when it does not fit), so the
 /// derived `Eq` is equality of the decoded op lists. The list is
-/// immutable once built, and keeps its delay-cycle sum and access count
-/// so callers never re-walk it for them.
+/// immutable once built, and keeps its delay-cycle sum, access count and
+/// highest access address so callers never re-walk it for them.
 ///
 /// # Example
 ///
@@ -124,6 +124,8 @@ pub struct Ops {
     escapes: Box<[TraceOp]>,
     delay_cycles: u64,
     accesses: usize,
+    /// Highest byte address accessed; 0 when `accesses` is 0.
+    max_addr: u64,
 }
 
 impl Ops {
@@ -163,6 +165,12 @@ impl Ops {
         self.delay_cycles
     }
 
+    /// The highest byte address any [`TraceOp::Access`] touches, or
+    /// `None` when the list holds no access.
+    fn max_addr(&self) -> Option<u64> {
+        (self.accesses > 0).then_some(self.max_addr)
+    }
+
     /// Number of ops held in the escape list.
     pub fn num_escapes(&self) -> usize {
         self.escapes.len()
@@ -171,10 +179,13 @@ impl Ops {
     fn pack(ops: &[TraceOp]) -> Ops {
         let mut words = Vec::with_capacity(ops.len());
         let mut escapes = Vec::new();
-        let (mut delay_cycles, mut accesses) = (0u64, 0usize);
+        let (mut delay_cycles, mut accesses, mut max_addr) = (0u64, 0usize, 0u64);
         for &op in ops {
             match op {
-                TraceOp::Access(_) => accesses += 1,
+                TraceOp::Access(a) => {
+                    accesses += 1;
+                    max_addr = max_addr.max(a.addr.0);
+                }
                 TraceOp::Delay(d) => delay_cycles += u64::from(d),
                 _ => {}
             }
@@ -185,6 +196,7 @@ impl Ops {
             escapes: escapes.into_boxed_slice(),
             delay_cycles,
             accesses,
+            max_addr,
         }
     }
 
@@ -382,20 +394,20 @@ impl WorkloadTrace {
             .sum()
     }
 
+    /// The highest byte address any access touches, or `None` for a
+    /// trace with no accesses.
+    pub fn max_addr(&self) -> Option<u64> {
+        self.kernels
+            .iter()
+            .flat_map(|k| &k.ctas)
+            .filter_map(|c| c.ops.max_addr())
+            .max()
+    }
+
     /// The highest byte address referenced plus one — the trace's
     /// nominal footprint. Returns 0 for a trace with no accesses.
     pub fn footprint_bytes(&self) -> u64 {
-        let mut max = None::<u64>;
-        for k in &self.kernels {
-            for c in &k.ctas {
-                for op in &c.ops {
-                    if let TraceOp::Access(a) = op {
-                        max = Some(max.map_or(a.addr.0, |m| m.max(a.addr.0)));
-                    }
-                }
-            }
-        }
-        max.map_or(0, |m| m + 1)
+        self.max_addr().map_or(0, |m| m + 1)
     }
 }
 
@@ -427,8 +439,24 @@ mod tests {
             vec![Kernel::new(vec![Cta::new(vec![access(100), access(5000)])])],
         );
         assert_eq!(t.footprint_bytes(), 5001);
+        assert_eq!(t.max_addr(), Some(5000));
         let empty = WorkloadTrace::new("e", vec![]);
         assert_eq!(empty.footprint_bytes(), 0);
+        assert_eq!(empty.max_addr(), None);
+
+        // Escaped addresses count, CTAs without accesses do not, and an
+        // access at address 0 is still an access.
+        let one = |ops: Vec<TraceOp>| Kernel::new(vec![Cta::new(ops)]);
+        let escaped = WorkloadTrace::new(
+            "x",
+            vec![
+                one(vec![TraceOp::Delay(1)]),
+                one(vec![access(1 << 45), access(128)]),
+            ],
+        );
+        assert_eq!(escaped.max_addr(), Some(1 << 45));
+        let zero = WorkloadTrace::new("z", vec![one(vec![access(0)])]);
+        assert_eq!((zero.max_addr(), zero.footprint_bytes()), (Some(0), 1));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `hmg-audit` — static protocol verifier and source-hygiene linter.
+//! `hmg-audit` — static protocol verifier and shadow-table linter.
 //!
 //! Usage:
 //!
@@ -10,8 +10,7 @@
 //! printed as `file:line: [rule] message`), 2 on usage errors.
 //! `--inject` seeds one known violation class (self-test mode; CI runs
 //! these with inverted exit expectations): `incomplete-row`,
-//! `waitsfor-cycle`, `entropy`, `unordered-map`, `hot-path-struct`,
-//! `dir-match`, `spec-drop-forward`.
+//! `waitsfor-cycle`, `dir-match`, `spec-drop-forward`.
 //!
 //! `--model` additionally runs the explicit-state model checker over
 //! the guarded-action spec variants, printing one greppable `[model]`
@@ -29,7 +28,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: hmg-audit [--root DIR] [--inject CLASS] [--model] [--depth N] \
          [--protocol VARIANT]\n       CLASS: {}\n       VARIANT: {}",
-        Inject::NAMES.join(" | "),
+        Inject::CLASSES.map(|(name, ..)| name).join(" | "),
         SpecVariant::ALL.map(|v| v.name()).join(" | ")
     );
     ExitCode::from(2)

@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 /// One violation an audit engine found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`incomplete-row`, `waitsfor-cycle`, `entropy`,
-    /// `unordered-map`, `panic-path`, `stats-registration`,
-    /// `conservation`, `undeclared-consumer`).
+    /// Rule identifier (`incomplete-row`, `undeclared-consumer`,
+    /// `waitsfor-cycle`, `waitsfor-evidence`, `dir-match`,
+    /// `model-violation`).
     pub rule: String,
     /// Path of the offending file, relative to the workspace root.
     pub file: PathBuf,
@@ -67,16 +67,8 @@ mod tests {
 
     #[test]
     fn display_is_file_line_rule_msg() {
-        let f = Finding::new(
-            "entropy",
-            "crates/x/src/a.rs",
-            7,
-            "SystemTime::now() in sim state",
-        );
-        assert_eq!(
-            f.to_string(),
-            "crates/x/src/a.rs:7: [entropy] SystemTime::now() in sim state"
-        );
+        let f = Finding::new("dir-match", "crates/x/src/a.rs", 7, "shadow arm");
+        assert_eq!(f.to_string(), "crates/x/src/a.rs:7: [dir-match] shadow arm");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `hmg-audit`: static verification of the HMG/NHCC protocol stack and
-//! a determinism/panic-hygiene lint pass.
+//! a lexical lint against shadow transition tables.
 //!
 //! Three engines, all static (no simulation):
 //!
@@ -17,10 +17,10 @@
 //!   single-writer safety, sharer conservation, no stuck states, and
 //!   waits-for acyclicity per protocol variant, with shortest
 //!   counterexample traces on violation.
-//! * [`lint`] — lexical source-hygiene rules: deterministic iteration,
-//!   no smuggled entropy, no panics on hot paths, stats registration,
-//!   no tree-based collections back on the rewritten DES hot path, no
-//!   shadow DirState/DirEvent transition tables outside the spec.
+//! * [`lint`] — a lexical source rule: no shadow DirState/DirEvent
+//!   transition tables or row action tests outside the spec. The
+//!   generic determinism and panic-hygiene rules are clippy lints
+//!   (`crates/clippy.toml`), run by CI's `cargo clippy` step.
 //!
 //! The shape of the rows themselves (conservation, variant
 //! containment, arbitration rows never transitioning) is pinned by the
@@ -53,12 +53,6 @@ pub enum Inject {
     IncompleteRow,
     /// Add ack-style invalidation edges, closing a waits-for cycle.
     WaitsForCycle,
-    /// Smuggle a `SystemTime::now()` into a simulator-state crate.
-    Entropy,
-    /// Smuggle an iteration-order-sensitive `HashMap` into sim state.
-    UnorderedMap,
-    /// Smuggle a tree-based collection back into a DES hot-path file.
-    HotPathStruct,
     /// Smuggle a hand-rolled DirState/DirEvent match (a shadow
     /// transition table) into engine territory.
     DirMatch,
@@ -70,47 +64,25 @@ pub enum Inject {
 }
 
 impl Inject {
-    /// CLI names of every violation class.
-    pub const NAMES: &'static [&'static str] = &[
-        "incomplete-row",
-        "waitsfor-cycle",
-        "entropy",
-        "unordered-map",
-        "hot-path-struct",
-        "dir-match",
-        "spec-drop-forward",
-    ];
-
-    /// All classes, matching [`Self::NAMES`] order.
-    pub const ALL: [Inject; 7] = [
-        Inject::IncompleteRow,
-        Inject::WaitsForCycle,
-        Inject::Entropy,
-        Inject::UnorderedMap,
-        Inject::HotPathStruct,
-        Inject::DirMatch,
-        Inject::SpecDropForward,
+    /// Every class: its CLI name, the class, and the rule id the
+    /// injection must trip.
+    pub const CLASSES: [(&'static str, Inject, &'static str); 4] = [
+        ("incomplete-row", Inject::IncompleteRow, "incomplete-row"),
+        ("waitsfor-cycle", Inject::WaitsForCycle, "waitsfor-cycle"),
+        ("dir-match", Inject::DirMatch, "dir-match"),
+        (
+            "spec-drop-forward",
+            Inject::SpecDropForward,
+            "model-violation",
+        ),
     ];
 
     /// Parses a CLI name.
     pub fn parse(s: &str) -> Option<Inject> {
-        Self::NAMES
+        Self::CLASSES
             .iter()
-            .position(|&n| n == s)
-            .map(|i| Self::ALL[i])
-    }
-
-    /// The rule id the injection must trip.
-    pub fn expected_rule(self) -> &'static str {
-        match self {
-            Inject::IncompleteRow => "incomplete-row",
-            Inject::WaitsForCycle => "waitsfor-cycle",
-            Inject::Entropy => "entropy",
-            Inject::UnorderedMap => "unordered-map",
-            Inject::HotPathStruct => "hot-path-struct",
-            Inject::DirMatch => "dir-match",
-            Inject::SpecDropForward => "model-violation",
-        }
+            .find(|&&(name, ..)| name == s)
+            .map(|&(_, class, _)| class)
     }
 }
 
@@ -215,11 +187,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
     let edges_checked = model.edges().len();
     findings.extend(waitsfor::verify(root, &model));
 
-    // Source-hygiene lints.
+    // Shadow-table lint.
     let extra = match opts.inject {
-        Some(Inject::Entropy) => vec![lint::synthetic_entropy_file()],
-        Some(Inject::UnorderedMap) => vec![lint::synthetic_unordered_map_file()],
-        Some(Inject::HotPathStruct) => vec![lint::synthetic_hot_path_file()],
         Some(Inject::DirMatch) => vec![lint::synthetic_dir_match_file()],
         _ => Vec::new(),
     };
@@ -323,7 +292,7 @@ mod tests {
 
     #[test]
     fn every_seeded_violation_class_is_caught_with_a_location() {
-        for inject in Inject::ALL {
+        for (_, inject, rule) in Inject::CLASSES {
             let report = run_audit(&AuditOptions {
                 inject: Some(inject),
                 ..AuditOptions::new(root())
@@ -332,8 +301,8 @@ mod tests {
             let hit = report
                 .findings
                 .iter()
-                .find(|f| f.rule == inject.expected_rule())
-                .unwrap_or_else(|| panic!("{inject:?}: no {} finding", inject.expected_rule()));
+                .find(|f| f.rule == rule)
+                .unwrap_or_else(|| panic!("{inject:?}: no {rule} finding"));
             assert!(hit.line >= 1);
             assert!(
                 !hit.file.as_os_str().is_empty(),
@@ -350,8 +319,8 @@ mod tests {
 
     #[test]
     fn inject_names_round_trip() {
-        for (i, name) in Inject::NAMES.iter().enumerate() {
-            assert_eq!(Inject::parse(name), Some(Inject::ALL[i]));
+        for (name, class, _) in Inject::CLASSES {
+            assert_eq!(Inject::parse(name), Some(class));
         }
         assert_eq!(Inject::parse("no-such-class"), None);
     }

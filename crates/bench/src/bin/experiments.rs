@@ -56,8 +56,10 @@ fn run(cmd: Command, p: &ParsedArgs) -> bool {
             // Perf trajectory (ROADMAP item 1): sum the tallies of every
             // supervised sweep of the full paper run and leave a
             // machine-readable baseline next to the figures.
-            // audit:allow(entropy): wall-clock benchmarking only; never
-            // feeds simulated state.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock benchmarking only; never feeds simulated state"
+            )]
             let t0 = std::time::Instant::now();
             // Each command is one sweep, so each gets its own checkpoint
             // file `F.<command>` and `--resume` applies to every one.
@@ -190,8 +192,10 @@ fn main() -> ExitCode {
     }
     match parse_args(&args) {
         Ok(parsed) => {
-            // audit:allow(entropy): wall-clock progress reporting only;
-            // never feeds simulated state.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock progress reporting only; never feeds simulated state"
+            )]
             let t0 = std::time::Instant::now();
             let ok = run(parsed.command, &parsed);
             eprintln!(

@@ -360,8 +360,10 @@ pub fn run_bench(opts: &ExpOptions, quick: bool) -> Result<BenchReport, SimError
             let mut wall_s = f64::INFINITY;
             let mut first = None;
             for _ in 0..TIMED_ROUNDS {
-                // audit:allow(entropy): wall-clock benchmarking only; never
-                // feeds simulated state.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock benchmarking only; never feeds simulated state"
+                )]
                 let start = std::time::Instant::now();
                 let (m, _) = run_isolated(cfg.clone(), &trace, None)?;
                 wall_s = wall_s.min(start.elapsed().as_secs_f64());
@@ -435,8 +437,10 @@ fn snapshot_overhead(
     let mut off = None;
     let mut written = 0;
     for _ in 0..TIMED_ROUNDS {
-        // audit:allow(entropy): wall-clock benchmarking only; never
-        // feeds simulated state.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock benchmarking only; never feeds simulated state"
+        )]
         let start = std::time::Instant::now();
         let (m, _) = run_isolated(cfg.clone(), &trace, None)?;
         off_wall_s = off_wall_s.min(start.elapsed().as_secs_f64());
@@ -446,8 +450,10 @@ fn snapshot_overhead(
         for slot in store.slots() {
             let _ = std::fs::remove_file(&slot);
         }
-        // audit:allow(entropy): wall-clock benchmarking only; never
-        // feeds simulated state.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock benchmarking only; never feeds simulated state"
+        )]
         let start = std::time::Instant::now();
         let (on, report) = run_isolated(cfg.clone(), &trace, Some(&policy))?;
         on_wall_s = on_wall_s.min(start.elapsed().as_secs_f64());

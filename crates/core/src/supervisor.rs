@@ -288,8 +288,10 @@ where
     R: Send,
     F: Fn(&T, u32) -> Attempt<R> + Sync,
 {
-    // audit:allow(entropy): wall-clock sweep accounting only; never
-    // feeds simulated state.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock sweep accounting only; never feeds simulated state"
+    )]
     let t0 = std::time::Instant::now();
     let n = cells.len();
     let jobs = cfg.resolved_jobs(n);
@@ -350,8 +352,10 @@ fn run_one<T, R, F>(cell: &T, key: String, cfg: &SupervisorConfig, attempt: &F) 
 where
     F: Fn(&T, u32) -> Attempt<R>,
 {
-    // audit:allow(entropy): wall-clock cell accounting only; never
-    // feeds simulated state.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock cell accounting only; never feeds simulated state"
+    )]
     let t0 = std::time::Instant::now();
     let max_attempts = 1 + cfg.retries;
     let mut attempts = 0;
@@ -497,8 +501,10 @@ pub fn process_attempt(cmd: &CellCommand, timeout: Option<Duration>) -> Attempt<
         buf
     });
 
-    // audit:allow(entropy): wall-clock timeout enforcement only; never
-    // feeds simulated state.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timeout enforcement only; never feeds simulated state"
+    )]
     let start = std::time::Instant::now();
     let status = loop {
         match child.try_wait() {

@@ -250,7 +250,7 @@ impl EngineConfig {
     /// Panics if the directory granularity and message sizes disagree
     /// with the geometry, or dimensions are zero.
     pub fn validate(&self) {
-        // audit:allow(panic-path): documented panicking wrapper over try_validate.
+        // Documented panicking wrapper over try_validate.
         self.try_validate().unwrap_or_else(|e| panic!("{e}"));
     }
 

@@ -333,7 +333,7 @@ impl Engine {
     /// Panics if the configuration is internally inconsistent
     /// (see [`EngineConfig::validate`]).
     pub fn new(cfg: EngineConfig) -> Self {
-        // audit:allow(panic-path): documented panicking wrapper over try_new.
+        // Documented panicking wrapper over try_new.
         Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -358,7 +358,7 @@ impl Engine {
     /// diagnostic. Use [`Engine::try_run`] to capture the error
     /// instead.
     pub fn run(&self, trace: &WorkloadTrace) -> RunMetrics {
-        // audit:allow(panic-path): documented panicking wrapper over try_run.
+        // Documented panicking wrapper over try_run.
         self.try_run(trace).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -1974,14 +1974,16 @@ impl<'t> Sim<'t> {
             // it straight to the (re-homed, alive) system home so no
             // committed data is lost.
             self.m.reconfig.drained_txns += 1;
+            #[expect(
+                clippy::expect_used,
+                reason = "infallible: epoch reconfiguration refuses plans that kill every GPM, \
+                          so at least one survivor always exists"
+            )]
             let toucher = if self.gpm_is_dead(msg.origin) {
                 self.cfg
                     .topo
                     .all_gpms()
                     .find(|g| !self.gpm_is_dead(*g))
-                    // audit:allow(panic-path): infallible — epoch
-                    // reconfiguration refuses plans that kill every GPM,
-                    // so at least one survivor always exists.
                     .expect("reconfiguration keeps at least one survivor")
             } else {
                 msg.origin

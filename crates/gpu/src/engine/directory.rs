@@ -148,7 +148,7 @@ impl<'t> Sim<'t> {
         let before = evicted.or_else(|| dir.lookup(block).copied());
         let state = if before.is_some() { Valid } else { Invalid };
         let row = spec.row(state, event, GuardCtx::FREE).unwrap_or_else(|| {
-            // audit:allow(panic-path): reaching an undefined cell is a simulator bug.
+            // Reaching an undefined cell is a simulator bug.
             panic!("spec leaves ({state:?}, {event:?}) undefined")
         });
         let before = before.unwrap_or_default();

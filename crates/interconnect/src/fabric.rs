@@ -353,11 +353,6 @@ impl Fabric {
         }
     }
 
-    /// Overrides the reliable-delivery parameters.
-    pub fn set_transport(&mut self, transport: TransportConfig) {
-        self.transport = transport;
-    }
-
     /// Enables or disables per-message checksum verification. With
     /// checksums off, injected in-flight flips deliver corrupt payloads
     /// silently instead of triggering retransmission.

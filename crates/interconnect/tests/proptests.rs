@@ -2,6 +2,10 @@
 //! delivery, byte conservation, bandwidth lower bounds, and topology
 //! round trips. Driven by the in-repo SplitMix64 [`Rng`] rather than an
 //! external property-testing crate so the workspace builds offline.
+#![expect(
+    clippy::disallowed_types,
+    reason = "std hash collections are the test oracles here, never simulator state"
+)]
 
 use hmg_interconnect::{Fabric, FabricConfig, GpmId, Link, MsgClass, Topology};
 use hmg_sim::{Cycle, Rng};

@@ -29,7 +29,7 @@ impl CacheConfig {
     /// Table II capacities (e.g. 3 MB slices, 16 ways, 1536 sets) be
     /// expressed exactly.
     pub fn new(lines: u32, ways: u32) -> Self {
-        // audit:allow(panic-path): documented panicking wrapper over try_new.
+        // Documented panicking wrapper over try_new.
         Self::try_new(lines, ways).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -203,7 +203,7 @@ impl DirectoryConfig {
     /// `ways`. (Unlike the data caches, the directory permits a
     /// non-power-of-two set count; indexing uses modulo.)
     pub fn new(entries: u32, ways: u32) -> Self {
-        // audit:allow(panic-path): documented panicking wrapper over try_new.
+        // Documented panicking wrapper over try_new.
         Self::try_new(entries, ways).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -258,6 +258,10 @@ impl hmg_sim::SnapshotRead for PageMap {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the tests count distinct homes in a HashSet; never simulator state"
+)]
 mod tests {
     use super::*;
 

@@ -2,6 +2,10 @@
 //! coherence directory, and the address math. Driven by the in-repo
 //! SplitMix64 [`Rng`] rather than an external property-testing crate so
 //! the workspace builds offline.
+#![expect(
+    clippy::disallowed_types,
+    reason = "std hash collections are the test oracles here, never simulator state"
+)]
 
 use hmg_interconnect::{GpmId, GpuId, Topology};
 use hmg_mem::addr::{Addr, BlockAddr, LineAddr};

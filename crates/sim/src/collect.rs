@@ -12,8 +12,8 @@
 //! iteration order is a pure function of the operation sequence
 //! (insertion order, perturbed only by `remove`'s documented
 //! swap-removal). Two runs issuing the same operations therefore
-//! observe identical iteration order — the property the hmg-audit
-//! `unordered-map` lint exists to protect. Call sites that fold state
+//! observe identical iteration order — the property the ban on std hash
+//! collections (`crates/clippy.toml`) exists to protect. Call sites that fold state
 //! into digests or drive simulation behavior from iteration still sort
 //! explicitly, exactly as they did over the ordered maps, so replacing
 //! the map cannot move an observable event.
@@ -428,6 +428,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the std tree is the oracle the flat map is checked against"
+    )]
     fn matches_btreemap_on_a_seeded_op_sequence() {
         use std::collections::BTreeMap;
         let mut flat: FlatMap<u64, u64> = FlatMap::new();

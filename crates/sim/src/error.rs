@@ -169,10 +169,12 @@ mod tests {
     #[test]
     fn kinds_have_distinct_names() {
         use SimErrorKind::*;
-        let names: std::collections::HashSet<_> = [Deadlock, Livelock, Config, Protocol, Trace]
+        let mut names: Vec<_> = [Deadlock, Livelock, Config, Protocol, Trace]
             .iter()
             .map(|k| k.name())
             .collect();
+        names.sort_unstable();
+        names.dedup();
         assert_eq!(names.len(), 5);
     }
 }

@@ -14,7 +14,11 @@
 //! the oracle for the differential test (`tests/event_queue_diff.rs`).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap; // audit:allow(hot-path-struct): reference oracle only; the production queue below is the calendar ring.
+#[expect(
+    clippy::disallowed_types,
+    reason = "reference oracle only; the production queue below is the calendar ring"
+)]
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
@@ -158,21 +162,25 @@ impl<E> EventQueue<E> {
         // Fast path: most pops drain the current bucket (same-cycle
         // FIFO chains and back-to-back cycles), so probe it directly
         // before paying for the two-level bitmap scan.
+        #[expect(
+            clippy::expect_used,
+            reason = "ring_len > 0 here, and every ring insert sets the occupancy bit for its bucket"
+        )]
         let s = if self.slots[start].0 != NIL {
             start
         } else {
             self.next_occupied(start)
-                // audit:allow(panic-path): ring_len > 0 here, and every
-                // ring insert sets the occupancy bit for its bucket.
                 .expect("ring_len > 0 implies an occupied bucket")
         };
         let dist = (s.wrapping_sub(start) & RING_MASK) as u64;
         let at = Cycle(self.win_base.0 + dist);
         let head = self.slots[s].0 as usize;
         let node = &mut self.nodes[head];
-        // audit:allow(panic-path): the occupancy bit is cleared the
-        // moment a bucket drains, so a scanned bucket's head node is
-        // live (its payload is `Some` until this very take).
+        #[expect(
+            clippy::expect_used,
+            reason = "the occupancy bit is cleared the moment a bucket drains, so a scanned \
+                      bucket's head node is live (its payload is `Some` until this very take)"
+        )]
         let payload = node.payload.take().expect("occupied bucket is non-empty");
         let next = node.next;
         self.free.push(head as u32);
@@ -293,12 +301,14 @@ impl<E> EventQueue<E> {
         let mut seen = 0usize;
         let mut s = start;
         while seen < self.ring_len {
+            #[expect(
+                clippy::expect_used,
+                reason = "seen < ring_len, so an occupied bucket exists and its bit is set"
+            )]
             let b = if self.slots[s].0 != NIL {
                 s
             } else {
                 self.next_occupied(s)
-                    // audit:allow(panic-path): seen < ring_len, so an
-                    // occupied bucket exists and its bit is set.
                     .expect("ring_len > seen implies an occupied bucket")
             };
             let dist = (b.wrapping_sub(start) & RING_MASK) as u64;
@@ -306,8 +316,11 @@ impl<E> EventQueue<E> {
             let mut n = self.slots[b].0;
             while n != NIL {
                 let node = &self.nodes[n as usize];
-                // audit:allow(panic-path): chained nodes are live; the
-                // payload is only taken when the node is unlinked.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "chained nodes are live; the payload is only taken when the node is \
+                              unlinked"
+                )]
                 f(at, node.payload.as_ref().expect("occupied chain node"));
                 seen += 1;
                 n = node.next;
@@ -481,8 +494,11 @@ impl<E> Ord for Entry<E> {
 /// the identical pop order on both. Not used on the simulation hot
 /// path.
 pub struct ReferenceEventQueue<E> {
-    // audit:allow(hot-path-struct): this *is* the retained reference
-    // heap the differential test compares the calendar queue against.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this *is* the retained reference heap the differential test compares the \
+                  calendar queue against"
+    )]
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     popped: u64,
@@ -493,8 +509,10 @@ impl<E> ReferenceEventQueue<E> {
     /// Creates an empty queue positioned at `Cycle::ZERO`.
     pub fn new() -> Self {
         ReferenceEventQueue {
-            // audit:allow(hot-path-struct): constructing the reference
-            // oracle's heap; never on the simulation hot path.
+            #[expect(
+                clippy::disallowed_types,
+                reason = "constructing the reference oracle's heap; never on the simulation hot path"
+            )]
             heap: BinaryHeap::new(),
             next_seq: 0,
             popped: 0,

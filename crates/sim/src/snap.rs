@@ -686,11 +686,6 @@ impl Snapshot {
             })
     }
 
-    /// Names of all sections, in write order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Encodes the snapshot into its on-disk byte layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
@@ -904,14 +899,16 @@ impl SnapshotStore {
         }
         let slots = self.slots();
         // Prefer a slot with no usable header; otherwise the stale one.
+        #[expect(
+            clippy::expect_used,
+            reason = "min over a fixed two-element array is always Some"
+        )]
         let target = slots
             .iter()
             .min_by_key(|p| match Snapshot::probe(p) {
                 None => (0u8, 0u64),
                 Some((_, cycle)) => (1, cycle),
             })
-            // audit:allow(panic-path): min over a fixed two-element
-            // array is always Some.
             .expect("two slots")
             .clone();
         snap.write_atomic(&target)?;

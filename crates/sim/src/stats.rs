@@ -1,86 +1,7 @@
-//! Counters and statistics helpers used across the evaluation.
+//! Statistics helpers and the fault-recovery counter sets used across the
+//! evaluation.
 
 use std::fmt;
-
-/// A named monotone event counter.
-///
-/// # Example
-///
-/// ```
-/// use hmg_sim::stats::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Running mean over an online stream of samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    n: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, v: f64) {
-        self.sum += v;
-        self.n += 1;
-    }
-
-    /// The mean of all samples pushed so far, or 0.0 if none.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-}
 
 /// Arithmetic mean of a slice; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -208,18 +129,23 @@ impl ReconfigStats {
 
 impl fmt::Display for ReconfigStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // No `..`: a new field fails to compile until it is printed.
+        let ReconfigStats {
+            epochs,
+            drained_txns,
+            rehomed_blocks,
+            rehomed_pages,
+            degraded_pages,
+            downtime_cycles,
+            aborted_ctas,
+            scrubbed_lines,
+        } = *self;
         write!(
             f,
-            "reconfig_epochs={} drained_txns={} rehomed_blocks={} rehomed_pages={} \
-             degraded_pages={} downtime_cycles={} aborted_ctas={} scrubbed_lines={}",
-            self.epochs,
-            self.drained_txns,
-            self.rehomed_blocks,
-            self.rehomed_pages,
-            self.degraded_pages,
-            self.downtime_cycles,
-            self.aborted_ctas,
-            self.scrubbed_lines
+            "reconfig_epochs={epochs} drained_txns={drained_txns} \
+             rehomed_blocks={rehomed_blocks} rehomed_pages={rehomed_pages} \
+             degraded_pages={degraded_pages} downtime_cycles={downtime_cycles} \
+             aborted_ctas={aborted_ctas} scrubbed_lines={scrubbed_lines}"
         )
     }
 }
@@ -310,22 +236,27 @@ impl IntegrityStats {
 
 impl fmt::Display for IntegrityStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // No `..`: a new field fails to compile until it is printed.
+        let IntegrityStats {
+            flips_msg,
+            flips_line,
+            flips_dir,
+            checksum_retransmits,
+            corrected,
+            refetched_lines,
+            rebuilt_dir_entries,
+            poisoned,
+            aborted_ctas,
+            scrubbed,
+            silent_corruptions,
+        } = *self;
         write!(
             f,
-            "flips_msg={} flips_line={} flips_dir={} checksum_retransmits={} corrected={} \
-             refetched_lines={} rebuilt_dir_entries={} poisoned={} aborted_ctas={} scrubbed={} \
-             silent_corruptions={}",
-            self.flips_msg,
-            self.flips_line,
-            self.flips_dir,
-            self.checksum_retransmits,
-            self.corrected,
-            self.refetched_lines,
-            self.rebuilt_dir_entries,
-            self.poisoned,
-            self.aborted_ctas,
-            self.scrubbed,
-            self.silent_corruptions
+            "flips_msg={flips_msg} flips_line={flips_line} flips_dir={flips_dir} \
+             checksum_retransmits={checksum_retransmits} corrected={corrected} \
+             refetched_lines={refetched_lines} rebuilt_dir_entries={rebuilt_dir_entries} \
+             poisoned={poisoned} aborted_ctas={aborted_ctas} scrubbed={scrubbed} \
+             silent_corruptions={silent_corruptions}"
         )
     }
 }
@@ -360,29 +291,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn running_mean_matches_batch_mean() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let mut rm = RunningMean::new();
-        for &x in &xs {
-            rm.push(x);
-        }
-        assert_eq!(rm.count(), 4);
-        assert!((rm.mean() - mean(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(RunningMean::new().mean(), 0.0);
     }
 
     #[test]
@@ -435,24 +345,46 @@ mod tests {
         assert!(!s.is_zero());
         assert_eq!(s.flips(), 9);
         assert_eq!(s.accounted(), 9);
-        // Every counter appears in the one-line display (greppable, and
-        // the stats-registration lint requires it).
-        let line = s.to_string();
-        for field in [
-            "flips_msg=3",
-            "flips_line=4",
-            "flips_dir=2",
-            "checksum_retransmits=3",
-            "corrected=3",
-            "refetched_lines=2",
-            "rebuilt_dir_entries=1",
-            "poisoned=0",
-            "aborted_ctas=0",
-            "scrubbed=2",
-            "silent_corruptions=0",
-        ] {
-            assert!(line.contains(field), "{line} missing {field}");
-        }
+    }
+
+    #[test]
+    fn stats_display_prints_every_field() {
+        // CI greps these lines (`reconfig_epochs=[1-9]`,
+        // `silent_corruptions=0`); their bytes are part of the interface.
+        let r = ReconfigStats {
+            epochs: 1,
+            drained_txns: 2,
+            rehomed_blocks: 3,
+            rehomed_pages: 4,
+            degraded_pages: 5,
+            downtime_cycles: 6,
+            aborted_ctas: 7,
+            scrubbed_lines: 8,
+        };
+        assert_eq!(
+            r.to_string(),
+            "reconfig_epochs=1 drained_txns=2 rehomed_blocks=3 rehomed_pages=4 \
+             degraded_pages=5 downtime_cycles=6 aborted_ctas=7 scrubbed_lines=8"
+        );
+        let i = IntegrityStats {
+            flips_msg: 1,
+            flips_line: 2,
+            flips_dir: 3,
+            checksum_retransmits: 4,
+            corrected: 5,
+            refetched_lines: 6,
+            rebuilt_dir_entries: 7,
+            poisoned: 8,
+            aborted_ctas: 9,
+            scrubbed: 10,
+            silent_corruptions: 11,
+        };
+        assert_eq!(
+            i.to_string(),
+            "flips_msg=1 flips_line=2 flips_dir=3 checksum_retransmits=4 corrected=5 \
+             refetched_lines=6 rebuilt_dir_entries=7 poisoned=8 aborted_ctas=9 scrubbed=10 \
+             silent_corruptions=11"
+        );
     }
 
     #[test]
